@@ -9,15 +9,14 @@ import csv
 import io
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import oracle
-from .events import EventSequence, FIELD_NAMES, N_FIELDS, encode
-from .flow import FlowParams, FlowReport, TooShortError, information_flow
+from .events import EventSequence, FIELD_NAMES, N_FIELDS, TYPE_NOTE, encode
+from .flow import FlowParams, FlowReport, information_flow
 from .grid import GridSpec
 from .midi import IneligiblePieceError, Piece, QuantNote, split_tracks
 from .model import ContextModel, GenerationResult, generate
@@ -155,8 +154,8 @@ class ExperimentReport:
         """One-sided Welch t for positives carrying more flow than negatives."""
         pos = self.label_flows(POSITIVE, field_index)
         neg = self.label_flows(NEGATIVE, field_index)
-        result = scipy_stats.ttest_ind(pos, neg, equal_var=False, alternative="greater")
-        return float(result.statistic)
+        stderr = np.sqrt(pos.var(ddof=1) / len(pos) + neg.var(ddof=1) / len(neg))
+        return float((pos.mean() - neg.mean()) / stderr)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -209,7 +208,7 @@ def _score_pair(
             model, pair.x, pair.y, params, piece_id=pair.pair_id, config=config
         )
         return ScoredPair(pair, report)
-    except (TooShortError, ValueError) as exc:
+    except ValueError as exc:
         return ScoredPair(pair, None, str(exc))
 
 
@@ -232,7 +231,7 @@ def batch_score(
             scored = [
                 ScoredPair(
                     s.pair,
-                    None if s.report is None else _with_config(s.report, config),
+                    None if s.report is None else replace(s.report, config=dict(config)),
                     s.error,
                 )
                 for s in scored
@@ -240,22 +239,6 @@ def batch_score(
     else:
         scored = [_score_pair(model, p, params, config) for p in pair_list]
     return ExperimentReport(tuple(scored), params, model.fingerprint())
-
-
-def _with_config(report: FlowReport, config: dict) -> FlowReport:
-    return FlowReport(
-        piece_id=report.piece_id,
-        model_id=report.model_id,
-        mode=report.mode,
-        context_len=report.context_len,
-        burn_in=report.burn_in,
-        xy_norm=report.xy_norm,
-        h_first=report.h_first,
-        h_second=report.h_second,
-        h_merged=report.h_merged,
-        units=report.units,
-        config=dict(config),
-    )
 
 
 @dataclass(frozen=True)
@@ -338,7 +321,7 @@ def self_enhancement(
         prime_notes = tuple(
             QuantNote(e.beat, e.position, e.pitch, e.duration, e.instrument)
             for e in prime.events
-            if e.type == 3
+            if e.type == TYPE_NOTE
         )
         if not prime_notes:
             skipped += 1
@@ -360,7 +343,7 @@ def self_enhancement(
                         params,
                         piece_id=f"prime{i}-gen{g_name}",
                     )
-                except (TooShortError, ValueError):
+                except ValueError:
                     skipped += 1
                     continue
                 sums[s_name][g_name] += report.total_flow

@@ -136,6 +136,13 @@ def test_batch_score_report_contents(echo_setup):
     assert neg.mean() < 0.1
     assert report.t_statistic() > 3.0
     assert report.t_statistic(3) > 3.0  # the pitch field carries it
+    for field_index in (None, 3):
+        welch = scipy_stats.ttest_ind(
+            report.label_flows(POSITIVE, field_index),
+            report.label_flows(NEGATIVE, field_index),
+            equal_var=False,
+        )
+        assert report.t_statistic(field_index) == pytest.approx(welch.statistic, rel=1e-12)
 
     agg = report.aggregates()
     assert set(agg) == {POSITIVE, NEGATIVE}

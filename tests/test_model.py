@@ -1,4 +1,6 @@
 """Back-off model: counting, interpolation, serialization, generation."""
+import hashlib
+import itertools
 import math
 import struct
 from collections import Counter
@@ -7,7 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from duetflow.events import Event, TYPE_END, TYPE_NOTE, encode, validate_sequence, vocab_sizes
+from duetflow.events import (
+    Event,
+    EventSequence,
+    TYPE_END,
+    TYPE_NOTE,
+    encode,
+    validate_sequence,
+    vocab_sizes,
+)
 from duetflow.grid import GridSpec
 from duetflow.midi import QuantNote
 from duetflow.model import (
@@ -22,7 +32,9 @@ from duetflow.model import (
     save_model_file,
     score_sequence,
     train,
+    _event_hashes,
 )
+from reference_model import reference_predict, reference_save, reference_train
 
 GRID = GridSpec()
 
@@ -66,6 +78,17 @@ def test_event_hash_sensitive_to_every_field():
         seen.add(h)
 
 
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(*[st.one_of(st.integers(0, 1100), _INT64)] * 6), max_size=40))
+def test_vectorized_event_hashes_match_scalar(rows):
+    got = _event_hashes(np.array(rows, dtype=np.int64).reshape(-1, 6))
+    assert got.dtype == np.uint64
+    assert [int(h) for h in got] == [event_hash(Event(*r)) for r in rows]
+
+
 def test_fingerprint_pinned():
     notes = [QuantNote(0, 0, 60, 12, 5), QuantNote(1, 0, 64, 6, 5), QuantNote(2, 6, 67, 3, 5)]
     model = train([encode([notes], GRID)], k=2)
@@ -80,6 +103,63 @@ def test_training_is_deterministic():
     b = train(list(corpus), k=3)
     assert save_model(a) == save_model(b)
     assert a.fingerprint() == b.fingerprint()
+
+
+@st.composite
+def corpora(draw):
+    """A grid and a corpus on it: whole pieces, truncated prefixes and empties."""
+    grid = GridSpec(
+        draw(st.integers(1, 16)),
+        draw(st.sampled_from([1, 7, 64, 1024, 40000])),
+        draw(st.integers(1, 40)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    programs = draw(st.lists(st.integers(0, 127), min_size=1, max_size=4, unique=True))
+    corpus = []
+    for _ in range(draw(st.integers(1, 4))):
+        notes = [
+            QuantNote(
+                int(rng.integers(0, min(grid.max_beat, 8))),
+                int(rng.integers(0, grid.resolution)),
+                int(rng.integers(0, 128)),
+                int(rng.integers(1, grid.max_duration + 1)),
+                int(rng.choice(programs)),
+            )
+            for _ in range(draw(st.integers(1, 12)))
+        ]
+        events = encode([notes], grid).events
+        corpus.append(EventSequence(events[: draw(st.integers(0, len(events)))], grid))
+    return corpus
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora(), st.integers(0, 4), st.sampled_from([0.5, 1.0, 3.0]))
+def test_train_bytes_match_dict_reference(corpus, k, lam):
+    model = train(corpus, k=k, lam=lam)
+    tables, events = reference_train(corpus, k)
+    blob = save_model(model)
+    assert blob == reference_save(k, lam, corpus[0].grid, tables, events)
+    assert save_model(load_model(blob)) == blob
+    vocab = vocab_sizes(corpus[0].grid)
+    probe = corpus[0].events
+    for t in range(len(probe) + 1):
+        got = model.predict_next(probe[:t]).vectors
+        want = reference_predict(tables, k, lam, vocab, probe[:t])
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    scores = score_sequence(model, probe, context_len=64, mode="predictive")
+    for t in range(len(probe)):
+        want = reference_predict(tables, k, lam, vocab, probe[:t])
+        assert list(scores[t]) == [float(-(v * np.log(v)).sum()) for v in want]
+
+
+def test_train_rejects_events_outside_the_vocabulary():
+    seq = simple_piece([60, 64])
+    small = GridSpec(max_beat=1)
+    with pytest.raises(ValueError, match="outside the vocabulary"):
+        train([EventSequence(seq.events, small)], k=1)
+    bad = seq.events[:3] + (Event(TYPE_NOTE, 0, 0, 60, 12, -1),) + seq.events[4:]
+    with pytest.raises(ValueError, match="outside the vocabulary"):
+        train([EventSequence(bad, GRID)], k=1)
 
 
 # --- counting and interpolation, against hand-derived values ---------------
@@ -159,18 +239,22 @@ def test_interpolation_matches_tuple_keyed_reference():
 
     model = train(corpus, k=k, lam=lam)
     probe = corpus[0].events
-    for t in range(len(probe)):
-        context = list(probe[:t])
-        dists = model.predict_next(context)
-        scores = score_sequence(model, probe[: t + 1], context_len=64)
-        for f in range(6):
-            for value in {0, probe[t][f], min(60, vocab[f] - 1), vocab[f] - 1}:
-                assert dists.probability(f, value) == pytest.approx(
-                    ref_prob(context, f, value), rel=1e-12
-                )
-            assert scores[t, f] == pytest.approx(
-                -math.log(ref_prob(context, f, probe[t][f])), rel=1e-12
-            )
+    for mode, context_len in itertools.product(("nll", "predictive"), (0, 1, 2, 64)):
+        scores = score_sequence(model, probe, context_len=context_len, mode=mode)
+        for t in range(len(probe)):
+            context = list(probe[max(0, t - context_len):t])
+            dists = model.predict_next(context)
+            for f in range(6):
+                for value in {0, probe[t][f], min(60, vocab[f] - 1), vocab[f] - 1}:
+                    assert dists.probability(f, value) == pytest.approx(
+                        ref_prob(context, f, value), rel=1e-12
+                    )
+                if mode == "nll":
+                    want = -math.log(ref_prob(context, f, probe[t][f]))
+                else:
+                    vec = np.array([ref_prob(context, f, v) for v in range(vocab[f])])
+                    want = float(-(vec * np.log(vec)).sum())
+                assert scores[t, f] == pytest.approx(want, rel=1e-12)
 
 
 def test_score_modes_match_predict_next():
@@ -291,6 +375,148 @@ def test_load_rejects_corrupted_input():
         load_model(blob[:10] + struct.pack("<d", 0.0) + blob[18:])
     with pytest.raises(ValueError, match="grid"):
         load_model(blob[:18] + struct.pack("<I", 0) + blob[22:])
+
+
+def write_blob(k, lam, grid, trained, tables):
+    """A model file holding tables exactly as listed, sorted or not.
+
+    tables[j] is a list of (context, total, [(key, count), ...]) entries.
+    """
+    header = (1, k, lam, grid.resolution, grid.max_beat, grid.max_duration, trained)
+    out = [b"DFM1", struct.pack("<HIdIIIQ", *header)]
+    for entries in tables:
+        out.append(struct.pack("<Q", len(entries)))
+        for ctx, total, pairs in entries:
+            out.append(struct.pack("<QQI", ctx, total, len(pairs)))
+            out.extend(struct.pack("<QQ", key, c) for key, c in pairs)
+    return b"".join(out)
+
+
+def listed_tables(corpus, k):
+    tables, trained = reference_train(corpus, k)
+    listed = [
+        [[ctx, total, sorted(counts.items())] for ctx, (total, counts) in sorted(t.items())]
+        for t in tables
+    ]
+    return listed, trained
+
+
+def test_load_accepts_only_canonical_tables():
+    corpus = [simple_piece([60, 64, 67])]
+    good, trained = listed_tables(corpus, 2)
+    assert write_blob(2, 1.0, GRID, trained, good) == save_model(train(corpus, k=2))
+    load_model(write_blob(2, 1.0, GRID, trained, good))
+
+    def rejected(match, edit, *, events=trained, lam=1.0):
+        tables, _ = listed_tables(corpus, 2)
+        edit(tables)
+        with pytest.raises(ValueError, match=match):
+            load_model(write_blob(2, lam, GRID, events, tables))
+
+    def swap_entries(t):
+        t[1][0], t[1][1] = t[1][1], t[1][0]
+
+    def reverse_keys(t):
+        t[1][0][2].reverse()
+
+    def zero_total(t):
+        t[2][0][1] = 0
+
+    def zero_count(t):
+        t[1][0][2][0] = (t[1][0][2][0][0], 0)
+
+    def bump(t, j, key):
+        t[j][0][2] = sorted(t[j][0][2] + [(key, 1)])
+
+    rejected("context hashes are not strictly ascending", swap_entries)
+    rejected("keys are not strictly ascending", reverse_keys)
+    rejected("total or a count is 0", zero_total)
+    rejected("total or a count is 0", zero_count)
+    rejected("outside the vocabulary", lambda t: bump(t, 1, (1 << 20) * 8 + 6))  # field 6
+    rejected("outside the vocabulary", lambda t: bump(t, 1, 128 * 8 + 3))  # pitch 128
+    rejected("do not sum", lambda t: bump(t, 1, 61 * 8 + 3))  # one pitch too many
+    rejected("exactly the empty context", lambda t: t[0][0].__setitem__(0, 5))
+    rejected("exactly the empty context", lambda t: t[0].append([9, *t[0][0][1:]]))
+    rejected("table 0 is empty", lambda t: t[0].clear(), events=0)
+    rejected("table 0 total", lambda t: None, events=trained + 1)
+    rejected("too small", lambda t: None, lam=1e-300)
+
+
+def test_empty_model_round_trips():
+    model = empty_model(GRID, k=3, lam=2.0)
+    blob = save_model(model)
+    back = load_model(blob)
+    assert save_model(back) == blob
+    assert back.trained_events == 0
+    for f, vec in enumerate(back.predict_next([Event(3, 1, 2, 60, 4, 0)]).vectors):
+        assert np.array_equal(vec, np.full(vocab_sizes(GRID)[f], 1.0 / vocab_sizes(GRID)[f]))
+
+
+def test_lambda_too_small_for_the_counts_is_rejected():
+    with pytest.raises(ValueError, match="too small"):
+        train([simple_piece([60, 64, 67] * 40)], k=4, lam=1e-300)
+    with pytest.raises(ValueError, match="lambda"):
+        train([simple_piece([60])], k=1, lam=float("inf"))
+    train([simple_piece([60, 64, 67] * 40)], k=4, lam=1e-30).predict_next([]).validate()
+
+
+SMALL_GRID = GridSpec(resolution=4, max_beat=16, max_duration=8)
+_SMALL_RNG = np.random.default_rng(23)
+SMALL_CORPUS = [
+    encode(
+        [
+            sorted(
+                QuantNote(int(b), int(_SMALL_RNG.integers(0, 4)), int(p), int(d), prog)
+                for b, p, d in zip(
+                    _SMALL_RNG.integers(0, 16, 10),
+                    _SMALL_RNG.integers(58, 66, 10),
+                    _SMALL_RNG.integers(1, 9, 10),
+                )
+            )
+        ],
+        SMALL_GRID,
+    )
+    for prog in (0, 0, 33)
+]
+SMALL_BLOB = save_model(train(SMALL_CORPUS, k=2))
+SMALL_CONTEXTS = (
+    [],
+    list(SMALL_CORPUS[0].events[:3]),
+    [Event(TYPE_NOTE, 15, 3, 127, 8, 127)] * 2,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(0, 80), st.integers(0, len(SMALL_BLOB) - 1)),
+            st.integers(1, 255),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_corrupted_blob_is_refused_or_loads_canonically(flips):
+    data = bytearray(SMALL_BLOB)
+    for position, mask in flips:
+        data[position] ^= mask
+    data = bytes(data)
+    try:
+        model = load_model(data)
+    except ValueError:
+        return
+    assert save_model(model) == data
+    assert model.fingerprint() == hashlib.blake2b(data, digest_size=8).hexdigest()
+    if sum(model.vocab) > 1 << 16:
+        # A flipped byte in the grid header can enlarge the grid, up to 2^32
+        # values per field; the format has no checksum to notice. Dense
+        # distributions over such a grid need that much memory.
+        return
+    for context in SMALL_CONTEXTS:
+        model.predict_next(context).validate()
+    scores = score_sequence(model, SMALL_CORPUS[1].events, 64, mode="predictive")
+    assert np.all(np.isfinite(scores)) and np.all(scores >= 0)
 
 
 # --- generation -------------------------------------------------------------
