@@ -19,6 +19,7 @@ from .midi import (
     IneligiblePieceError,
     MidiParseError,
     Piece,
+    QuantNote,
     piece_from_bytes,
     split_tracks,
     track_from_text,
@@ -168,18 +169,27 @@ def _pairs_to_json(pair_set: harness.PairSet) -> str:
     )
 
 
+def _notes_from_json(pair_id: object, raw: object) -> tuple[QuantNote, ...]:
+    if not isinstance(raw, list):
+        raise ValueError(f"pair {pair_id!r}: notes must be a list, got {raw!r}")
+    for note in raw:
+        if not (
+            isinstance(note, list) and len(note) == 5 and all(type(v) is int for v in note)
+        ):
+            raise ValueError(f"pair {pair_id!r}: note {note!r} is not 5 integers")
+    return tuple(QuantNote(*n) for n in raw)
+
+
 def _pairs_from_json(text: str) -> harness.PairSet:
     raw = json.loads(text)
-    from .midi import QuantNote
-
     pairs = tuple(
         harness.Pair(
             p["pair_id"],
             p["label"],
             p["x_source"],
             p["y_source"],
-            tuple(QuantNote(*n) for n in p["x"]),
-            tuple(QuantNote(*n) for n in p["y"]),
+            _notes_from_json(p["pair_id"], p["x"]),
+            _notes_from_json(p["pair_id"], p["y"]),
         )
         for p in raw["pairs"]
     )

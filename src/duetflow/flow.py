@@ -102,7 +102,7 @@ def conditional_entropy(
     if burn_in < 1:
         raise ValueError("burn_in must be >= 1")
     validate_sequence(seq)
-    note_indices = [i for i, e in enumerate(seq.events) if e.type == TYPE_NOTE]
+    note_indices = np.flatnonzero(seq.events[:, 0] == TYPE_NOTE)
     if len(note_indices) <= burn_in:
         raise TooShortError(label, len(note_indices), burn_in)
     scores = score_sequence(model, seq.events, context_len, mode)

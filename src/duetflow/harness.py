@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from .events import EventSequence, FIELD_NAMES, N_FIELDS, TYPE_NOTE, encode
+from .events import EventSequence, FIELD_NAMES, N_FIELDS, encode, sequence_notes
 from .flow import FlowParams, FlowReport, information_flow
 from .grid import GridSpec
 from .midi import IneligiblePieceError, Piece, QuantNote, split_tracks
@@ -318,11 +318,7 @@ def self_enhancement(
     counts = {s: {g: 0 for g in models} for s in models}
     skipped = 0
     for i, prime in enumerate(primes):
-        prime_notes = tuple(
-            QuantNote(e.beat, e.position, e.pitch, e.duration, e.instrument)
-            for e in prime.events
-            if e.type == TYPE_NOTE
-        )
+        prime_notes = sequence_notes(prime)
         if not prime_notes:
             skipped += 1
             continue

@@ -90,12 +90,6 @@ def event_hash(e: Event) -> int:
     return h
 
 
-def _event_array(events: Iterable[Event], n: int, dtype=np.int64) -> np.ndarray:
-    """n events as an (n, 6) integer array."""
-    flat = np.fromiter(chain.from_iterable(events), dtype, count=n * N_FIELDS)
-    return flat.reshape(n, N_FIELDS)
-
-
 def _event_hashes(events: np.ndarray) -> np.ndarray:
     """event_hash of every row of an (n, 6) integer array, in wrapping uint64."""
     seed = np.uint64(_FIELD_SEED)
@@ -402,16 +396,13 @@ def train(corpus: Sequence[EventSequence], k: int, lam: float = 1.0) -> ContextM
         if seq.grid != grid:
             raise ValueError(f"mixed grids in corpus: {seq.grid} vs {grid}")
     vocab = vocab_sizes(grid)
-    lengths = np.fromiter((len(seq.events) for seq in corpus), np.int64, count=len(corpus))
+    lengths = np.fromiter((len(seq) for seq in corpus), np.int64, count=len(corpus))
     n = int(lengths.sum())
-    compact = np.int16 if max(vocab) <= np.iinfo(np.int16).max else np.int64
-    outside = ValueError(f"corpus has event values outside the vocabulary of {grid}")
-    try:
-        events = _event_array(chain.from_iterable(seq.events for seq in corpus), n, compact)
-    except OverflowError:
-        raise outside from None
-    if np.any((events < 0) | (events >= np.array(vocab, dtype=compact))):
-        raise outside
+    events = np.concatenate([seq.events for seq in corpus])
+    if np.any((events < 0) | (events >= np.array(vocab))):
+        raise ValueError(f"corpus has event values outside the vocabulary of {grid}")
+    if max(vocab) <= np.iinfo(np.int16).max:
+        events = events.astype(np.int16)
     starts = np.cumsum(lengths) - lengths
     usable = np.ones(n, dtype=bool)
     shift = _key_shift(grid)
@@ -432,11 +423,14 @@ def predict_next(model: ContextModel, context: Sequence[Event]) -> FieldDistribu
 
 def score_sequence(
     model: ContextModel,
-    events: Sequence[Event],
+    events: np.ndarray | Sequence[Event],
     context_len: int,
     mode: str = "nll",
 ) -> np.ndarray:
     """Per-event, per-field scores in nats, shape (len(events), 6).
+
+    events is a sequence's (n, 6) event array, or anything np.asarray
+    turns into one.
 
     nll mode scores the realized value, -log p(value | context); predictive
     mode scores the full predicted distribution, -sum p log p. The context
@@ -447,7 +441,7 @@ def score_sequence(
     if context_len < 0:
         raise ValueError("context_len must be >= 0")
     kmax = min(model.k, context_len)
-    values = _event_array(events, len(events))
+    values = np.asarray(events, dtype=np.int64).reshape(len(events), N_FIELDS)
     hashes = np.stack(list(_rolling_hashes(_event_hashes(values), kmax)))
     avail = np.minimum(np.arange(len(values)), kmax)
     if mode == "nll":
@@ -468,28 +462,33 @@ class GenerationResult:
     sampled_notes: tuple[QuantNote, ...]
 
 
-def _validate_prime(prime: EventSequence) -> list[Event]:
-    events = list(prime.events)
-    if events and events[-1].type == TYPE_END:
+def _validate_prime(prime: EventSequence) -> np.ndarray:
+    """The events generation continues from, or SequenceStructureError.
+
+    A prime is a sequence prefix: the start event, instrument events, then
+    optionally start-of-notes and notes. A trailing end event is dropped,
+    and start-of-notes is added to a prime that stops after its header.
+    """
+    events = prime.events
+    if len(events) and events[-1, 0] == TYPE_END:
         events = events[:-1]
-    stage = TYPE_START
-    for i, e in enumerate(events):
-        if i == 0:
-            if e != Event(TYPE_START, 0, 0, 0, 0, 0):
-                raise SequenceStructureError("prime must open with the start event", 0)
-            continue
-        if e.type == TYPE_INSTRUMENT and stage in (TYPE_START, TYPE_INSTRUMENT):
-            stage = TYPE_INSTRUMENT
-        elif e.type == TYPE_NOTES_BEGIN and stage == TYPE_INSTRUMENT:
-            stage = TYPE_NOTES_BEGIN
-        elif e.type == TYPE_NOTE and stage in (TYPE_NOTES_BEGIN, TYPE_NOTE):
-            stage = TYPE_NOTE
-        else:
-            raise SequenceStructureError("prime is not a valid sequence prefix", i)
-    if stage == TYPE_START:
+    # The type each event must have after the run of instrument events
+    # that follows the start: start-of-notes, then notes.
+    others = events[1:, 0] != TYPE_INSTRUMENT
+    header = int(others.argmax()) if others.any() else len(others)
+    expected = np.full(len(events), TYPE_NOTE)
+    expected[:1] = TYPE_START
+    expected[1 : header + 1] = TYPE_INSTRUMENT
+    expected[header + 1 : header + 2] = TYPE_NOTES_BEGIN if header else TYPE_INSTRUMENT
+    wrong = events[:, 0] != expected
+    if len(events) and events[0].any():
+        raise SequenceStructureError("prime must open with the start event", 0)
+    if wrong.any():
+        raise SequenceStructureError("prime is not a valid sequence prefix", int(wrong.argmax()))
+    if len(events) <= 1:
         raise SequenceStructureError("prime header is incomplete", len(events))
-    if stage == TYPE_INSTRUMENT:
-        events.append(Event(TYPE_NOTES_BEGIN, 0, 0, 0, 0, 0))
+    if len(events) == header + 1:
+        events = np.vstack([events, [TYPE_NOTES_BEGIN, 0, 0, 0, 0, 0]])
     return events
 
 
@@ -505,10 +504,11 @@ def generate(
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    context = _validate_prime(prime)
+    prefix = _validate_prime(prime)
     if steps == 0:
-        seq = EventSequence(tuple(context) + (Event(TYPE_END, 0, 0, 0, 0, 0),), prime.grid)
+        seq = EventSequence(np.vstack([prefix, [TYPE_END, 0, 0, 0, 0, 0]]), prime.grid)
         return GenerationResult(seq, ())
+    context = list(map(Event._make, prefix.tolist()))
     rng = np.random.default_rng(seed)
     sampled: list[QuantNote] = []
     for _ in range(steps):

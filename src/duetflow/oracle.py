@@ -19,6 +19,7 @@ from .midi import QuantNote
 
 MAX_ALPHABET = 8
 _PROB_TOL = 1e-12
+_SAMPLE_CHUNK = 4096  # draws per pass of sample_paths
 
 
 class ConvergenceError(RuntimeError):
@@ -220,7 +221,13 @@ def random_spec(seed: int, ax: int | None = None, ay: int | None = None) -> Join
 def sample_paths(
     spec: JointMarkovSpec, length: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Jointly sample (x_t, y_t) paths of the given length."""
+    """Jointly sample (x_t, y_t) paths of the given length.
+
+    Step t moves from state s to the first state whose cumulative
+    transition probability from s exceeds draw t. Per chunk of draws, one
+    binary search per state row finds that next state for every draw, and
+    the chain then walks the chunk by list lookups.
+    """
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = np.random.default_rng(seed)
@@ -228,13 +235,16 @@ def sample_paths(
     cum_init = np.cumsum(spec.initial.reshape(n))
     cum_trans = np.cumsum(spec.transitions.reshape(n, n), axis=1)
     draws = rng.random(length)
-    states = np.empty(length, dtype=np.int64)
     state = int(np.searchsorted(cum_init, draws[0], side="right"))
-    states[0] = state
-    for t in range(1, length):
-        state = int(np.searchsorted(cum_trans[state], draws[t], side="right"))
-        states[t] = state
-    return states // spec.ay, states % spec.ay
+    states = [state]
+    for start in range(1, length, _SAMPLE_CHUNK):
+        chunk = draws[start : start + _SAMPLE_CHUNK]
+        following = [np.searchsorted(row, chunk, side="right").tolist() for row in cum_trans]
+        for t in range(len(chunk)):
+            state = following[state][t]
+            states.append(state)
+    path = np.array(states, dtype=np.int64)
+    return path // spec.ay, path % spec.ay
 
 
 X_PITCH_BASE = 36

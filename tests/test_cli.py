@@ -145,6 +145,28 @@ def test_pairs_then_batch(tmp_path, midi_dir, trained, capsys):
     assert len(lines) == 1 + 8 * 6
 
 
+@pytest.mark.parametrize(
+    "bad_note",
+    [["0", "0", "60", "4", "0"], [0, 0, 60, 4], [0, 0, 60.5, 4, 0]],
+    ids=["string-fields", "four-fields", "float-pitch"],
+)
+def test_batch_rejects_malformed_manifest_notes(tmp_path, midi_dir, trained, capsys, bad_note):
+    _, model = trained
+    manifest = tmp_path / "pairs.json"
+    csv_out = tmp_path / "flows.csv"
+    assert main(["pairs", "--corpus", str(midi_dir), "--out", str(manifest)]) == 0
+    raw = json.loads(manifest.read_text())
+    raw["pairs"][1]["y"][2] = bad_note
+    manifest.write_text(json.dumps(raw))
+    capsys.readouterr()
+    rc = main(["batch", "--model", str(model), "--pairs", str(manifest), "--out", str(csv_out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: pair {raw['pairs'][1]['pair_id']!r}: note ")
+    assert "is not 5 integers" in err
+    assert not csv_out.exists()
+
+
 def test_bias_command_reports_exact_symmetry(midi_dir, trained, capsys):
     _, model = trained
     rc = main(["--burn-in", "4", "bias", "--model", str(model), "--corpus", str(midi_dir)])

@@ -17,6 +17,7 @@ from duetflow.flow import (
 from duetflow.grid import GridSpec
 from duetflow.midi import QuantNote
 from duetflow.model import empty_model, score_sequence, train
+from reference_events import event_rows
 
 GRID = GridSpec()
 
@@ -84,7 +85,7 @@ def test_trace_skips_burn_in_notes_but_keeps_context():
     model = train_on_pairs(pair_corpus(0, 8, 24, echo=False), k=2)
     seq = sequences_from_notes(*make_pair(np.random.default_rng(5), 24, echo=False), GRID)[2]
     trace = conditional_entropy(model, seq, context_len=64, burn_in=16)
-    note_rows = [i for i, e in enumerate(seq.events) if e.type == TYPE_NOTE]
+    note_rows = [i for i, e in enumerate(event_rows(seq)) if e.type == TYPE_NOTE]
     assert len(trace) == len(note_rows) - 16 == 48 - 16
     full = score_sequence(model, seq.events, 64, "nll")
     assert np.array_equal(trace.values, full[note_rows[16:]])

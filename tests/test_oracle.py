@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from duetflow.grid import GridSpec
 from duetflow.oracle import (
@@ -221,6 +222,48 @@ def test_sampled_frequencies_match_the_chain():
         idx = np.flatnonzero(xs[:-1] == a)
         emp = np.mean(xs[idx + 1] == 0)
         assert abs(emp - px[a, 0]) < 0.02
+
+
+def reference_sample_paths(spec, length, seed):
+    """The per-step sampler: one binary search of the current state's row per step."""
+    rng = np.random.default_rng(seed)
+    n = spec.ax * spec.ay
+    cum_init = np.cumsum(spec.initial.reshape(n))
+    cum_trans = np.cumsum(spec.transitions.reshape(n, n), axis=1)
+    draws = rng.random(length)
+    states = np.empty(length, dtype=np.int64)
+    state = int(np.searchsorted(cum_init, draws[0], side="right"))
+    states[0] = state
+    for t in range(1, length):
+        state = int(np.searchsorted(cum_trans[state], draws[t], side="right"))
+        states[t] = state
+    return states // spec.ay, states % spec.ay
+
+
+def _assert_same_paths(spec, length, seed):
+    got = sample_paths(spec, length, seed)
+    want = reference_sample_paths(spec, length, seed)
+    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("length", [1, 5120, 16385])
+@pytest.mark.parametrize(
+    "spec", [copy_spec(2), random_spec(3, 8, 8), independent_spec()], ids=["copy", "8x8", "ind"]
+)
+def test_sampler_matches_per_step_reference(spec, length):
+    _assert_same_paths(spec, length, seed=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 9000),
+    st.integers(0, 2**32),
+)
+def test_sampler_matches_per_step_reference_on_random_chains(spec_seed, ax, ay, length, seed):
+    _assert_same_paths(random_spec(spec_seed, ax, ay), length, seed)
 
 
 # --- embedding into the note pipeline ------------------------------------------
