@@ -180,8 +180,20 @@ def _notes_from_json(pair_id: object, raw: object) -> tuple[QuantNote, ...]:
     return tuple(QuantNote(*n) for n in raw)
 
 
+_PAIR_KEYS = ("pair_id", "label", "x_source", "y_source", "x", "y")
+
+
 def _pairs_from_json(text: str) -> harness.PairSet:
     raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise ValueError(f"pair manifest must be a JSON object, got {type(raw).__name__}")
+    if not isinstance(raw.get("pairs"), list):
+        raise ValueError("pair manifest: 'pairs' must be a list")
+    for i, p in enumerate(raw["pairs"]):
+        if not (isinstance(p, dict) and all(k in p for k in _PAIR_KEYS)):
+            raise ValueError(
+                f"pair manifest: pair {i} is not an object with keys {', '.join(_PAIR_KEYS)}"
+            )
     pairs = tuple(
         harness.Pair(
             p["pair_id"],

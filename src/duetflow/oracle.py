@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .grid import GridSpec
 from .midi import QuantNote
@@ -43,6 +42,8 @@ class JointMarkovSpec:
             raise ValueError(f"alphabet sizes must be in [1, {MAX_ALPHABET}]")
         if init.shape != (ax, ay):
             raise ValueError(f"initial must be {(ax, ay)}, got {init.shape}")
+        if not (np.isfinite(t).all() and np.isfinite(init).all()):
+            raise ValueError("probabilities must be finite")
         if t.min() < 0 or init.min() < 0:
             raise ValueError("negative probability")
         slice_sums = t.reshape(ax * ay, ax * ay).sum(axis=1)
@@ -97,9 +98,7 @@ def stationary(spec: JointMarkovSpec) -> np.ndarray:
     v = spec.initial.reshape(n).copy()
 
     reachable = _reachable(P, v > 0)
-    sub = P[np.ix_(reachable, reachable)]
-    n_comp, _ = connected_components(sub > 0, directed=True, connection="strong")
-    if n_comp != 1:
+    if not _one_class(P[np.ix_(reachable, reachable)]):
         raise ConvergenceError(
             "reachable states do not form a single communicating class"
         )
@@ -125,6 +124,12 @@ def _reachable(P: np.ndarray, start: np.ndarray) -> np.ndarray:
         if (grown == mask).all():
             return np.flatnonzero(mask)
         mask = grown
+
+
+def _one_class(P: np.ndarray) -> bool:
+    """Whether P is one communicating class: state 0 reaches all, all reach it."""
+    first = np.arange(len(P)) == 0
+    return len(_reachable(P, first)) == len(P) == len(_reachable(P.T, first))
 
 
 def _cond_entropy(joint: np.ndarray, predicted_axes: tuple[int, ...]) -> float:

@@ -167,6 +167,36 @@ def test_batch_rejects_malformed_manifest_notes(tmp_path, midi_dir, trained, cap
     assert not csv_out.exists()
 
 
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ([], "pair manifest must be a JSON object, got list"),
+        ({"seed": 0, "skipped": 0, "pairs": 1}, "'pairs' must be a list"),
+        ({"seed": 0, "skipped": 0}, "'pairs' must be a list"),
+        ({"seed": 0, "skipped": 0, "pairs": [1]}, "pair 0 is not an object"),
+        (
+            {"seed": 0, "skipped": 0, "pairs": [
+                {"pair_id": "a", "label": "positive", "x_source": "s", "y_source": "s",
+                 "x": [], "y": []},
+                {"pair_id": "b", "label": "positive", "x": [], "y": []},
+            ]},
+            "pair 1 is not an object with keys pair_id, label, x_source, y_source, x, y",
+        ),
+    ],
+    ids=["top-level-list", "pairs-not-list", "pairs-missing", "pair-not-object", "pair-missing-keys"],
+)
+def test_batch_rejects_manifest_of_wrong_shape(tmp_path, trained, capsys, manifest, message):
+    _, model = trained
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(manifest))
+    csv_out = tmp_path / "flows.csv"
+    rc = main(["batch", "--model", str(model), "--pairs", str(path), "--out", str(csv_out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not csv_out.exists()
+
+
 def test_bias_command_reports_exact_symmetry(midi_dir, trained, capsys):
     _, model = trained
     rc = main(["--burn-in", "4", "bias", "--model", str(model), "--corpus", str(midi_dir)])
@@ -252,6 +282,21 @@ def test_oracle_sample_command(tmp_path, capsys):
     assert (again / "chain-0001.xy.events").read_text() == (
         out_dir / "chain-0001.xy.events"
     ).read_text()
+
+
+@pytest.mark.parametrize("command", ["exact", "sample"])
+@pytest.mark.parametrize("line", [1, 5], ids=["transition-row", "initial-law"])
+def test_oracle_rejects_nan_spec(tmp_path, capsys, command, line):
+    lines = spec_to_text(independent_spec()).splitlines()
+    lines[line] = "nan " + lines[line].split(" ", 1)[1]
+    spec_path = tmp_path / "nan.spec"
+    spec_path.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "chain"
+    extra = {"exact": [], "sample": ["--length", "100", "--out-dir", str(out_dir)]}[command]
+    rc = main(["oracle", command, "--spec", str(spec_path), *extra])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: probabilities must be finite\n"
+    assert not out_dir.exists()
 
 
 # --- exit codes -----------------------------------------------------------------
@@ -379,6 +424,16 @@ def test_console_script_is_wired_up():
     result = run_python("-c", wrapper, "--help")
     assert result.returncode == 0, result.stderr
     assert "usage: duetflow" in result.stdout
+
+
+def test_runtime_imports_no_scipy():
+    code = (
+        "import sys, duetflow, duetflow.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import midibuild
 from conftest import (
@@ -182,6 +182,53 @@ def test_unknown_chunk_skipped() -> None:
     alien = b"XFIh" + (4).to_bytes(4, "big") + b"\xde\xad\xbe\xef"
     parsed = parse_midi(header + alien + track.data())
     assert len(parsed.notes) == 1
+
+
+def _mutation_bases() -> list[bytes]:
+    running = midibuild.Track()
+    running.raw(0, bytes([0x90, 60, 80])).raw(10, bytes([62, 80]))
+    running.raw(10, bytes([60, 0])).raw(10, bytes([62, 0])).end()
+    mixed = midibuild.Track()
+    mixed.program(0, 10).tempo(0)
+    mixed.note_on(0, 36, channel=9).note_off(100, 36, channel=9)
+    mixed.note_on(0, 60).note_off(100, 60).end()
+    duet = [
+        midibuild.note_track(MELODY_NOTES, channel=0, program=5, with_tempo=True),
+        midibuild.note_track(ACCOMP_NOTES, channel=1, program=33),
+    ]
+    return [
+        midibuild.build(duet),
+        midibuild.build([running], fmt=0),
+        midibuild.build([mixed], fmt=0),
+    ]
+
+
+MUTATION_BASES = _mutation_bases()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.sampled_from(MUTATION_BASES),
+    st.lists(
+        st.tuples(st.sampled_from(["flip", "insert", "delete"]), st.integers(0), st.integers(1, 255)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_mutated_file_parses_or_raises_parse_error(base: bytes, mutations) -> None:
+    data = bytearray(base)
+    for kind, at, value in mutations:
+        if kind == "flip":
+            data[at % len(data)] ^= value
+        elif kind == "insert":
+            data.insert(at % (len(data) + 1), value - 1)
+        else:
+            del data[at % len(data)]
+    try:
+        piece = piece_from_bytes(bytes(data), "mutated", GridSpec())
+    except MidiParseError:
+        return
+    assert isinstance(piece, Piece)
 
 
 def test_quantize_drops_beyond_max_beat() -> None:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from duetflow.grid import GridSpec
 from duetflow.oracle import (
@@ -20,6 +21,7 @@ from duetflow.oracle import (
     spec_from_text,
     spec_to_text,
     stationary,
+    _one_class,
 )
 
 LN2 = math.log(2)
@@ -173,6 +175,24 @@ def test_period_two_chain_is_rejected():
         stationary(spec)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.floats(0.0, 0.7),
+    st.integers(0, 64),
+    st.integers(0, 2**32),
+)
+def test_one_class_matches_strongly_connected_components(n, density, cycle_len, seed):
+    # Random edges plus a cycle through a random subset of the states, so
+    # that graphs one edge short of a single class come up often.
+    rng = np.random.default_rng(seed)
+    adj = rng.random((n, n)) < density
+    cycle = rng.permutation(n)[: min(cycle_len, n)]
+    adj[cycle, np.roll(cycle, -1)] = True
+    n_comp, _ = connected_components(adj, directed=True, connection="strong")
+    assert _one_class(adj) == (n_comp == 1)
+
+
 def test_spec_validation_errors():
     good = copy_spec(2)
     with pytest.raises(ValueError, match="ax, ay"):
@@ -191,6 +211,15 @@ def test_spec_validation_errors():
         JointMarkovSpec(good.transitions * 0.5, good.initial)
     with pytest.raises(ValueError, match="sum to 1"):
         JointMarkovSpec(good.transitions, good.initial * 0.5)
+
+
+@pytest.mark.parametrize("where", ["transitions", "initial"])
+def test_spec_rejects_nan_probabilities(where):
+    good = copy_spec(2)
+    trans, init = good.transitions.copy(), good.initial.copy()
+    (trans if where == "transitions" else init).flat[0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        JointMarkovSpec(trans, init)
 
 
 # --- sampling -----------------------------------------------------------------
