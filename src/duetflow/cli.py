@@ -19,7 +19,6 @@ from .midi import (
     IneligiblePieceError,
     MidiParseError,
     Piece,
-    QuantNote,
     piece_from_bytes,
     split_tracks,
     track_from_text,
@@ -148,70 +147,10 @@ def cmd_score(args: argparse.Namespace, cfg: Config) -> int:
     return EXIT_OK
 
 
-def _pairs_to_json(pair_set: harness.PairSet) -> str:
-    return json.dumps(
-        {
-            "seed": pair_set.seed,
-            "skipped": pair_set.skipped,
-            "pairs": [
-                {
-                    "pair_id": p.pair_id,
-                    "label": p.label,
-                    "x_source": p.x_source,
-                    "y_source": p.y_source,
-                    "x": [list(n) for n in p.x],
-                    "y": [list(n) for n in p.y],
-                }
-                for p in pair_set.pairs
-            ],
-        },
-        indent=1,
-    )
-
-
-def _notes_from_json(pair_id: object, raw: object) -> tuple[QuantNote, ...]:
-    if not isinstance(raw, list):
-        raise ValueError(f"pair {pair_id!r}: notes must be a list, got {raw!r}")
-    for note in raw:
-        if not (
-            isinstance(note, list) and len(note) == 5 and all(type(v) is int for v in note)
-        ):
-            raise ValueError(f"pair {pair_id!r}: note {note!r} is not 5 integers")
-    return tuple(QuantNote(*n) for n in raw)
-
-
-_PAIR_KEYS = ("pair_id", "label", "x_source", "y_source", "x", "y")
-
-
-def _pairs_from_json(text: str) -> harness.PairSet:
-    raw = json.loads(text)
-    if not isinstance(raw, dict):
-        raise ValueError(f"pair manifest must be a JSON object, got {type(raw).__name__}")
-    if not isinstance(raw.get("pairs"), list):
-        raise ValueError("pair manifest: 'pairs' must be a list")
-    for i, p in enumerate(raw["pairs"]):
-        if not (isinstance(p, dict) and all(k in p for k in _PAIR_KEYS)):
-            raise ValueError(
-                f"pair manifest: pair {i} is not an object with keys {', '.join(_PAIR_KEYS)}"
-            )
-    pairs = tuple(
-        harness.Pair(
-            p["pair_id"],
-            p["label"],
-            p["x_source"],
-            p["y_source"],
-            _notes_from_json(p["pair_id"], p["x"]),
-            _notes_from_json(p["pair_id"], p["y"]),
-        )
-        for p in raw["pairs"]
-    )
-    return harness.PairSet(pairs, raw["seed"], raw["skipped"])
-
-
 def cmd_pairs(args: argparse.Namespace, cfg: Config) -> int:
     pieces = _load_pieces(Path(args.corpus), cfg)
     pair_set = harness.build_pairs(pieces, cfg.seed, melody_index=args.melody_index)
-    _write_text(Path(args.out), _pairs_to_json(pair_set))
+    _write_text(Path(args.out), pair_set.to_json())
     print(
         f"{len(pair_set.pairs)} pairs ({pair_set.skipped} skipped) "
         f"from {len(pieces)} pieces -> {args.out}"
@@ -221,7 +160,7 @@ def cmd_pairs(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_batch(args: argparse.Namespace, cfg: Config) -> int:
     model = load_model_file(args.model)
-    pair_set = _pairs_from_json(Path(args.pairs).read_text())
+    pair_set = harness.PairSet.from_json(Path(args.pairs).read_text())
     report = harness.batch_score(
         model, pair_set, cfg.flow_params, workers=cfg.workers, config=cfg.to_dict()
     )

@@ -10,6 +10,15 @@ from .flow import FlowParams
 from .grid import GridSpec
 
 
+# The types each annotation of Config admits, and how an error names them.
+_TYPES = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "bool": (bool, "true or false"),
+}
+
+
 @dataclass(frozen=True, slots=True)
 class Config:
     resolution: int = 12
@@ -25,6 +34,15 @@ class Config:
     workers: int = 1
     split_shared_programs: bool = False
     include_drums: bool = False
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kinds, noun = _TYPES[f.type]
+            # bool is an int to Python, but true is no k and no seed.
+            if not isinstance(value, kinds) or (f.type != "bool" and isinstance(value, bool)):
+                raise ValueError(f"config key {f.name!r} must be {noun}, got {value!r}")
+        object.__setattr__(self, "lam", float(self.lam))
 
     @property
     def grid(self) -> GridSpec:

@@ -26,7 +26,7 @@ from .events import (
     validate_sequence,
 )
 from .midi import QuantNote
-from .model import ContextModel, score_sequence
+from .model import ContextModel, score_sequence, score_sequences
 
 LN2 = math.log(2.0)
 
@@ -85,6 +85,15 @@ class EntropyTrace:
         return float(self.values.sum(axis=1).mean())
 
 
+def _scored_rows(seq: EventSequence, burn_in: int, label: str) -> np.ndarray:
+    """The rows of a valid sequence that are scored: its notes after burn_in."""
+    validate_sequence(seq)
+    note_indices = np.flatnonzero(seq.events[:, 0] == TYPE_NOTE)
+    if len(note_indices) <= burn_in:
+        raise TooShortError(label, len(note_indices), burn_in)
+    return note_indices[burn_in:]
+
+
 def conditional_entropy(
     model: ContextModel,
     seq: EventSequence,
@@ -101,12 +110,8 @@ def conditional_entropy(
     """
     if burn_in < 1:
         raise ValueError("burn_in must be >= 1")
-    validate_sequence(seq)
-    note_indices = np.flatnonzero(seq.events[:, 0] == TYPE_NOTE)
-    if len(note_indices) <= burn_in:
-        raise TooShortError(label, len(note_indices), burn_in)
+    keep = _scored_rows(seq, burn_in, label)
     scores = score_sequence(model, seq.events, context_len, mode)
-    keep = note_indices[burn_in:]
     return EntropyTrace(scores[keep], mode, context_len, burn_in)
 
 
@@ -192,6 +197,84 @@ class FlowReport:
         return "\n".join(lines) + "\n"
 
 
+_VIEWS = ("X", "Y", "XY")
+# Events scored per score_sequences call: a batch holds the sequences and
+# scores of this many events at a time, however many pieces it has.
+_BATCH_EVENTS = 1 << 13
+
+
+def information_flows(
+    model: ContextModel,
+    pieces: Sequence[tuple[Sequence[QuantNote], Sequence[QuantNote]]],
+    params: FlowParams = FlowParams(),
+    *,
+    piece_ids: Sequence[str] | None = None,
+    config: dict | None = None,
+) -> list[FlowReport | ValueError]:
+    """information_flow of every (x, y) piece, all scored in one batch.
+
+    Pieces are scored together, _BATCH_EVENTS events per call. A piece
+    that cannot be scored gets the ValueError information_flow would raise
+    for it (a TooShortError names the view) in place of its report; the
+    other pieces are unaffected.
+    """
+    ids = [""] * len(pieces) if piece_ids is None else list(piece_ids)
+    if len(ids) != len(pieces):
+        raise ValueError(f"{len(pieces)} pieces but {len(ids)} piece ids")
+    results: list[FlowReport | ValueError | None] = []
+    pending: list[tuple[int, list[np.ndarray]]] = []
+    streams: list[np.ndarray] = []
+
+    def score_pending() -> None:
+        try:
+            scores = score_sequences(model, streams, params.context_len, params.mode)
+        except ValueError as exc:
+            for i, _ in pending:
+                results[i] = exc
+        else:
+            for n, (i, keeps) in enumerate(pending):
+                h_x, h_y, h_xy = (
+                    tuple(float(v) for v in s[keep].mean(axis=0))
+                    for s, keep in zip(scores[3 * n : 3 * n + 3], keeps)
+                )
+                if params.xy_norm == XY_NORM_PER_PAIR:
+                    h_xy = tuple(2.0 * v for v in h_xy)
+                results[i] = FlowReport(
+                    piece_id=ids[i],
+                    model_id=model.fingerprint(),
+                    mode=params.mode,
+                    context_len=params.context_len,
+                    burn_in=params.burn_in,
+                    xy_norm=params.xy_norm,
+                    h_first=h_x,
+                    h_second=h_y,
+                    h_merged=h_xy,
+                    config=dict(config) if config else {},
+                )
+        pending.clear()
+        streams.clear()
+
+    for i, (x, y) in enumerate(pieces):
+        # The voices in an order fixed by their notes, so the report is
+        # symmetric in x and y.
+        first, second = sorted((tuple(x), tuple(y)))
+        try:
+            seqs = sequences_from_notes(
+                first, second, model.grid, split_shared_programs=params.split_shared_programs
+            )
+            keeps = [_scored_rows(s, params.burn_in, v) for s, v in zip(seqs, _VIEWS)]
+        except ValueError as exc:
+            results.append(exc)
+            continue
+        results.append(None)
+        pending.append((i, keeps))
+        streams += [s.events for s in seqs]
+        if sum(map(len, streams)) >= _BATCH_EVENTS:
+            score_pending()
+    score_pending()
+    return results
+
+
 def information_flow(
     model: ContextModel,
     x: Sequence[QuantNote],
@@ -202,32 +285,7 @@ def information_flow(
     config: dict | None = None,
 ) -> FlowReport:
     """Flow between two voices under one model. Symmetric in x and y."""
-    first, second = sorted((tuple(x), tuple(y)))
-    seq_x, seq_y, seq_xy = sequences_from_notes(
-        first, second, model.grid, split_shared_programs=params.split_shared_programs
-    )
-    traces = {}
-    for label, seq in (("X", seq_x), ("Y", seq_y), ("XY", seq_xy)):
-        traces[label] = conditional_entropy(
-            model,
-            seq,
-            context_len=params.context_len,
-            burn_in=params.burn_in,
-            mode=params.mode,
-            label=label,
-        )
-    merged_means = traces["XY"].field_means
-    if params.xy_norm == XY_NORM_PER_PAIR:
-        merged_means = tuple(2.0 * v for v in merged_means)
-    return FlowReport(
-        piece_id=piece_id,
-        model_id=model.fingerprint(),
-        mode=params.mode,
-        context_len=params.context_len,
-        burn_in=params.burn_in,
-        xy_norm=params.xy_norm,
-        h_first=traces["X"].field_means,
-        h_second=traces["Y"].field_means,
-        h_merged=merged_means,
-        config=dict(config) if config else {},
-    )
+    (result,) = information_flows(model, [(x, y)], params, piece_ids=[piece_id], config=config)
+    if isinstance(result, ValueError):
+        raise result
+    return result

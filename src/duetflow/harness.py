@@ -7,22 +7,28 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import oracle
 from .events import EventSequence, FIELD_NAMES, N_FIELDS, encode, sequence_notes
-from .flow import FlowParams, FlowReport, information_flow
+# information_flow and generate are no longer called here; they stay
+# importable from this module because bench/tracing.py wraps them here.
+from .flow import FlowParams, FlowReport, information_flow, information_flows  # noqa: F401
 from .grid import GridSpec
 from .midi import IneligiblePieceError, Piece, QuantNote, split_tracks
-from .model import ContextModel, GenerationResult, generate
+from .model import ContextModel, generate, generate_many  # noqa: F401
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
+
+
+_PAIR_KEYS = ("pair_id", "label", "x_source", "y_source", "x", "y")
 
 
 @dataclass(frozen=True)
@@ -34,6 +40,26 @@ class Pair:
     x: tuple[QuantNote, ...]
     y: tuple[QuantNote, ...]
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.pair_id, str):
+            raise ValueError(f"pair id {self.pair_id!r} is not a string")
+        if self.label not in (POSITIVE, NEGATIVE):
+            raise ValueError(
+                f"pair {self.pair_id!r}: label {self.label!r} is neither "
+                f"{POSITIVE!r} nor {NEGATIVE!r}"
+            )
+
+
+def _notes_from_json(pair_id: object, raw: object) -> tuple[QuantNote, ...]:
+    if not isinstance(raw, list):
+        raise ValueError(f"pair {pair_id!r}: notes must be a list, got {raw!r}")
+    for note in raw:
+        if not (
+            isinstance(note, list) and len(note) == 5 and all(type(v) is int for v in note)
+        ):
+            raise ValueError(f"pair {pair_id!r}: note {note!r} is not 5 integers")
+    return tuple(QuantNote(*n) for n in raw)
+
 
 @dataclass(frozen=True)
 class PairSet:
@@ -43,6 +69,58 @@ class PairSet:
 
     def by_label(self, label: str) -> tuple[Pair, ...]:
         return tuple(p for p in self.pairs if p.label == label)
+
+    def to_json(self) -> str:
+        """The pair manifest that ``duetflow pairs`` writes and ``batch`` reads."""
+        return json.dumps(
+            {
+                "seed": self.seed,
+                "skipped": self.skipped,
+                "pairs": [
+                    {
+                        "pair_id": p.pair_id,
+                        "label": p.label,
+                        "x_source": p.x_source,
+                        "y_source": p.y_source,
+                        "x": [list(n) for n in p.x],
+                        "y": [list(n) for n in p.y],
+                    }
+                    for p in self.pairs
+                ],
+            },
+            indent=1,
+        )
+
+    @classmethod
+    def from_json(cls, text: str) -> PairSet:
+        """Read a pair manifest; one of the wrong shape or types raises ValueError."""
+        raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError(f"pair manifest must be a JSON object, got {type(raw).__name__}")
+        if not isinstance(raw.get("pairs"), list):
+            raise ValueError("pair manifest: 'pairs' must be a list")
+        for key in ("seed", "skipped"):
+            if type(raw.get(key)) is not int:
+                raise ValueError(
+                    f"pair manifest: {key!r} must be an integer, got {raw.get(key)!r}"
+                )
+        for i, p in enumerate(raw["pairs"]):
+            if not (isinstance(p, dict) and all(k in p for k in _PAIR_KEYS)):
+                raise ValueError(
+                    f"pair manifest: pair {i} is not an object with keys {', '.join(_PAIR_KEYS)}"
+                )
+        pairs = tuple(
+            Pair(
+                p["pair_id"],
+                p["label"],
+                p["x_source"],
+                p["y_source"],
+                _notes_from_json(p["pair_id"], p["x"]),
+                _notes_from_json(p["pair_id"], p["y"]),
+            )
+            for p in raw["pairs"]
+        )
+        return cls(pairs, raw["seed"], raw["skipped"])
 
 
 def _truncate_at_common_end(
@@ -184,32 +262,38 @@ class ExperimentReport:
         return buf.getvalue()
 
 
+_POOL_CHUNK = 16  # pairs per task of a worker process
+
 _WORKER_MODEL: ContextModel | None = None
 _WORKER_PARAMS: FlowParams | None = None
+_WORKER_CONFIG: dict | None = None
 
 
-def _init_worker(model: ContextModel, params: FlowParams) -> None:
-    global _WORKER_MODEL, _WORKER_PARAMS
-    _WORKER_MODEL = model
-    _WORKER_PARAMS = params
+def _init_worker(model: ContextModel, params: FlowParams, config: dict | None) -> None:
+    global _WORKER_MODEL, _WORKER_PARAMS, _WORKER_CONFIG
+    _WORKER_MODEL, _WORKER_PARAMS, _WORKER_CONFIG = model, params, config
     model.fingerprint()
 
 
-def _score_pair_remote(pair: Pair) -> ScoredPair:
+def _score_chunk_remote(pairs: list[Pair]) -> list[ScoredPair]:
     assert _WORKER_MODEL is not None and _WORKER_PARAMS is not None
-    return _score_pair(_WORKER_MODEL, pair, _WORKER_PARAMS, None)
+    return _score_pairs(_WORKER_MODEL, pairs, _WORKER_PARAMS, _WORKER_CONFIG)
 
 
-def _score_pair(
-    model: ContextModel, pair: Pair, params: FlowParams, config: dict | None
-) -> ScoredPair:
-    try:
-        report = information_flow(
-            model, pair.x, pair.y, params, piece_id=pair.pair_id, config=config
-        )
-        return ScoredPair(pair, report)
-    except ValueError as exc:
-        return ScoredPair(pair, None, str(exc))
+def _score_pairs(
+    model: ContextModel, pairs: Sequence[Pair], params: FlowParams, config: dict | None
+) -> list[ScoredPair]:
+    results = information_flows(
+        model,
+        [(p.x, p.y) for p in pairs],
+        params,
+        piece_ids=[p.pair_id for p in pairs],
+        config=config,
+    )
+    return [
+        ScoredPair(p, None, str(r)) if isinstance(r, ValueError) else ScoredPair(p, r)
+        for p, r in zip(pairs, results)
+    ]
 
 
 def batch_score(
@@ -220,24 +304,22 @@ def batch_score(
     workers: int = 1,
     config: dict | None = None,
 ) -> ExperimentReport:
-    """Score every pair; per-pair errors land in the report, not the caller."""
+    """Score every pair; per-pair errors land in the report, not the caller.
+
+    All pairs are scored in one batch, or, with workers > 1, in chunks of
+    _POOL_CHUNK pairs spread over that many processes.
+    """
     pair_list = list(pairs.pairs if isinstance(pairs, PairSet) else pairs)
     if workers > 1:
+        chunks = [
+            pair_list[i : i + _POOL_CHUNK] for i in range(0, len(pair_list), _POOL_CHUNK)
+        ]
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(model, params)
+            max_workers=workers, initializer=_init_worker, initargs=(model, params, config)
         ) as pool:
-            scored = list(pool.map(_score_pair_remote, pair_list, chunksize=8))
-        if config:
-            scored = [
-                ScoredPair(
-                    s.pair,
-                    None if s.report is None else replace(s.report, config=dict(config)),
-                    s.error,
-                )
-                for s in scored
-            ]
+            scored = [s for chunk in pool.map(_score_chunk_remote, chunks) for s in chunk]
     else:
-        scored = [_score_pair(model, p, params, config) for p in pair_list]
+        scored = _score_pairs(model, pair_list, params, config)
     return ExperimentReport(tuple(scored), params, model.fingerprint())
 
 
@@ -259,23 +341,37 @@ def positional_bias(
     pieces: Sequence[Piece],
     params: FlowParams = FlowParams(),
 ) -> BiasReport:
-    """Score every piece in both argument orders and compare the reports."""
+    """Score every piece in both argument orders and compare the reports.
+
+    Both orders of all pieces are scored in one batch; the first error in
+    piece order is raised.
+    """
+    if not pieces:
+        raise ValueError("no pieces to score")
+    splits: list = []
+    for piece in pieces:
+        try:
+            splits.append(split_tracks(piece))
+        except ValueError as exc:
+            splits.append(exc)
+    voices = [s for s in splits if not isinstance(s, ValueError)]
+    both = information_flows(model, voices + [(y, x) for x, y in voices], params)
+    reports = zip(both[: len(voices)], both[len(voices) :])
     diffs = np.zeros(N_FIELDS)
     bit_exact = True
-    n = 0
-    for piece in pieces:
-        x, y = split_tracks(piece)
-        fwd = information_flow(model, x, y, params, piece_id=piece.source_id)
-        rev = information_flow(model, y, x, params, piece_id=piece.source_id)
+    for split in splits:
+        if isinstance(split, ValueError):
+            raise split
+        fwd, rev = next(reports)
+        for report in (fwd, rev):
+            if isinstance(report, ValueError):
+                raise report
         if fwd != rev:
             bit_exact = False
         delta = np.array(fwd.field_flows) - np.array(rev.field_flows)
         diffs += delta**2
-        n += 1
-    if n == 0:
-        raise ValueError("no pieces to score")
-    mse = {name: float(diffs[f] / n) for f, name in enumerate(FIELD_NAMES)}
-    return BiasReport(mse, bit_exact, n)
+    mse = {name: float(diffs[f] / len(pieces)) for f, name in enumerate(FIELD_NAMES)}
+    return BiasReport(mse, bit_exact, len(pieces))
 
 
 @dataclass(frozen=True)
@@ -309,37 +405,38 @@ def self_enhancement(
 ) -> SelfBiasReport:
     """Continue each prime with both models, score every piece with both.
 
-    The prime is voice X and the sampled continuation is voice Y. Whether
-    each scorer rates its own generator higher is reported as an observed
-    direction, nothing more.
+    The prime is voice X and the sampled continuation is voice Y. Each
+    model continues all primes in lockstep, and each scorer scores all of
+    a generator's pieces in one batch. Whether each scorer rates its own
+    generator higher is reported as an observed direction, nothing more.
     """
     models = {"a": model_a, "b": model_b}
     sums = {s: {g: 0.0 for g in models} for s in models}
     counts = {s: {g: 0 for g in models} for s in models}
-    skipped = 0
-    for i, prime in enumerate(primes):
-        prime_notes = sequence_notes(prime)
-        if not prime_notes:
-            skipped += 1
-            continue
-        for g_index, (g_name, g_model) in enumerate(models.items()):
-            try:
-                result: GenerationResult = generate(
-                    g_model, prime, steps, seed * 7919 + i * 2 + g_index
-                )
-            except ValueError:
-                skipped += 1
-                continue
-            for s_name, s_model in models.items():
-                try:
-                    report = information_flow(
-                        s_model,
-                        prime_notes,
-                        result.sampled_notes,
-                        params,
-                        piece_id=f"prime{i}-gen{g_name}",
-                    )
-                except ValueError:
+    kept = [(i, prime, sequence_notes(prime)) for i, prime in enumerate(primes)]
+    kept = [(i, prime, notes) for i, prime, notes in kept if notes]
+    skipped = len(primes) - len(kept)
+    for g_index, (g_name, g_model) in enumerate(models.items()):
+        try:
+            results = generate_many(
+                g_model,
+                [prime for _, prime, _ in kept],
+                steps,
+                [seed * 7919 + i * 2 + g_index for i, _, _ in kept],
+            )
+        except ValueError as exc:
+            results = [exc] * len(kept)
+        made = [
+            (i, notes, r)
+            for (i, _, notes), r in zip(kept, results)
+            if not isinstance(r, ValueError)
+        ]
+        skipped += len(kept) - len(made)
+        pieces = [(notes, r.sampled_notes) for _, notes, r in made]
+        ids = [f"prime{i}-gen{g_name}" for i, _, _ in made]
+        for s_name, s_model in models.items():
+            for report in information_flows(s_model, pieces, params, piece_ids=ids):
+                if isinstance(report, ValueError):
                     skipped += 1
                     continue
                 sums[s_name][g_name] += report.total_flow

@@ -16,12 +16,15 @@ independently given the context.
 Each context length has one CountTable of sorted arrays: the context
 hashes in ascending order with their totals, and, in CSR form, the counted
 keys (value * 8 + field) of every context in ascending order with their
-counts. Training counts with sorts over whole-corpus arrays. One kernel,
-``_backoff``, matches the contexts of many positions with one binary search
-per context length and interpolates; nll scoring, predictive scoring and
-``predict_next`` (hence ``generate``) all go through it. The file format
-writes the same arrays entry by entry, and ``load_model`` accepts only files
-that ``save_model`` could have written.
+counts. Training counts with sorts over whole-corpus arrays. Prediction
+is two steps over many positions at once: ``_match`` finds each
+position's back-off chain, its matched entry at every context length, with
+one binary search per length, and ``_interpolate`` turns chains into
+probabilities. Scoring runs them over whole batches of streams (predictive
+scoring builds each distinct chain's distributions once), and generation
+over all primes in lockstep. The file format writes the same arrays entry
+by entry, and ``load_model`` accepts only files that ``save_model`` could
+have written.
 """
 from __future__ import annotations
 
@@ -71,7 +74,11 @@ _ENTRY_WORDS = _ENTRY.itemsize // 4
 _PAIR_WORDS = _PAIR.itemsize // 4
 
 _HASH_CHUNK = 1 << 14  # events hashed per numpy pass
-_DENSE_ROWS = 256  # positions per pass when whole distributions are built
+_SCORE_CHUNK = 1 << 13  # positions per match-and-interpolate pass when scoring
+_DENSE_ROWS = 256  # whole distributions built per pass
+# Most values one row of whole distributions may hold, all fields together;
+# the default grid needs 1,394. Wider grids are refused before allocating.
+_DENSE_WIDTH = 1 << 16
 _LOG_SMALLEST = math.log(sys.float_info.min)
 
 
@@ -298,52 +305,102 @@ class ContextModel:
             self._fingerprint = hashlib.blake2b(save_model(self), digest_size=8).hexdigest()
         return self._fingerprint
 
-    def predict_next(self, context: Sequence[Event]) -> FieldDistributions:
+    def predict_next(self, context: Sequence[Event] | np.ndarray) -> FieldDistributions:
         """Distributions over the next event's fields given trailing context."""
-        kmax = min(self.k, len(context))
-        # The context hashes of _rolling_hashes for the one position after
-        # the context, from the scalar event_hash: numpy calls cost more
-        # than they save on k events.
-        hashes = np.zeros((kmax + 1, 1), dtype=np.uint64)
-        acc, power = 0, 1
-        for j in range(1, kmax + 1):
-            acc = (acc + event_hash(context[-j]) * power) & _MASK64
-            power = (power * _CTX_MULT) & _MASK64
-            hashes[j] = acc
-        probs = _backoff(self, hashes, np.array([kmax]))[0]
+        try:
+            events = np.asarray(context, dtype=np.int64).reshape(len(context), N_FIELDS)
+        except OverflowError:
+            raise ValueError("context values must be integers that fit in int64") from None
+        tails, avail = _tails(self.k, [events])
+        probs = _interpolate(self, _match(self, _tail_hashes(tails), avail))[0]
         ends = np.cumsum(self.vocab)
         return FieldDistributions(
             tuple(probs[end - size : end] for size, end in zip(self.vocab, ends))
         )
 
 
-def _backoff(
-    model: ContextModel,
-    hashes: np.ndarray,
-    avail: np.ndarray,
-    values: np.ndarray | None = None,
-) -> np.ndarray:
-    """Interpolated probabilities at m positions, the one back-off kernel.
+def _tails(k: int, contexts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The event hashes of each context's last k events, and how many there are.
+
+    The hashes are right-aligned in a (len(contexts), k) array; a context
+    shorter than k leaves zeros on the left, which no usable length reaches.
+    They come from the scalar event_hash: numpy calls cost more than they
+    save on k events.
+    """
+    tails = np.zeros((len(contexts), k), dtype=np.uint64)
+    avail = np.array([min(k, len(c)) for c in contexts], dtype=np.int64)
+    for b, (events, n) in enumerate(zip(contexts, avail)):
+        if n:
+            tails[b, k - n :] = [event_hash(e) for e in events[len(events) - n :].tolist()]
+    return tails, avail
+
+
+def _tail_hashes(tails: np.ndarray) -> np.ndarray:
+    """Context hashes of lengths 0..k after right-aligned tails, shape (k + 1, B).
+
+    The sums _rolling_hashes builds, term by term: the event i places back
+    weighs _CTX_MULT ** (i - 1), in wrapping uint64.
+    """
+    k = tails.shape[1]
+    powers = np.array([pow(_CTX_MULT, i, 1 << 64) for i in range(k)], dtype=np.uint64)
+    hashes = np.zeros((k + 1, len(tails)), dtype=np.uint64)
+    hashes[1:] = np.cumsum(tails[:, ::-1] * powers, axis=1).T
+    return hashes
+
+
+def _match(model: ContextModel, hashes: np.ndarray, avail: np.ndarray) -> np.ndarray:
+    """The entry each position matches at every context length, the back-off chain.
 
     hashes[j, i] is the hash of the j events before position i, usable for
-    j <= avail[i]. Context lengths are matched upward with one binary search
-    each, and a position drops out at its first unmatched length. With
-    values, an (m, 6) array of realized events, the result is the
-    probability of values[i, f], shape (m, 6); without, the whole
-    distribution of every field side by side, shape (m, sum(vocab)).
+    j <= avail[i]. Lengths are matched upward with one binary search each.
+    The result has shape (m, len(hashes)): chains[i, j] is the entry of
+    table j for position i, and -1 from its first unusable or unseen length
+    on. Positions with equal chains get equal predictions.
     """
-    vocab = np.array(model.vocab)
-    sizes = vocab if values is not None else np.repeat(vocab, vocab)
-    starts = np.cumsum(vocab) - vocab
-    probs = np.tile(1.0 / sizes, (hashes.shape[1], 1))
-    lam = model.lam
+    chains = np.full((hashes.shape[1], hashes.shape[0]), -1, dtype=np.int64)
     rows = np.arange(hashes.shape[1])
     for j in range(hashes.shape[0]):
-        table = model.tables[j]
         rows = rows[avail[rows] >= j]
-        rows, entries = table.find(hashes[j, rows], rows)
+        rows, entries = model.tables[j].find(hashes[j, rows], rows)
         if not len(rows):
             break
+        chains[rows, j] = entries
+    return chains
+
+
+def _interpolate(
+    model: ContextModel, chains: np.ndarray, values: np.ndarray | None = None
+) -> np.ndarray:
+    """Interpolated probabilities along back-off chains, from _match.
+
+    From the uniform distribution, each matched length j in ascending order
+    scales by lambda / (total + lambda) and adds counts / (total + lambda).
+    With values, an (m, 6) array of realized events, the result is the
+    probability of values[i, f], shape (m, 6); without, the whole
+    distribution of every field side by side, shape (m, sum(vocab)), which
+    a grid with more than _DENSE_WIDTH values in all may not ask for.
+    """
+    vocab = np.array(model.vocab)
+    if values is None:
+        width = int(vocab.sum())
+        if width > _DENSE_WIDTH:
+            raise ValueError(
+                f"grid {model.grid} has {width} values per distribution, "
+                f"more than the {_DENSE_WIDTH} whole distributions may hold"
+            )
+        sizes = np.repeat(vocab, vocab)
+    else:
+        sizes = vocab
+    starts = np.cumsum(vocab) - vocab
+    probs = np.tile(1.0 / sizes, (len(chains), 1))
+    lam = model.lam
+    rows = np.arange(len(chains))
+    for j in range(chains.shape[1]):
+        rows = rows[chains[rows, j] >= 0]
+        if not len(rows):
+            break
+        table = model.tables[j]
+        entries = chains[rows, j]
         denom = table.totals[entries].astype(np.float64)[:, None] + lam
         if values is None:
             counts = table.dense_counts(entries, starts, len(sizes))
@@ -351,6 +408,27 @@ def _backoff(
             counts = table.point_counts(entries, values[rows], vocab)
         probs[rows] = probs[rows] * (lam / denom) + counts / denom
     return probs
+
+
+def _dense_blocks(model: ContextModel, chains: np.ndarray) -> Iterable[tuple[slice, np.ndarray]]:
+    """Whole distributions along chains, _DENSE_ROWS rows at a time."""
+    for start in range(0, len(chains), _DENSE_ROWS):
+        block = slice(start, start + _DENSE_ROWS)
+        yield block, _interpolate(model, chains[block])
+
+
+def _entropies(model: ContextModel, chains: np.ndarray) -> np.ndarray:
+    """Per-field entropy of the distribution along each chain, shape (m, 6).
+
+    Each distinct chain is built and summed once, then scattered back.
+    """
+    distinct, inverse = np.unique(chains, axis=0, return_inverse=True)
+    out = np.empty((len(distinct), N_FIELDS))
+    bounds = np.cumsum(model.vocab)[:-1]
+    for block, probs in _dense_blocks(model, distinct):
+        for f, vecs in enumerate(np.split(probs, bounds, axis=1)):
+            out[block, f] = -(vecs * np.log(vecs)).sum(axis=1)
+    return out[inverse.reshape(-1)]
 
 
 def _check_params(k: int, lam: float) -> None:
@@ -421,39 +499,56 @@ def predict_next(model: ContextModel, context: Sequence[Event]) -> FieldDistribu
     return model.predict_next(context)
 
 
-def score_sequence(
+def score_sequences(
     model: ContextModel,
-    events: np.ndarray | Sequence[Event],
+    arrays: Sequence[np.ndarray | Sequence[Event]],
     context_len: int,
     mode: str = "nll",
-) -> np.ndarray:
-    """Per-event, per-field scores in nats, shape (len(events), 6).
+) -> list[np.ndarray]:
+    """Per-event, per-field scores in nats of every stream, each (len, 6).
 
-    events is a sequence's (n, 6) event array, or anything np.asarray
-    turns into one.
+    Each stream is a sequence's (n, 6) event array, or anything np.asarray
+    turns into one. The streams are hashed and matched together, at most
+    _SCORE_CHUNK positions per pass, and a context never reaches back into
+    the stream before its own.
 
     nll mode scores the realized value, -log p(value | context); predictive
     mode scores the full predicted distribution, -sum p log p. The context
-    window is the last min(k, context_len, t) events.
+    window is the last min(k, context_len, t) events of the stream.
     """
     if mode not in ("nll", "predictive"):
         raise ValueError(f"unknown mode {mode!r}")
     if context_len < 0:
         raise ValueError("context_len must be >= 0")
     kmax = min(model.k, context_len)
-    values = np.asarray(events, dtype=np.int64).reshape(len(events), N_FIELDS)
-    hashes = np.stack(list(_rolling_hashes(_event_hashes(values), kmax)))
-    avail = np.minimum(np.arange(len(values)), kmax)
-    if mode == "nll":
-        return -np.log(_backoff(model, hashes, avail, values))
-    out = np.empty((len(values), N_FIELDS))
-    bounds = np.cumsum(model.vocab)[:-1]
-    for start in range(0, len(values), _DENSE_ROWS):
-        block = slice(start, start + _DENSE_ROWS)
-        probs = _backoff(model, hashes[:, block], avail[block])
-        for f, vecs in enumerate(np.split(probs, bounds, axis=1)):
-            out[block, f] = -(vecs * np.log(vecs)).sum(axis=1)
-    return out
+    streams = [np.asarray(a, dtype=np.int64).reshape(len(a), N_FIELDS) for a in arrays]
+    lengths = np.array([len(s) for s in streams], dtype=np.int64)
+    events = np.concatenate(streams) if streams else np.zeros((0, N_FIELDS), np.int64)
+    firsts = np.cumsum(lengths) - lengths
+    avail = np.minimum(np.arange(len(events)) - np.repeat(firsts, lengths), kmax)
+    out = np.empty((len(events), N_FIELDS))
+    for start in range(0, len(events), _SCORE_CHUNK):
+        stop = start + _SCORE_CHUNK
+        # The kmax events before the chunk complete its first contexts.
+        lead = min(start, kmax)
+        rolling = _rolling_hashes(_event_hashes(events[start - lead : stop]), kmax)
+        hashes = np.stack([h[lead:] for h in rolling])
+        chains = _match(model, hashes, avail[start:stop])
+        if mode == "nll":
+            out[start:stop] = -np.log(_interpolate(model, chains, events[start:stop]))
+        else:
+            out[start:stop] = _entropies(model, chains)
+    return np.split(out, np.cumsum(lengths)[:-1])
+
+
+def score_sequence(
+    model: ContextModel,
+    events: np.ndarray | Sequence[Event],
+    context_len: int,
+    mode: str = "nll",
+) -> np.ndarray:
+    """score_sequences of one stream: its scores, shape (len(events), 6)."""
+    return score_sequences(model, [events], context_len, mode)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -492,6 +587,82 @@ def _validate_prime(prime: EventSequence) -> np.ndarray:
     return events
 
 
+def _sample(probs: np.ndarray, vocab: Sequence[int], draws: np.ndarray) -> np.ndarray:
+    """A note's fields 1..5 from whole distributions, one row per prime.
+
+    probs holds each row's distributions side by side, and draws[i, f - 1]
+    the uniform draw for field f. Each field is normalised, with duration 0
+    left out, and its value found the way numpy's Generator.choice(n, p=vec)
+    finds it from the same draw: the number of normalised cumulative sums
+    that do not exceed the draw.
+    """
+    ends = np.cumsum(vocab)
+    out = np.empty((len(probs), N_FIELDS - 1), dtype=np.int64)
+    for f in range(1, N_FIELDS):
+        vecs = probs[:, ends[f] - vocab[f] : ends[f]]
+        if f == 4:
+            vecs = vecs.copy()
+            vecs[:, 0] = 0.0  # a note cannot have duration zero
+        cdf = (vecs / vecs.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        out[:, f - 1] = (cdf <= draws[:, f - 1 : f]).sum(axis=1)
+    return out
+
+
+def generate_many(
+    model: ContextModel,
+    primes: Sequence[EventSequence],
+    steps: int,
+    seeds: Sequence[int],
+) -> list[GenerationResult | SequenceStructureError]:
+    """generate for every prime, stepping all primes together.
+
+    Each step hashes only the events sampled in the step before, matches
+    every prime's context and interpolates in one call, and draws one
+    uniform per field from each prime's own generator, so each result
+    equals generate(model, primes[i], steps, seeds[i]). A prime that is not
+    a valid prefix gets its SequenceStructureError in place of a result;
+    an error that concerns every prime (steps < 0, a grid too wide for
+    whole distributions) is raised.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    if len(seeds) != len(primes):
+        raise ValueError(f"{len(primes)} primes but {len(seeds)} seeds")
+    prefixes: list[np.ndarray | SequenceStructureError] = []
+    for prime in primes:
+        try:
+            prefixes.append(_validate_prime(prime))
+        except SequenceStructureError as exc:
+            prefixes.append(exc)
+    live = [i for i, p in enumerate(prefixes) if isinstance(p, np.ndarray)]
+    sampled = np.zeros((len(live), steps, N_FIELDS), dtype=np.int64)
+    sampled[:, :, 0] = TYPE_NOTE
+    if live and steps:
+        rngs = [np.random.default_rng(seeds[i]) for i in live]
+        tails, avail = _tails(model.k, [prefixes[i] for i in live])
+        for step in range(steps):
+            chains = _match(model, _tail_hashes(tails), avail)
+            draws = np.array([rng.random(N_FIELDS - 1) for rng in rngs])
+            for block, probs in _dense_blocks(model, chains):
+                sampled[block, step, 1:] = _sample(probs, model.vocab, draws[block])
+            if model.k:
+                tails[:, :-1] = tails[:, 1:]
+                tails[:, -1] = [event_hash(e) for e in sampled[:, step].tolist()]
+                np.minimum(avail + 1, model.k, out=avail)
+    results: list[GenerationResult | SequenceStructureError] = list(prefixes)
+    for b, i in enumerate(live):
+        if not steps:
+            end = np.vstack([prefixes[i], [TYPE_END, 0, 0, 0, 0, 0]])
+            results[i] = GenerationResult(EventSequence(end, primes[i].grid), ())
+            continue
+        rows = np.vstack([prefixes[i], sampled[b]])
+        notes = [QuantNote(*n) for n in rows[rows[:, 0] == TYPE_NOTE, 1:].tolist()]
+        new = tuple(sorted(QuantNote(*n) for n in sampled[b, :, 1:].tolist()))
+        results[i] = GenerationResult(encode([notes], model.grid), new)
+    return results
+
+
 def generate(
     model: ContextModel, prime: EventSequence, steps: int, seed: int
 ) -> GenerationResult:
@@ -502,34 +673,10 @@ def generate(
     consumers see a valid encoding. With steps == 0 the prime itself is
     returned, terminated.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    prefix = _validate_prime(prime)
-    if steps == 0:
-        seq = EventSequence(np.vstack([prefix, [TYPE_END, 0, 0, 0, 0, 0]]), prime.grid)
-        return GenerationResult(seq, ())
-    context = list(map(Event._make, prefix.tolist()))
-    rng = np.random.default_rng(seed)
-    sampled: list[QuantNote] = []
-    for _ in range(steps):
-        dists = model.predict_next(context)
-        values = []
-        for f in range(1, N_FIELDS):
-            vec = dists.vectors[f]
-            if f == 4:
-                vec = vec.copy()
-                vec[0] = 0.0  # a note cannot have duration zero
-            vec = vec / vec.sum()
-            values.append(int(rng.choice(len(vec), p=vec)))
-        e = Event(TYPE_NOTE, *values)
-        context.append(e)
-        sampled.append(QuantNote(e.beat, e.position, e.pitch, e.duration, e.instrument))
-    notes = [
-        QuantNote(e.beat, e.position, e.pitch, e.duration, e.instrument)
-        for e in context
-        if e.type == TYPE_NOTE
-    ]
-    return GenerationResult(encode([notes], model.grid), tuple(sorted(sampled)))
+    (result,) = generate_many(model, [prime], steps, [seed])
+    if isinstance(result, SequenceStructureError):
+        raise result
+    return result
 
 
 def save_model(model: ContextModel) -> bytes:

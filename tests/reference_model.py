@@ -100,3 +100,48 @@ def reference_predict(
             vec = out
         vectors.append(vec)
     return vectors
+
+
+def reference_scores(
+    tables: list[dict],
+    k: int,
+    lam: float,
+    vocab: tuple[int, ...],
+    stream: np.ndarray,
+    context_len: int,
+    mode: str,
+) -> np.ndarray:
+    """Per-event, per-field scores of one stream, one reference_predict per event."""
+    probs, entropies = [], []
+    for t in range(len(stream)):
+        vectors = reference_predict(
+            tables, min(k, context_len), lam, vocab, stream[max(0, t - context_len) : t]
+        )
+        probs.append([vec[v] for vec, v in zip(vectors, stream[t])])
+        entropies.append([float(-(vec * np.log(vec)).sum()) for vec in vectors])
+    if mode == "nll":
+        return -np.log(np.array(probs).reshape(len(stream), N_FIELDS))
+    return np.array(entropies).reshape(len(stream), N_FIELDS)
+
+
+def reference_generate(model, prefix: np.ndarray, steps: int, seed: int) -> list[tuple]:
+    """The (beat, position, pitch, duration, program) rows sampled after a prefix.
+
+    One predict_next on the whole context and one rng.choice per field at
+    every step: the event-by-event sampler.
+    """
+    context = [tuple(row) for row in prefix.tolist()]
+    rng = np.random.default_rng(seed)
+    sampled = []
+    for _ in range(steps):
+        dists = model.predict_next(context)
+        values = []
+        for f in range(1, N_FIELDS):
+            vec = dists.vectors[f].copy()
+            if f == 4:
+                vec[0] = 0.0
+            vec = vec / vec.sum()
+            values.append(int(rng.choice(len(vec), p=vec)))
+        context.append((3, *values))
+        sampled.append(tuple(values))
+    return sampled

@@ -1,4 +1,5 @@
 """CLI commands end to end, including exit codes and config layering."""
+import dataclasses
 import json
 import math
 import os
@@ -6,13 +7,16 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import duetflow
 from duetflow.cli import main
+from duetflow.config import Config
 from duetflow.events import seq_from_text
 from duetflow.grid import GridSpec
 from duetflow.midi import track_to_text
@@ -194,6 +198,45 @@ def test_batch_rejects_manifest_of_wrong_shape(tmp_path, trained, capsys, manife
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not csv_out.exists()
+
+
+def _set(path, value):
+    def edit(raw):
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set(("pairs", 1, "label"), "bogus"),
+         "label 'bogus' is neither 'positive' nor 'negative'"),
+        (_set(("pairs", 1, "pair_id"), [1]), "pair id [1] is not a string"),
+        (_set(("seed",), "x"), "'seed' must be an integer, got 'x'"),
+        (_set(("seed",), True), "'seed' must be an integer, got True"),
+        (_set(("skipped",), 1.0), "'skipped' must be an integer, got 1.0"),
+    ],
+    ids=["unknown-label", "pair-id-not-string", "seed-string", "seed-bool", "skipped-float"],
+)
+def test_batch_rejects_manifest_values(tmp_path, midi_dir, trained, capsys, edit, message):
+    _, model = trained
+    manifest = tmp_path / "pairs.json"
+    csv_out = tmp_path / "flows.csv"
+    assert main(["pairs", "--corpus", str(midi_dir), "--out", str(manifest)]) == 0
+    raw = json.loads(manifest.read_text())
+    edit(raw)
+    manifest.write_text(json.dumps(raw))
+    capsys.readouterr()
+    rc = main(["batch", "--model", str(model), "--pairs", str(manifest), "--out", str(csv_out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    if "label" in message:
+        assert repr(raw["pairs"][1]["pair_id"]) in err
     assert not csv_out.exists()
 
 
@@ -381,6 +424,62 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     rc = main(["--config", str(cfg), "oracle", "exact"])
     assert rc == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+_CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(Config)}
+
+
+def _admitted(kind, value):
+    if kind == "float":
+        return type(value) in (int, float)
+    return type(value).__name__ == kind
+
+
+_ANY_JSON = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.sampled_from(sorted(_CONFIG_TYPES)).flatmap(
+        lambda key: st.tuples(
+            st.just(key), _ANY_JSON.filter(lambda v: not _admitted(_CONFIG_TYPES[key], v))
+        )
+    ),
+    st.sampled_from(["oracle", "train", "score", "batch", "generate", "selfbias", "tokenize"]),
+)
+def test_wrongly_typed_config_exits_1_naming_the_key(trained, midi_dir, capsys, entry, command):
+    key, value = entry
+    tok, model = trained
+    args = {
+        "oracle": ["oracle", "exact"],
+        "train": ["train", "--corpus", str(tok), "--out", str(model) + ".new"],
+        "score": ["score", str(midi_dir / "piece0.mid"), "--model", str(model)],
+        "batch": ["batch", "--model", str(model), "--pairs", "p.json", "--out", "o.csv"],
+        "generate": ["generate", "--model", str(model), "--prime",
+                     str(tok / "piece0.x.events"), "--steps", "2", "--out", "g.events"],
+        "selfbias": ["selfbias", "--model-a", str(model), "--model-b", str(model),
+                     "--primes", str(tok), "--steps", "2"],
+        "tokenize": ["tokenize", str(midi_dir), "--out-dir", "tok"],
+    }[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        capsys.readouterr()
+        rc = main(["--config", str(cfg), *args])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.err.startswith(f"error: config key {key!r} must be ")
+    assert "Traceback" not in out.err and not out.out
 
 
 # --- console script ---------------------------------------------------------------

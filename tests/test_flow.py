@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import duetflow.flow
 from duetflow.events import TYPE_NOTE, sequences_from_notes, vocab_sizes
 from duetflow.flow import (
     LN2,
@@ -13,6 +15,7 @@ from duetflow.flow import (
     TooShortError,
     conditional_entropy,
     information_flow,
+    information_flows,
 )
 from duetflow.grid import GridSpec
 from duetflow.midi import QuantNote
@@ -212,3 +215,74 @@ def test_longer_context_does_not_hurt_on_trained_data(indep_model):
     short = conditional_entropy(indep_model, seq_xy, context_len=0)
     full = conditional_entropy(indep_model, seq_xy, context_len=64)
     assert full.mean_total <= short.mean_total + 1e-9
+
+
+# --- batched flows -------------------------------------------------------------
+
+def per_stream_flow(model, x, y, params):
+    """A flow report from three conditional_entropy calls, one per view."""
+    first, second = sorted((tuple(x), tuple(y)))
+    seqs = sequences_from_notes(
+        first, second, model.grid, split_shared_programs=params.split_shared_programs
+    )
+    h = [
+        conditional_entropy(
+            model, seq, params.context_len, params.burn_in, params.mode, label=label
+        ).field_means
+        for seq, label in zip(seqs, ("X", "Y", "XY"))
+    ]
+    if params.xy_norm == "per_pair":
+        h[2] = tuple(2.0 * v for v in h[2])
+    return h
+
+
+@st.composite
+def flow_batches(draw):
+    """Pieces of random length for one params; some too short, some off the grid."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pieces = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 30))
+        x = voice(rng.integers(0, 3, n), base=60, step=4, program=draw(st.sampled_from([0, 16])))
+        y = voice(rng.integers(0, 3, draw(st.integers(1, 30))), base=72, step=7, program=16)
+        if draw(st.integers(0, 9)) == 0:
+            x[-1] = x[-1]._replace(pitch=200)  # outside the grid
+        pieces.append((x, y))
+    params = FlowParams(
+        context_len=draw(st.sampled_from([0, 1, 3, 64])),
+        burn_in=draw(st.integers(1, 12)),
+        mode=draw(st.sampled_from(["nll", "predictive"])),
+        xy_norm=draw(st.sampled_from(["per_pair", "per_event"])),
+        split_shared_programs=draw(st.booleans()),
+    )
+    return pieces, params
+
+
+@settings(max_examples=40, deadline=None)
+@given(flow_batches())
+def test_information_flows_equals_per_piece_scoring(indep_model, batch):
+    pieces, params = batch
+    ids = [f"piece{i}" for i in range(len(pieces))]
+    results = information_flows(indep_model, pieces, params, piece_ids=ids, config={"c": 1})
+    # Swapped, and scored a few pieces per call instead of all at once.
+    batch_events = duetflow.flow._BATCH_EVENTS
+    duetflow.flow._BATCH_EVENTS = 64
+    try:
+        swapped = information_flows(
+            indep_model, [(y, x) for x, y in pieces], params, piece_ids=ids, config={"c": 1}
+        )
+    finally:
+        duetflow.flow._BATCH_EVENTS = batch_events
+    assert len(results) == len(swapped) == len(pieces)
+    for (x, y), piece_id, result, other in zip(pieces, ids, results, swapped):
+        try:
+            want = per_stream_flow(indep_model, x, y, params)
+        except ValueError as exc:
+            assert type(result) is type(exc) and str(result) == str(exc)
+            assert type(other) is type(exc) and str(other) == str(exc)
+            continue
+        assert [result.h_first, result.h_second, result.h_merged] == want
+        assert result.piece_id == piece_id and result.config == {"c": 1}
+        assert result.model_id == indep_model.fingerprint()
+        assert other == result and other.to_dict() == result.to_dict()
+        assert information_flow(indep_model, x, y, params, piece_id=piece_id) == result

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from duetflow.events import Event, EventSequence, FIELD_NAMES, encode
-from duetflow.flow import FlowParams
+from duetflow.events import Event, EventSequence, FIELD_NAMES, encode, sequence_notes
+from duetflow.flow import FlowParams, information_flow
 from duetflow.grid import GridSpec
 from duetflow.harness import (
     NEGATIVE,
@@ -22,7 +22,7 @@ from duetflow.harness import (
     training_encodings,
 )
 from duetflow.midi import IneligiblePieceError, Piece, QuantNote
-from duetflow.model import train
+from duetflow.model import generate, train
 from duetflow.oracle import X_PITCH_BASE, Y_PITCH_BASE, independent_spec
 
 GRID = GridSpec()
@@ -259,6 +259,43 @@ def test_self_enhancement_skips_empty_primes(two_models):
     )
     assert report.skipped == 1
     assert report.n_primes == 2
+
+
+def test_self_enhancement_equals_prime_by_prime_scoring(two_models):
+    # Lockstep generation and batched scoring give the matrix of one
+    # generate and one information_flow call at a time, bit for bit, and
+    # skip the same primes and pieces.
+    model_a, model_b = two_models
+    primes = [
+        encode([tuple(QuantNote(t // 12, t % 12, 36 + (t % 3), 1, 0) for t in range(n))], GRID)
+        for n in (12, 3, 20, 7)
+    ]
+    primes.insert(2, EventSequence((Event(0, 0, 0, 0, 0, 0), Event(4, 0, 0, 0, 0, 0)), GRID))
+    params = FlowParams(burn_in=6, mode="predictive")
+    report = self_enhancement(model_a, model_b, primes, steps=16, params=params, seed=3)
+    models = {"a": model_a, "b": model_b}
+    sums = {s: {g: 0.0 for g in models} for s in models}
+    counts = {s: {g: 0 for g in models} for s in models}
+    skipped = 0
+    for i, prime in enumerate(primes):
+        notes = sequence_notes(prime)
+        if not notes:
+            skipped += 1
+            continue
+        for g_index, (g_name, g_model) in enumerate(models.items()):
+            result = generate(g_model, prime, 16, 3 * 7919 + i * 2 + g_index)
+            for s_name, s_model in models.items():
+                try:
+                    flow = information_flow(s_model, notes, result.sampled_notes, params)
+                except ValueError:
+                    skipped += 1
+                    continue
+                sums[s_name][g_name] += flow.total_flow
+                counts[s_name][g_name] += 1
+    assert report.skipped == skipped == 1 + 4
+    assert report.matrix == {
+        s: {g: sums[s][g] / counts[s][g] for g in models} for s in models
+    }
 
 
 # --- synthetic corpora -------------------------------------------------------------

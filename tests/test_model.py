@@ -22,20 +22,31 @@ from duetflow.grid import GridSpec
 from duetflow.midi import QuantNote
 from duetflow.model import (
     ContextModel,
+    GenerationResult,
     empty_model,
     event_hash,
     generate,
+    generate_many,
     load_model,
     load_model_file,
     predict_next,
     save_model,
     save_model_file,
     score_sequence,
+    score_sequences,
     train,
     _event_hashes,
+    _sample,
+    _validate_prime,
 )
 from reference_events import event_rows
-from reference_model import reference_predict, reference_save, reference_train
+from reference_model import (
+    reference_generate,
+    reference_predict,
+    reference_save,
+    reference_scores,
+    reference_train,
+)
 
 GRID = GridSpec()
 
@@ -151,6 +162,107 @@ def test_train_bytes_match_dict_reference(corpus, k, lam):
     for t in range(len(probe)):
         want = reference_predict(tables, k, lam, vocab, probe[:t])
         assert list(scores[t]) == [float(-(v * np.log(v)).sum()) for v in want]
+
+
+@st.composite
+def scoring_cases(draw):
+    """A model on a random corpus, streams to score and a context length.
+
+    The streams are prefixes of the corpus pieces, empty ones and ones
+    shorter than k included, plus a piece the model has not seen.
+    """
+    corpus = draw(corpora())
+    k = draw(st.integers(0, 4))
+    model = train(corpus, k=k, lam=draw(st.sampled_from([0.5, 1.0, 3.0])))
+    unseen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = corpus[0].grid
+    notes = [
+        QuantNote(0, int(unseen.integers(0, grid.resolution)), int(unseen.integers(0, 128)),
+                  1, 0)
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    pieces = [seq.events for seq in corpus] + [encode([sorted(notes)], grid).events]
+    streams = [p[: draw(st.integers(0, len(p)))] for p in draw(st.permutations(pieces))]
+    context_len = draw(st.sampled_from(sorted({0, 1, max(0, k - 1), k, 64})))
+    return model, corpus, k, streams, context_len
+
+
+@settings(max_examples=60, deadline=None)
+@given(scoring_cases(), st.sampled_from(["nll", "predictive"]))
+def test_score_sequences_equals_per_stream_reference(case, mode):
+    model, corpus, k, streams, context_len = case
+    batch = score_sequences(model, streams, context_len, mode)
+    assert len(batch) == len(streams)
+    tables, _ = reference_train(corpus, k)
+    for stream, got in zip(streams, batch):
+        solo = score_sequence(model, stream, context_len, mode)
+        want = reference_scores(tables, k, model.lam, model.vocab, stream, context_len, mode)
+        assert got.shape == solo.shape == want.shape == (len(stream), 6)
+        assert np.array_equal(got, solo) and np.array_equal(got, want)
+
+
+def test_score_sequences_chunks_reach_back_across_the_chunk_edge(monkeypatch):
+    # Positions right after a chunk edge take their contexts from the chunk
+    # before; a small chunk puts many edges inside each stream.
+    import duetflow.model as model_module
+
+    rng = np.random.default_rng(5)
+    corpus = [random_piece(rng, 30, programs=(0, 24)) for _ in range(4)]
+    model = train(corpus, k=3)
+    streams = [seq.events for seq in corpus]
+    for mode in ("nll", "predictive"):
+        whole = score_sequences(model, streams, 64, mode)
+        monkeypatch.setattr(model_module, "_SCORE_CHUNK", 7)
+        chunked = score_sequences(model, streams, 64, mode)
+        monkeypatch.undo()
+        assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sampler_draws_what_rng_choice_draws(seed):
+    # 100 rows of five fields, 500 vectors per example: field sizes from 1
+    # to 300, entries spread over many orders of magnitude, some zero.
+    rng = np.random.default_rng(seed)
+    beat, position, pitch, duration = rng.integers(1, 300, 4).tolist()
+    vocab = (5, beat, position, pitch, max(2, duration), 128)
+    rows = 100
+    probs = np.exp(rng.normal(0, 4, (rows, sum(vocab))))
+    probs[rng.random(probs.shape) < 0.1] = 0.0
+    ends = np.cumsum(vocab)
+    for f in range(1, 6):
+        probs[:, ends[f] - 1] += 1e-3  # every field keeps some mass past duration 0
+    seeds = rng.integers(0, 2**63, rows)
+    draws = np.array([np.random.default_rng(s).random(5) for s in seeds])
+    got = _sample(probs, vocab, draws)
+    for row, s in enumerate(seeds):
+        chooser = np.random.default_rng(s)
+        want = []
+        for f in range(1, 6):
+            vec = probs[row, ends[f] - vocab[f] : ends[f]].copy()
+            if f == 4:
+                vec[0] = 0.0
+            vec = vec / vec.sum()
+            want.append(int(chooser.choice(len(vec), p=vec)))
+        assert got[row].tolist() == want
+
+
+def test_wide_grids_refuse_whole_distributions():
+    wide = GridSpec(max_beat=(1 << 16))
+    model = empty_model(wide, k=1)
+    seq = encode([[QuantNote(70, 0, 60, 4, 0)]], wide)
+    with pytest.raises(ValueError, match="more than the 65536"):
+        model.predict_next([])
+    with pytest.raises(ValueError, match="values per distribution"):
+        score_sequence(model, seq.events, 4, mode="predictive")
+    with pytest.raises(ValueError, match="values per distribution"):
+        generate(model, seq, 1, seed=0)
+    nll = score_sequence(model, seq.events, 4)
+    assert np.all(np.isfinite(nll))
+    # The widest grid below the bound still gets whole distributions.
+    fits = GridSpec(max_beat=(1 << 16) - sum(vocab_sizes(GridSpec(max_beat=1))) + 1)
+    assert sum(vocab_sizes(fits)) == 1 << 16
+    empty_model(fits, k=1).predict_next([]).validate()
 
 
 def test_train_rejects_events_outside_the_vocabulary():
@@ -337,6 +449,12 @@ def test_predictions_are_normalized_distributions(data):
     model.predict_next(context).validate()
 
 
+def test_predict_next_refuses_context_values_beyond_int64():
+    model = train([simple_piece([60, 64])], k=2)
+    with pytest.raises(ValueError, match="fit in int64"):
+        model.predict_next([Event(TYPE_NOTE, 2**63, 0, 60, 4, 0)])
+
+
 # --- serialization ----------------------------------------------------------
 
 def test_save_load_round_trip(tmp_path):
@@ -512,8 +630,13 @@ def test_corrupted_blob_is_refused_or_loads_canonically(flips):
     assert model.fingerprint() == hashlib.blake2b(data, digest_size=8).hexdigest()
     if sum(model.vocab) > 1 << 16:
         # A flipped byte in the grid header can enlarge the grid, up to 2^32
-        # values per field; the format has no checksum to notice. Dense
-        # distributions over such a grid need that much memory.
+        # values per field; the format has no checksum to notice. Whole
+        # distributions over such a grid are refused before they allocate.
+        for context in SMALL_CONTEXTS:
+            with pytest.raises(ValueError, match="values per distribution"):
+                model.predict_next(context)
+        with pytest.raises(ValueError, match="values per distribution"):
+            score_sequence(model, SMALL_CORPUS[1].events, 64, mode="predictive")
         return
     for context in SMALL_CONTEXTS:
         model.predict_next(context).validate()
@@ -578,6 +701,59 @@ def test_generate_rejects_malformed_prime(alternating_model):
         generate(alternating_model, EventSequence(shuffled, GRID), 1, seed=0)
     with pytest.raises(ValueError):
         generate(alternating_model, seq, -1, seed=0)
+
+
+@st.composite
+def prime_batches(draw):
+    """Primes of different lengths for one model; some are not valid prefixes."""
+    grid = GridSpec(4, 8, 6)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def piece(n):
+        notes = [
+            QuantNote(int(rng.integers(0, 8)), int(rng.integers(0, 4)),
+                      int(rng.integers(58, 64)), int(rng.integers(1, 7)), int(rng.choice([0, 5])))
+            for _ in range(n)
+        ]
+        return encode([sorted(notes)], grid)
+
+    model = train([piece(12) for _ in range(draw(st.integers(1, 4)))], k=draw(st.integers(0, 4)))
+    primes = []
+    for _ in range(draw(st.integers(1, 5))):
+        events = piece(draw(st.integers(1, 10))).events
+        cut = draw(st.sampled_from(["whole", "prefix", "header", "broken", "shuffled"]))
+        if cut == "prefix":
+            events = events[: draw(st.integers(2, len(events)))]
+        elif cut == "header":
+            events = events[: int(np.argmax(events[:, 0] == 2))]
+        elif cut == "broken":
+            events = events[1:]
+        elif cut == "shuffled":
+            events = events[rng.permutation(len(events))]
+        primes.append(EventSequence(events, grid))
+    return model, primes
+
+
+@settings(max_examples=40, deadline=None)
+@given(prime_batches(), st.integers(0, 12), st.data())
+def test_generate_many_equals_generate_for_each_prime(batch, steps, data):
+    model, primes = batch
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(primes),
+                               max_size=len(primes)))
+    results = generate_many(model, primes, steps, seeds)
+    assert len(results) == len(primes)
+    for prime, seed, result in zip(primes, seeds, results):
+        try:
+            solo = generate(model, prime, steps, seed)
+        except ValueError as exc:
+            assert type(result) is type(exc) and str(result) == str(exc)
+            continue
+        assert isinstance(result, GenerationResult)
+        assert result == solo
+        sampled = reference_generate(model, _validate_prime(prime), steps, seed)
+        assert result.sampled_notes == tuple(sorted(QuantNote(*v) for v in sampled))
+    with pytest.raises(ValueError, match="steps"):
+        generate_many(model, primes, -1, seeds)
 
 
 def test_generate_reproduces_learned_transition_stats(alternating_model, alternating_prime):
