@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage or data errors, 2 MIDI parse errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -13,8 +14,8 @@ from pathlib import Path
 
 from . import harness, oracle
 from .config import Config, load_config
-from .events import encode, seq_from_text, seq_to_text
-from .flow import information_flow
+from .events import EventSequence, encode, seq_from_text, seq_to_text, sequences_from_notes
+from .flow import XY_NORMS, information_flow
 from .midi import (
     IneligiblePieceError,
     MidiParseError,
@@ -23,7 +24,7 @@ from .midi import (
     split_tracks,
     track_from_text,
 )
-from .model import generate, load_model_file, save_model_file, train
+from .model import MODES, ContextModel, generate, load_model_file, save_model_file, train
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -45,15 +46,22 @@ def _midi_paths(root: Path) -> list[Path]:
     return sorted(p for p in root.rglob("*") if p.suffix.lower() in (".mid", ".midi"))
 
 
+def _read_piece(path: Path, cfg: Config) -> Piece:
+    return piece_from_bytes(
+        path.read_bytes(), path.stem, cfg.grid, include_drums=cfg.include_drums
+    )
+
+
 def _load_pieces(root: Path, cfg: Config) -> list[Piece]:
-    pieces = []
-    for path in _midi_paths(root):
-        pieces.append(
-            piece_from_bytes(
-                path.read_bytes(), path.stem, cfg.grid, include_drums=cfg.include_drums
-            )
-        )
-    return pieces
+    return [_read_piece(path, cfg) for path in _midi_paths(root)]
+
+
+def _load_model(path: str, cfg: Config) -> ContextModel:
+    """A model file, refused unless its grid is the config's."""
+    model = load_model_file(path)
+    if model.grid != cfg.grid:
+        raise ValueError(f"model grid {model.grid} does not match config {cfg.grid}")
+    return model
 
 
 def _load_corpus_dir(root: Path, cfg: Config):
@@ -61,6 +69,19 @@ def _load_corpus_dir(root: Path, cfg: Config):
     if not files:
         raise ValueError(f"no .events files in {root}")
     return [seq_from_text(p.read_text(), cfg.grid) for p in files]
+
+
+def _views(x, y, cfg: Config) -> dict[str, EventSequence]:
+    """The X, Y and merged XY views of two voices, by file tag."""
+    seqs = sequences_from_notes(x, y, cfg.grid, split_shared_programs=cfg.split_shared_programs)
+    return dict(zip(("x", "y", "xy"), seqs))
+
+
+def _write_events(out_dir: Path, stem: str, parts: dict[str, EventSequence]) -> int:
+    """Write each sequence to {stem}.{tag}.events; return how many."""
+    for tag, seq in parts.items():
+        _write_text(out_dir / f"{stem}.{tag}.events", seq_to_text(seq))
+    return len(parts)
 
 
 def cmd_tokenize(args: argparse.Namespace, cfg: Config) -> int:
@@ -71,20 +92,9 @@ def cmd_tokenize(args: argparse.Namespace, cfg: Config) -> int:
     written = skipped = 0
     for path in _midi_paths(source):
         try:
-            piece = piece_from_bytes(
-                path.read_bytes(), path.stem, cfg.grid, include_drums=cfg.include_drums
-            )
+            piece = _read_piece(path, cfg)
             if len(piece.tracks) == 2:
-                x, y = split_tracks(piece)
-                parts = {
-                    "x": encode([x], cfg.grid),
-                    "y": encode([y], cfg.grid),
-                    "xy": encode(
-                        [x, y],
-                        cfg.grid,
-                        split_shared_programs=cfg.split_shared_programs,
-                    ),
-                }
+                parts = _views(*split_tracks(piece), cfg)
             elif len(piece.tracks) == 1:
                 parts = {"solo": encode([piece.tracks[0]], cfg.grid)}
             else:
@@ -97,9 +107,7 @@ def cmd_tokenize(args: argparse.Namespace, cfg: Config) -> int:
             print(f"skipping {path.name}: {exc}", file=sys.stderr)
             skipped += 1
             continue
-        for tag, seq in parts.items():
-            _write_text(out_dir / f"{path.stem}.{tag}.events", seq_to_text(seq))
-            written += 1
+        written += _write_events(out_dir, path.stem, parts)
     print(f"wrote {written} sequences to {out_dir} ({skipped} inputs skipped)")
     return EXIT_OK
 
@@ -124,18 +132,12 @@ def _piece_tracks(args: argparse.Namespace, cfg: Config):
         )
     if not args.piece:
         raise ValueError("give either a MIDI piece or --x-text/--y-text")
-    path = Path(args.piece)
-    piece = piece_from_bytes(
-        path.read_bytes(), path.stem, cfg.grid, include_drums=cfg.include_drums
-    )
-    x, y = split_tracks(piece)
-    return x, y, piece.source_id
+    piece = _read_piece(Path(args.piece), cfg)
+    return (*split_tracks(piece), piece.source_id)
 
 
 def cmd_score(args: argparse.Namespace, cfg: Config) -> int:
-    model = load_model_file(args.model)
-    if model.grid != cfg.grid:
-        raise ValueError(f"model grid {model.grid} does not match config {cfg.grid}")
+    model = _load_model(args.model, cfg)
     x, y, piece_id = _piece_tracks(args, cfg)
     report = information_flow(
         model, x, y, cfg.flow_params, piece_id=piece_id, config=cfg.to_dict()
@@ -159,7 +161,7 @@ def cmd_pairs(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_batch(args: argparse.Namespace, cfg: Config) -> int:
-    model = load_model_file(args.model)
+    model = _load_model(args.model, cfg)
     pair_set = harness.PairSet.from_json(Path(args.pairs).read_text())
     report = harness.batch_score(
         model, pair_set, cfg.flow_params, workers=cfg.workers, config=cfg.to_dict()
@@ -180,7 +182,7 @@ def cmd_batch(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_bias(args: argparse.Namespace, cfg: Config) -> int:
-    model = load_model_file(args.model)
+    model = _load_model(args.model, cfg)
     pieces = _load_pieces(Path(args.corpus), cfg)
     report = harness.positional_bias(model, pieces, cfg.flow_params)
     print(
@@ -198,8 +200,8 @@ def cmd_bias(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_selfbias(args: argparse.Namespace, cfg: Config) -> int:
-    model_a = load_model_file(args.model_a)
-    model_b = load_model_file(args.model_b)
+    model_a = _load_model(args.model_a, cfg)
+    model_b = _load_model(args.model_b, cfg)
     primes = _load_corpus_dir(Path(args.primes), cfg)
     report = harness.self_enhancement(
         model_a, model_b, primes, args.steps, cfg.flow_params, seed=cfg.seed
@@ -209,7 +211,7 @@ def cmd_selfbias(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_generate(args: argparse.Namespace, cfg: Config) -> int:
-    model = load_model_file(args.model)
+    model = _load_model(args.model, cfg)
     prime = seq_from_text(Path(args.prime).read_text(), cfg.grid, validate=False)
     result = generate(model, prime, args.steps, cfg.seed)
     _write_text(Path(args.out), seq_to_text(result.sequence))
@@ -239,15 +241,16 @@ def cmd_oracle(args: argparse.Namespace, cfg: Config) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     xs, ys = oracle.sample_paths(spec, args.length, cfg.seed)
     written = 0
-    for i, (tx, ty) in enumerate(
-        oracle.embed_pieces(xs, ys, args.piece_len, cfg.grid)
-    ):
-        for tag, tracks in (("x", [tx]), ("y", [ty]), ("xy", [tx, ty])):
-            seq = encode(tracks, cfg.grid)
-            _write_text(out_dir / f"chain-{i:04d}.{tag}.events", seq_to_text(seq))
-            written += 1
+    for i, (x, y) in enumerate(oracle.embed_pieces(xs, ys, args.piece_len, cfg.grid)):
+        written += _write_events(out_dir, f"chain-{i:04d}", _views(x, y, cfg))
     print(f"wrote {written} sequences to {out_dir}")
     return EXIT_OK
+
+
+# One global flag per Config field: its type from the annotation, and the
+# legal values of the settings that have a fixed set of them.
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
+_FLAG_CHOICES = {"mode": MODES, "xy_norm": XY_NORMS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,28 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file")
     overrides = parser.add_argument_group("config overrides")
-    overrides.add_argument("--resolution", type=int)
-    overrides.add_argument("--max-beat", type=int, dest="max_beat")
-    overrides.add_argument("--max-duration", type=int, dest="max_duration")
-    overrides.add_argument("--k", type=int)
-    overrides.add_argument("--lam", type=float)
-    overrides.add_argument("--context-len", type=int, dest="context_len")
-    overrides.add_argument("--burn-in", type=int, dest="burn_in")
-    overrides.add_argument("--mode", choices=["nll", "predictive"])
-    overrides.add_argument("--xy-norm", choices=["per_pair", "per_event"], dest="xy_norm")
-    overrides.add_argument("--seed", type=int)
-    overrides.add_argument("--workers", type=int)
-    overrides.add_argument(
-        "--split-shared-programs",
-        action="store_const",
-        const=True,
-        default=None,
-        dest="split_shared_programs",
-    )
-    overrides.add_argument(
-        "--include-drums", action="store_const", const=True, default=None,
-        dest="include_drums",
-    )
+    for f in dataclasses.fields(Config):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            overrides.add_argument(flag, action="store_const", const=True)
+        else:
+            overrides.add_argument(
+                flag, type=_FLAG_TYPES[f.type], choices=_FLAG_CHOICES.get(f.name)
+            )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -349,17 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = (
-    "resolution", "max_beat", "max_duration", "k", "lam", "context_len",
-    "burn_in", "mode", "xy_norm", "seed", "workers", "split_shared_programs",
-    "include_drums",
-)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, {k: getattr(args, k) for k in _OVERRIDE_KEYS})
+        overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(Config)}
+        cfg = load_config(args.config, overrides)
         return args.func(args, cfg)
     except MidiParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

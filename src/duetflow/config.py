@@ -8,6 +8,7 @@ from pathlib import Path
 
 from .flow import FlowParams
 from .grid import GridSpec
+from .model import _check_params
 
 
 # The types each annotation of Config admits, and how an error names them.
@@ -18,21 +19,27 @@ _TYPES = {
     "bool": (bool, "true or false"),
 }
 
+_GRID = GridSpec()
+_FLOW = FlowParams()
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True)
 class Config:
-    resolution: int = 12
-    max_beat: int = 1024
-    max_duration: int = 96
+    """Every setting of a run. Construction checks each value's type, then
+    its range, and builds ``grid`` and ``flow_params`` from it."""
+
+    resolution: int = _GRID.resolution
+    max_beat: int = _GRID.max_beat
+    max_duration: int = _GRID.max_duration
     k: int = 4
     lam: float = 1.0
-    context_len: int = 64
-    burn_in: int = 16
-    mode: str = "nll"
-    xy_norm: str = "per_pair"
+    context_len: int = _FLOW.context_len
+    burn_in: int = _FLOW.burn_in
+    mode: str = _FLOW.mode
+    xy_norm: str = _FLOW.xy_norm
     seed: int = 0
     workers: int = 1
-    split_shared_programs: bool = False
+    split_shared_programs: bool = _FLOW.split_shared_programs
     include_drums: bool = False
 
     def __post_init__(self) -> None:
@@ -43,20 +50,15 @@ class Config:
             if not isinstance(value, kinds) or (f.type != "bool" and isinstance(value, bool)):
                 raise ValueError(f"config key {f.name!r} must be {noun}, got {value!r}")
         object.__setattr__(self, "lam", float(self.lam))
-
-    @property
-    def grid(self) -> GridSpec:
-        return GridSpec(self.resolution, self.max_beat, self.max_duration)
-
-    @property
-    def flow_params(self) -> FlowParams:
-        return FlowParams(
-            context_len=self.context_len,
-            burn_in=self.burn_in,
-            mode=self.mode,
-            xy_norm=self.xy_norm,
-            split_shared_programs=self.split_shared_programs,
+        _check_params(self.k, self.lam)
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        grid = GridSpec(self.resolution, self.max_beat, self.max_duration)
+        flow = FlowParams(
+            self.context_len, self.burn_in, self.mode, self.xy_norm, self.split_shared_programs
         )
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "flow_params", flow)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -26,12 +26,14 @@ from .events import (
     validate_sequence,
 )
 from .midi import QuantNote
-from .model import ContextModel, score_sequence, score_sequences
+from .model import MODES, ContextModel, score_sequence, score_sequences
 
 LN2 = math.log(2.0)
 
 XY_NORM_PER_PAIR = "per_pair"
 XY_NORM_PER_EVENT = "per_event"
+# The legal values of FlowParams.xy_norm; model.MODES are those of .mode.
+XY_NORMS = (XY_NORM_PER_PAIR, XY_NORM_PER_EVENT)
 
 
 class TooShortError(ValueError):
@@ -57,9 +59,9 @@ class FlowParams:
             raise ValueError("burn_in must be >= 1")
         if self.context_len < 0:
             raise ValueError("context_len must be >= 0")
-        if self.mode not in ("nll", "predictive"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.xy_norm not in (XY_NORM_PER_PAIR, XY_NORM_PER_EVENT):
+        if self.xy_norm not in XY_NORMS:
             raise ValueError(f"unknown xy_norm {self.xy_norm!r}")
 
 

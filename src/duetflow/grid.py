@@ -3,10 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-DEFAULT_RESOLUTION = 12
-DEFAULT_MAX_BEAT = 1024
-DEFAULT_MAX_DURATION = 96
-
 
 @dataclass(frozen=True, slots=True)
 class GridSpec:
@@ -17,9 +13,9 @@ class GridSpec:
     max_duration: longest representable note duration, in positions.
     """
 
-    resolution: int = DEFAULT_RESOLUTION
-    max_beat: int = DEFAULT_MAX_BEAT
-    max_duration: int = DEFAULT_MAX_DURATION
+    resolution: int = 12
+    max_beat: int = 1024
+    max_duration: int = 96
 
     def __post_init__(self) -> None:
         if self.resolution < 1 or self.max_beat < 1 or self.max_duration < 1:

@@ -16,9 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from .events import EventSequence, FIELD_NAMES, N_FIELDS, encode, sequence_notes
-# information_flow and generate are no longer called here; they stay
+from .events import EventSequence, FIELD_NAMES, N_FIELDS, sequence_notes, sequences_from_notes
+# encode, information_flow and generate are no longer called here; they stay
 # importable from this module because bench/tracing.py wraps them here.
+from .events import encode  # noqa: F401
 from .flow import FlowParams, FlowReport, information_flow, information_flows  # noqa: F401
 from .grid import GridSpec
 from .midi import IneligiblePieceError, Piece, QuantNote, split_tracks
@@ -187,6 +188,15 @@ class ScoredPair:
     error: str | None = None
 
 
+def _summary(values: np.ndarray) -> dict:
+    """Mean, median and sample standard deviation (0 for one value)."""
+    return {
+        "mean": float(values.mean()),
+        "median": float(statistics.median(values.tolist())),
+        "std": float(values.std(ddof=1)) if len(values) > 1 else 0.0,
+    }
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     scored: tuple[ScoredPair, ...]
@@ -211,21 +221,14 @@ class ExperimentReport:
             flows = self.label_flows(label)
             if len(flows) == 0:
                 continue
-            entry = {
+            out[label] = {
                 "count": int(len(flows)),
-                "mean": float(flows.mean()),
-                "median": float(statistics.median(flows.tolist())),
-                "std": float(flows.std(ddof=1)) if len(flows) > 1 else 0.0,
-                "fields": {},
+                **_summary(flows),
+                "fields": {
+                    name: _summary(self.label_flows(label, f))
+                    for f, name in enumerate(FIELD_NAMES)
+                },
             }
-            for f, name in enumerate(FIELD_NAMES):
-                per = self.label_flows(label, f)
-                entry["fields"][name] = {
-                    "mean": float(per.mean()),
-                    "median": float(statistics.median(per.tolist())),
-                    "std": float(per.std(ddof=1)) if len(per) > 1 else 0.0,
-                }
-            out[label] = entry
         return out
 
     def t_statistic(self, field_index: int | None = None) -> float:
@@ -484,10 +487,7 @@ def echo_corpus(
 
 def training_encodings(pieces: Sequence[Piece]) -> list[EventSequence]:
     """Solo and merged encodings of each piece, the standard training diet."""
-    corpus = []
+    corpus: list[EventSequence] = []
     for piece in pieces:
-        x, y = split_tracks(piece)
-        corpus.append(encode([x], piece.grid))
-        corpus.append(encode([y], piece.grid))
-        corpus.append(encode([x, y], piece.grid))
+        corpus += sequences_from_notes(*split_tracks(piece), piece.grid)
     return corpus

@@ -61,6 +61,9 @@ _FIELD_SEED = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 
+# Scoring modes: nll scores the realized value, predictive the distribution.
+MODES = ("nll", "predictive")
+
 MAGIC = b"DFM1"
 FORMAT_VERSION = 1
 
@@ -516,7 +519,7 @@ def score_sequences(
     mode scores the full predicted distribution, -sum p log p. The context
     window is the last min(k, context_len, t) events of the stream.
     """
-    if mode not in ("nll", "predictive"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if context_len < 0:
         raise ValueError("context_len must be >= 0")

@@ -15,12 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import duetflow
-from duetflow.cli import main
+from duetflow.cli import build_parser, main
 from duetflow.config import Config
-from duetflow.events import seq_from_text
+from duetflow.events import seq_from_text, seq_to_text, sequences_from_notes
 from duetflow.grid import GridSpec
 from duetflow.midi import track_to_text
-from duetflow.oracle import independent_spec, spec_to_text
+from duetflow.oracle import copy_spec, embed_pieces, independent_spec, sample_paths, spec_to_text
 
 from midibuild import build, note_track
 
@@ -327,6 +327,26 @@ def test_oracle_sample_command(tmp_path, capsys):
     ).read_text()
 
 
+def test_oracle_sample_splits_shared_programs_like_scoring(tmp_path, capsys):
+    out_dir = tmp_path / "chain"
+    rc = main(
+        ["--seed", "7", "--split-shared-programs", "oracle", "sample",
+         "--chain", "copy", "--length", "100", "--piece-len", "32",
+         "--out-dir", str(out_dir)]
+    )
+    assert rc == 0
+    xs, ys = sample_paths(copy_spec(2), 100, 7)
+    pieces = embed_pieces(xs, ys, 32, GRID)
+    assert len(pieces) == 3
+    for i, (x, y) in enumerate(pieces):
+        views = sequences_from_notes(x, y, GRID, split_shared_programs=True)
+        for tag, seq in zip(("x", "y", "xy"), views):
+            assert (out_dir / f"chain-{i:04d}.{tag}.events").read_text() == seq_to_text(seq)
+    # Both voices play program 0, so the merged view declares programs 0 and 1.
+    xy = seq_from_text((out_dir / "chain-0000.xy.events").read_text(), GRID)
+    assert xy.events[1:3, 5].tolist() == [0, 1]
+
+
 @pytest.mark.parametrize("command", ["exact", "sample"])
 @pytest.mark.parametrize("line", [1, 5], ids=["transition-row", "initial-law"])
 def test_oracle_rejects_nan_spec(tmp_path, capsys, command, line):
@@ -394,6 +414,102 @@ def test_value_error_exit_codes(tmp_path, midi_dir, trained, capsys):
         ["--resolution", "6", "score", str(midi_dir / "piece0.mid"), "--model", str(model)]
     ) == 1
     assert "does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["score", "batch", "bias", "selfbias", "generate"])
+def test_model_grid_must_match_config_grid(tmp_path, midi_dir, trained, capsys, command):
+    tok, model = trained
+    manifest = tmp_path / "pairs.json"
+    assert main(["pairs", "--corpus", str(midi_dir), "--out", str(manifest)]) == 0
+    args = {
+        "score": ["score", str(midi_dir / "piece0.mid"), "--model", str(model)],
+        "batch": ["batch", "--model", str(model), "--pairs", str(manifest),
+                  "--out", str(tmp_path / "o.csv")],
+        "bias": ["bias", "--model", str(model), "--corpus", str(midi_dir)],
+        "selfbias": ["selfbias", "--model-a", str(model), "--model-b", str(model),
+                     "--primes", str(tok), "--steps", "2"],
+        "generate": ["generate", "--model", str(model), "--prime",
+                     str(tok / "piece0.x.events"), "--steps", "2",
+                     "--out", str(tmp_path / "g.events")],
+    }[command]
+    capsys.readouterr()
+    rc = main(["--resolution", "6", "--burn-in", "4", *args])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.err.startswith("error: model grid ")
+    assert "does not match config" in out.err
+    assert "Traceback" not in out.err and not out.out
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"mode": "bogus"},
+        {"xy_norm": "x"},
+        {"burn_in": 0},
+        {"context_len": -3},
+        {"workers": -4},
+        {"resolution": 0},
+        {"k": -1},
+        {"lam": 0},
+    ],
+    ids=lambda entry: "-".join(f"{k}={v}" for k, v in entry.items()),
+)
+@pytest.mark.parametrize("command", ["train", "oracle"])
+def test_out_of_range_config_exits_1(tmp_path, trained, capsys, entry, command):
+    tok, _ = trained
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(entry))
+    model = tmp_path / "new.dfm"
+    args = {
+        "train": ["train", "--corpus", str(tok), "--out", str(model)],
+        "oracle": ["oracle", "exact"],
+    }[command]
+    capsys.readouterr()
+    rc = main(["--config", str(cfg), *args])
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.err.startswith("error: ")
+    assert "Traceback" not in out.err and not out.out
+    assert not model.exists()
+
+
+def test_override_flags_are_the_config_fields():
+    parser = build_parser()
+    fields = {f.name: f.type for f in dataclasses.fields(Config)}
+    (group,) = [g for g in parser._action_groups if g.title == "config overrides"]
+    flags = {a.dest: a.option_strings for a in group._group_actions}
+    assert flags == {name: ["--" + name.replace("_", "-")] for name in fields}
+
+    values = {"int": ["3"], "float": ["2"], "bool": [], "mode": ["predictive"],
+              "xy_norm": ["per_event"]}
+    argv = []
+    for name, kind in fields.items():
+        argv += ["--" + name.replace("_", "-"), *values.get(name, values.get(kind))]
+    args = parser.parse_args([*argv, "oracle", "exact"])
+    for name, kind in fields.items():
+        assert type(getattr(args, name)).__name__ == kind, name
+    assert args.lam == 2.0 and args.k == 3
+    assert args.split_shared_programs is True and args.include_drums is True
+
+    defaults = parser.parse_args(["oracle", "exact"])
+    assert all(getattr(defaults, name) is None for name in fields)
+
+
+@pytest.mark.parametrize("flag", ["--split-shared-programs", "--include-drums"])
+def test_boolean_flags_take_no_value(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag, "true", "oracle", "exact"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'true'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--mode", "--xy-norm"])
+def test_flags_with_fixed_values_refuse_others_in_the_parser(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag, "bogus", "oracle", "exact"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_overrides(tmp_path, midi_dir, capsys):
