@@ -89,7 +89,7 @@ def cmd_tokenize(args: argparse.Namespace, cfg: Config) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     source = Path(args.source)
     strict = source.is_file()
-    written = skipped = 0
+    written = skipped = dropped = unclosed = drums = 0
     for path in _midi_paths(source):
         try:
             piece = _read_piece(path, cfg)
@@ -108,7 +108,14 @@ def cmd_tokenize(args: argparse.Namespace, cfg: Config) -> int:
             skipped += 1
             continue
         written += _write_events(out_dir, path.stem, parts)
-    print(f"wrote {written} sequences to {out_dir} ({skipped} inputs skipped)")
+        # Ingest losses of the pieces written.
+        dropped += piece.dropped_notes
+        unclosed += piece.unclosed_notes
+        drums += piece.drum_notes
+    print(
+        f"wrote {written} sequences to {out_dir} ({skipped} inputs skipped); "
+        f"notes dropped {dropped}, unclosed {unclosed}, drums left out {drums}"
+    )
     return EXIT_OK
 
 

@@ -327,7 +327,7 @@ def seq_to_text(seq: EventSequence) -> str:
 
 
 def _read_lines(lines: list[list[str]], grid: GridSpec, validate: bool) -> np.ndarray:
-    """Line by line, for the tokens of text the whole-text reader refused.
+    """Line by line with int(), for text that is not canonical.
 
     Raises the first malformed line's error. Integers beyond int64 raise
     what validation reports for them (they are outside every field's
@@ -356,22 +356,58 @@ def _read_lines(lines: list[list[str]], grid: GridSpec, validate: bool) -> np.nd
     raise ValueError(f"line {linenos[i]}: {value} does not fit in int64")
 
 
+# What each byte of canonical event text is: 1 a digit, 2 a space, 3 a
+# newline, 0 anything else.
+_BYTE_KIND = np.zeros(256, dtype=np.uint8)
+_BYTE_KIND[ord("0") : ord("9") + 1] = 1
+_BYTE_KIND[ord(" ")] = 2
+_BYTE_KIND[ord("\n")] = 3
+# Digits of a token that int64 holds whatever they are.
+_MAX_DIGITS = 18
+
+
+def _canonical_events(text: str) -> np.ndarray | None:
+    """The (n, 6) events of canonical text, in one pass over its bytes.
+
+    Canonical text holds only ASCII digits, spaces and newlines, six tokens
+    of at most 18 digits on every non-blank line. None for any other text.
+    """
+    if not text.isascii():
+        return None
+    # A space at either end puts a non-digit on both sides of every token.
+    buf = np.frombuffer(b" %b " % text.encode("ascii"), dtype=np.uint8)
+    kind = _BYTE_KIND.take(buf)
+    if not kind.all():
+        return None
+    digit = kind == 1
+    # Token edges alternate: the byte before a token, a token's last byte.
+    edges = np.flatnonzero(digit[1:] != digit[:-1])
+    first, last = edges[0::2] + 1, edges[1::2]
+    if not len(first):
+        return np.zeros((0, N_FIELDS), dtype=np.int64)
+    size = last - first + 1
+    width = int(size.max())
+    if width > _MAX_DIGITS or len(first) % N_FIELDS:
+        return None
+    # Six tokens a line: each group of six starts and ends on one line, and
+    # the next group starts on a later line.
+    lines = np.flatnonzero(kind == 3).searchsorted(first).reshape(-1, N_FIELDS)
+    if (lines[:, 0] != lines[:, -1]).any() or (lines[1:, 0] == lines[:-1, -1]).any():
+        return None
+    zero = np.uint8(ord("0"))
+    values = (buf.take(last) - zero).astype(np.int64)
+    for place in range(1, width):  # the digits left of the last, one place a pass
+        digits = np.where(place < size, buf.take(last - place), zero) - zero
+        values += digits * np.int64(10**place)
+    return values.reshape(-1, N_FIELDS)
+
+
 def seq_from_text(text: str, grid: GridSpec, *, validate: bool = True) -> EventSequence:
     """Read seq_to_text output: blank lines are skipped, tokens parse as int()."""
-    lines = list(map(str.split, text.splitlines()))
-    counts = list(map(len, lines))
-    events = None
-    # When every non-blank line holds six tokens, the tokens of the whole
-    # text reshape to the events; _read_lines reports any other text.
-    if {*counts} <= {0, N_FIELDS}:
-        try:
-            tokens = map(int, chain.from_iterable(lines))
-            events = np.fromiter(tokens, np.int64, count=sum(counts))
-        except (ValueError, OverflowError):
-            pass
+    events = _canonical_events(text)
     if events is None:
-        events = _read_lines(lines, grid, validate)
-    seq = EventSequence(events.reshape(-1, N_FIELDS), grid)
+        events = _read_lines(list(map(str.split, text.splitlines())), grid, validate)
+    seq = EventSequence(events, grid)
     if validate:
         validate_sequence(seq)
     return seq

@@ -485,9 +485,17 @@ def echo_corpus(
     )
 
 
-def training_encodings(pieces: Sequence[Piece]) -> list[EventSequence]:
-    """Solo and merged encodings of each piece, the standard training diet."""
+def training_encodings(
+    pieces: Sequence[Piece], *, split_shared_programs: bool = False
+) -> list[EventSequence]:
+    """Solo and merged encodings of each piece, the standard training diet.
+
+    Train with the ``split_shared_programs`` of the ``FlowParams`` that
+    will score, so the model learns the merged view it is asked about.
+    """
     corpus: list[EventSequence] = []
     for piece in pieces:
-        corpus += sequences_from_notes(*split_tracks(piece), piece.grid)
+        corpus += sequences_from_notes(
+            *split_tracks(piece), piece.grid, split_shared_programs=split_shared_programs
+        )
     return corpus

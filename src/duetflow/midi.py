@@ -54,6 +54,7 @@ class ParsedMidi:
     ticks_per_beat: int
     format_type: int
     unclosed_notes: int
+    drum_notes: int  # channel-10 notes left out
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,52 +66,33 @@ class Piece:
     tracks: tuple[tuple[QuantNote, ...], ...]
     dropped_notes: int = 0
     unclosed_notes: int = 0
+    drum_notes: int = 0
 
 
-class _Reader:
-    __slots__ = ("data", "pos")
+def _need(data: bytes, pos: int, size: int, what: str) -> None:
+    """Refuse a read of size bytes at pos that runs past the end of data."""
+    if len(data) - pos < size:
+        raise MidiParseError(f"truncated {what}", pos)
 
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
 
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
+def _uint(data: bytes, pos: int, size: int, what: str) -> int:
+    """The big-endian integer of size bytes at pos."""
+    _need(data, pos, size, what)
+    return int.from_bytes(data[pos : pos + size], "big")
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.remaining() < n:
-            raise MidiParseError(f"truncated {what}", self.pos)
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
 
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def u16(self, what: str) -> int:
-        b = self.take(2, what)
-        return (b[0] << 8) | b[1]
-
-    def u32(self, what: str) -> int:
-        b = self.take(4, what)
-        return (b[0] << 24) | (b[1] << 16) | (b[2] << 8) | b[3]
-
-    def varint(self) -> int:
-        # Variable-length quantity: 7 bits per byte, at most 4 bytes.
-        value = 0
-        for i in range(4):
-            byte = self.u8("variable-length quantity")
-            value = (value << 7) | (byte & 0x7F)
-            if not byte & 0x80:
-                return value
-        raise MidiParseError("variable-length quantity longer than 4 bytes", self.pos - 1)
-
-    def data_byte(self, what: str) -> int:
-        off = self.pos
-        byte = self.u8(what)
-        if byte & 0x80:
-            raise MidiParseError(f"status byte where {what} expected", off)
-        return byte
+def _varint(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    """The variable-length quantity at pos (7 bits per byte, at most 4
+    bytes) and the position after it, read no further than end."""
+    value = 0
+    for pos in range(pos, pos + 4):
+        if pos >= end:
+            raise MidiParseError("truncated variable-length quantity", pos)
+        byte = data[pos]
+        value = (value << 7) | (byte & 0x7F)
+        if byte < 0x80:
+            return value, pos + 1
+    raise MidiParseError("variable-length quantity longer than 4 bytes", pos)
 
 
 def parse_midi(data: bytes, *, include_drums: bool = False) -> ParsedMidi:
@@ -118,126 +100,160 @@ def parse_midi(data: bytes, *, include_drums: bool = False) -> ParsedMidi:
 
     Note-offs are matched FIFO to the earliest open note-on of the same
     channel and pitch. Note-ons still open at end of track are closed there
-    and counted in ``unclosed_notes``. A note's program is whatever the last
-    program change on its channel set at onset time (default 0).
+    and counted in ``unclosed_notes``; channel-10 notes left out count in
+    ``drum_notes`` only. A note's program is whatever the last program
+    change on its channel set at onset time (default 0). Every read inside
+    a track chunk stays inside the chunk's declared length.
     """
-    r = _Reader(data)
-    if r.take(4, "header chunk id") != b"MThd":
+    _need(data, 0, 4, "header chunk id")
+    if data[:4] != b"MThd":
         raise MidiParseError("missing MThd header", 0)
-    header_len = r.u32("header length")
+    header_len = _uint(data, 4, 4, "header length")
     if header_len < 6:
-        raise MidiParseError(f"header length {header_len} shorter than 6", r.pos - 4)
-    fmt = r.u16("format")
-    declared_tracks = r.u16("track count")
-    division = r.u16("division")
+        raise MidiParseError(f"header length {header_len} shorter than 6", 4)
+    fmt = _uint(data, 8, 2, "format")
+    declared_tracks = _uint(data, 10, 2, "track count")
+    division = _uint(data, 12, 2, "division")
     if fmt not in (0, 1):
-        raise MidiParseError(f"unsupported format {fmt}", r.pos - 6)
+        raise MidiParseError(f"unsupported format {fmt}", 8)
     if division & 0x8000:
-        raise MidiParseError("SMPTE division is not beat-based", r.pos - 2)
+        raise MidiParseError("SMPTE division is not beat-based", 12)
     if division == 0:
-        raise MidiParseError("zero ticks per beat", r.pos - 2)
-    r.take(header_len - 6, "header padding")
+        raise MidiParseError("zero ticks per beat", 12)
+    _need(data, 14, header_len - 6, "header padding")
+    pos = 14 + header_len - 6
 
     notes: list[RawNote] = []
-    unclosed = 0
+    unclosed = drums = 0
     track_index = 0
-    while r.remaining() > 0:
-        chunk_id = r.take(4, "chunk id")
-        chunk_len = r.u32("chunk length")
+    while pos < len(data):
+        _need(data, pos, 4, "chunk id")
+        chunk_id = data[pos : pos + 4]
+        chunk_len = _uint(data, pos + 4, 4, "chunk length")
+        pos += 8
         if chunk_id != b"MTrk":
             # Unknown chunk types are legal between tracks; skip them whole.
-            r.take(chunk_len, "unknown chunk body")
+            _need(data, pos, chunk_len, "unknown chunk body")
+            pos += chunk_len
             continue
-        track_end = r.pos + chunk_len
+        track_end = pos + chunk_len
         if track_end > len(data):
-            raise MidiParseError("track chunk overruns file", r.pos - 4)
-        got, n_open = _parse_track(r, track_end, track_index, include_drums)
-        notes.extend(got)
+            raise MidiParseError("track chunk overruns file", pos - 4)
+        n_open, n_drums = _parse_track(
+            data, pos, track_end, track_index, include_drums, notes
+        )
         unclosed += n_open
+        drums += n_drums
+        pos = track_end
         track_index += 1
 
     if track_index != declared_tracks:
         raise MidiParseError(
-            f"header declared {declared_tracks} tracks, found {track_index}", r.pos
+            f"header declared {declared_tracks} tracks, found {track_index}", pos
         )
-    return ParsedMidi(tuple(notes), division, fmt, unclosed)
+    return ParsedMidi(tuple(notes), division, fmt, unclosed, drums)
 
 
 def _parse_track(
-    r: _Reader, track_end: int, track_index: int, include_drums: bool
-) -> tuple[list[RawNote], int]:
-    notes: list[RawNote] = []
+    data: bytes,
+    pos: int,
+    end: int,
+    track_index: int,
+    include_drums: bool,
+    notes: list[RawNote],
+) -> tuple[int, int]:
+    """Append the notes of the track chunk data[pos:end] to notes.
+
+    Returns the counts of notes kept but left open at the end of the track
+    and of drum notes left out. The chunk's end bounds every read: an event
+    that crosses it is truncated.
+    """
     # FIFO queues of (onset_tick, program) keyed by (channel, pitch).
     open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    # (onset_tick, off_tick, channel, pitch, program) in closing order.
+    closed: list[tuple[int, int, int, int, int]] = []
     programs = [0] * 16
     tick = 0
     running_status = 0
 
-    def close(key: tuple[int, int], off_tick: int) -> None:
-        onset, program = open_notes[key].pop(0)
-        if not open_notes[key]:
-            del open_notes[key]
-        channel, pitch = key
-        if channel == DRUM_CHANNEL and not include_drums:
-            return
-        notes.append(
-            RawNote(onset, max(1, off_tick - onset), pitch, program, track_index)
-        )
-
-    while r.pos < track_end:
-        tick += r.varint()
-        status_off = r.pos
-        first = r.u8("event status")
-        if first & 0x80:
-            status = first
-        else:
+    while pos < end:
+        delta, pos = _varint(data, pos, end)
+        tick += delta
+        if pos >= end:
+            raise MidiParseError("truncated event status", pos)
+        status = data[pos]
+        if status < 0x80:
             if running_status == 0:
-                raise MidiParseError("data byte without running status", status_off)
-            status = running_status
-            r.pos = status_off  # re-read as a data byte below
-
-        if status == 0xFF:
-            meta_type = r.u8("meta type")
-            length = r.varint()
-            r.take(length, "meta payload")
+                raise MidiParseError("data byte without running status", pos)
+            status = running_status  # this byte is the first data byte
+        elif status < 0xF0:
+            pos += 1
+        else:
+            pos += 1
+            if status == 0xFF:
+                if pos >= end:
+                    raise MidiParseError("truncated meta type", pos)
+                meta_type = data[pos]
+                length, pos = _varint(data, pos + 1, end)
+                what = "meta payload"
+            elif status in (0xF0, 0xF7):
+                meta_type = None
+                length, pos = _varint(data, pos, end)
+                what = "sysex payload"
+            else:
+                raise MidiParseError(f"unexpected status 0x{status:02x}", pos - 1)
+            if end - pos < length:
+                raise MidiParseError(f"truncated {what}", pos)
+            pos += length
             running_status = 0
             if meta_type == 0x2F:
-                break  # end of track; any padding is skipped after the loop
+                break  # end of track; any padding is skipped by the caller
             continue
-        if status in (0xF0, 0xF7):
-            length = r.varint()
-            r.take(length, "sysex payload")
-            running_status = 0
-            continue
-        if status >= 0xF0:
-            raise MidiParseError(f"unexpected status 0x{status:02x}", status_off)
 
         running_status = status
         kind = status & 0xF0
         channel = status & 0x0F
-        if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
-            a = r.data_byte("first data byte")
-            b = r.data_byte("second data byte")
-        else:  # 0xC0 program change, 0xD0 channel pressure
-            a = r.data_byte("data byte")
-            b = 0
+        # Program change (0xC0) and channel pressure (0xD0) carry one data
+        # byte, the other channel messages two.
+        one_byte = kind == 0xC0 or kind == 0xD0
+        if pos >= end or data[pos] & 0x80:
+            what = "data byte" if one_byte else "first data byte"
+            if pos >= end:
+                raise MidiParseError(f"truncated {what}", pos)
+            raise MidiParseError(f"status byte where {what} expected", pos)
+        a = data[pos]
+        pos += 1
+        if one_byte:
+            if kind == 0xC0:
+                programs[channel] = a
+            continue
+        if pos >= end:
+            raise MidiParseError("truncated second data byte", pos)
+        b = data[pos]
+        if b & 0x80:
+            raise MidiParseError("status byte where second data byte expected", pos)
+        pos += 1
 
-        if kind == 0xC0:
-            programs[channel] = a
-        elif kind == 0x90 and b > 0:
+        if kind == 0x90 and b > 0:
             open_notes.setdefault((channel, a), []).append((tick, programs[channel]))
-        elif kind == 0x80 or (kind == 0x90 and b == 0):
-            key = (channel, a)
-            if key in open_notes:
-                close(key, tick)
+        elif kind == 0x80 or kind == 0x90:
             # A note-off with nothing open is harmless noise; drop it.
+            queue = open_notes.get((channel, a))
+            if queue:
+                onset, program = queue.pop(0)
+                closed.append((onset, tick, channel, a, program))
 
-    r.pos = track_end
-    n_open = sum(len(v) for v in open_notes.values())
-    for key in sorted(open_notes):
-        while key in open_notes:
-            close(key, tick)
-    return notes, n_open
+    n_open = 0
+    for (channel, pitch), queue in sorted(open_notes.items()):
+        if include_drums or channel != DRUM_CHANNEL:
+            n_open += len(queue)
+        closed += [(onset, tick, channel, pitch, program) for onset, program in queue]
+    kept = [c for c in closed if include_drums or c[2] != DRUM_CHANNEL]
+    notes += [
+        RawNote(onset, max(1, off - onset), pitch, program, track_index)
+        for onset, off, _, pitch, program in kept
+    ]
+    return n_open, len(closed) - len(kept)
 
 
 def quantize(
@@ -286,7 +302,9 @@ def build_piece(
         dropped += n_drop
         if quant:
             tracks.append(tuple(sorted(quant)))
-    return Piece(source_id, grid, tuple(tracks), dropped, parsed.unclosed_notes)
+    return Piece(
+        source_id, grid, tuple(tracks), dropped, parsed.unclosed_notes, parsed.drum_notes
+    )
 
 
 def piece_from_bytes(

@@ -28,6 +28,7 @@ have written.
 """
 from __future__ import annotations
 
+import array
 import hashlib
 import math
 import os
@@ -69,7 +70,6 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<HIdIIIQ")
 _TABLE_SIZE = struct.Struct("<Q")
-_ENTRY_HEAD = struct.Struct("<QQI")
 # One entry record on disk: context hash, total, pair count; then its pairs.
 _ENTRY = np.dtype([("context", "<u8"), ("total", "<u8"), ("pairs", "<u4")])
 _PAIR = np.dtype([("key", "<u8"), ("count", "<u8")])
@@ -697,6 +697,16 @@ def save_model(model: ContextModel) -> bytes:
     return b"".join([MAGIC, header, *chain.from_iterable(t.file_parts() for t in model.tables)])
 
 
+def _words(data: bytes, start: int) -> Sequence[int]:
+    """The whole little-endian 32-bit words of data from start on, as ints."""
+    stop = start + (len(data) - start) // 4 * 4
+    if sys.byteorder == "little":
+        return memoryview(data)[start:stop].cast("I")
+    words = array.array("I", data[start:stop])
+    words.byteswap()
+    return words
+
+
 def _read_table(
     data: bytes, offset: int, shift: int, vocab: tuple[int, ...]
 ) -> tuple[CountTable, int]:
@@ -706,21 +716,28 @@ def _read_table(
     table is not one that save_model writes.
     """
     (n,) = _TABLE_SIZE.unpack_from(data, offset)
-    offset += _TABLE_SIZE.size
-    start = offset
-    heads = []
-    for _ in range(n):
-        heads.append(offset)
-        pairs = _ENTRY_HEAD.unpack_from(data, offset)[2]
-        offset += _ENTRY_HEAD.size + pairs * _PAIR.itemsize
+    start = offset + _TABLE_SIZE.size
+    ints = _words(data, start)
+    # Walk the entry heads: the last word of a head is its pair count. The
+    # walk stops at the end of the data, however large n claims to be.
+    heads = array.array("q")
+    at = 0
+    try:
+        for _ in range(n):
+            heads.append(at)
+            at += _ENTRY_WORDS + _PAIR_WORDS * ints[at + _ENTRY_WORDS - 1]
+    except IndexError:
+        needed = start + 4 * (at + _ENTRY_WORDS)
+        raise struct.error(f"table needs {needed} bytes, file has {len(data)}") from None
+    offset = start + 4 * at
     if offset > len(data):
         raise struct.error(f"table needs {offset} bytes, file has {len(data)}")
     if not heads:
         return CountTable.empty(shift), offset
     if len(heads) >= 1 << (64 - shift):
         raise ValueError("more entries than keys can be coded for this grid")
-    words = np.frombuffer(data, dtype="<u4", count=(offset - start) // 4, offset=start)
-    is_head = _head_mask(len(words), (np.array(heads) - start) // 4)
+    words = np.frombuffer(data, dtype="<u4", count=at, offset=start)
+    is_head = _head_mask(at, np.frombuffer(heads, dtype=np.int64))
     head = words[is_head].view(_ENTRY)
     body = words[~is_head].view(_PAIR)
     contexts = np.ascontiguousarray(head["context"])

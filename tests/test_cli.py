@@ -19,10 +19,12 @@ from duetflow.cli import build_parser, main
 from duetflow.config import Config
 from duetflow.events import seq_from_text, seq_to_text, sequences_from_notes
 from duetflow.grid import GridSpec
-from duetflow.midi import track_to_text
+from duetflow.harness import training_encodings
+from duetflow.midi import piece_from_bytes, track_to_text
+from duetflow.model import save_model, train
 from duetflow.oracle import copy_spec, embed_pieces, independent_spec, sample_paths, spec_to_text
 
-from midibuild import build, note_track
+from midibuild import Track, build, note_track
 
 GRID = GridSpec()
 
@@ -345,6 +347,53 @@ def test_oracle_sample_splits_shared_programs_like_scoring(tmp_path, capsys):
     # Both voices play program 0, so the merged view declares programs 0 and 1.
     xy = seq_from_text((out_dir / "chain-0000.xy.events").read_text(), GRID)
     assert xy.events[1:3, 5].tolist() == [0, 1]
+
+
+def test_split_training_encodings_count_what_split_tokenize_writes(tmp_path, capsys):
+    midi_dir = tmp_path / "midi"
+    midi_dir.mkdir()
+    for i, pitch in enumerate((60, 64, 67)):
+        melody = [(j * 480, 480, pitch + j % 5) for j in range(20)]
+        accomp = [(j * 960, 960, pitch - 12 + j % 3) for j in range(10)]
+        both_program_5 = build(
+            [note_track(melody, channel=0, program=5), note_track(accomp, channel=1, program=5)]
+        )
+        (midi_dir / f"shared{i}.mid").write_bytes(both_program_5)
+    tok, model = tmp_path / "tok", tmp_path / "model.dfm"
+    args = ["--split-shared-programs", "tokenize", str(midi_dir), "--out-dir", str(tok)]
+    assert main(args) == 0
+    assert main(["train", "--corpus", str(tok), "--out", str(model)]) == 0
+    pieces = [
+        piece_from_bytes(p.read_bytes(), p.stem, GRID) for p in sorted(midi_dir.glob("*.mid"))
+    ]
+    split = training_encodings(pieces, split_shared_programs=True)
+    assert save_model(train(split, k=4)) == model.read_bytes()
+    assert save_model(train(training_encodings(pieces), k=4)) != model.read_bytes()
+
+
+def test_tokenize_reports_ingest_losses(tmp_path, capsys):
+    melody = [(i * 480, 480, 60 + i % 5) for i in range(8)]
+    late = [(3000 * 480, 480, 62)]  # beat 3000 is past max_beat: dropped
+    accomp = Track().program(0, 33, channel=1)
+    for i in range(8):
+        accomp.note_on(0, 48 + i % 3, channel=1).note_off(480, 48 + i % 3, channel=1)
+    accomp.note_on(0, 40, channel=1).end(480)  # never closed
+    drums = Track()
+    for i in range(5):
+        drums.note_on(0, 36, channel=9).note_off(120, 36, channel=9)
+    # A drum note never closed counts as a drum left out, not as unclosed.
+    drums.note_on(0, 38, channel=9).end(480)
+    tracks = [
+        note_track(melody + late, channel=0, program=5),
+        accomp,
+        drums,
+    ]
+    (tmp_path / "duet.mid").write_bytes(build(tracks))
+    rc = main(["tokenize", str(tmp_path / "duet.mid"), "--out-dir", str(tmp_path / "tok")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "wrote 3 sequences" in out
+    assert "(0 inputs skipped); notes dropped 1, unclosed 1, drums left out 6" in out
 
 
 @pytest.mark.parametrize("command", ["exact", "sample"])

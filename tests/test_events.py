@@ -4,6 +4,7 @@ import pytest
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import duetflow.events as events_module
 from duetflow.events import (
     N_FIELDS,
     Event,
@@ -326,6 +327,69 @@ def test_from_text_matches_reference(case, validate):
         assert got[1].startswith("line ")
     else:
         assert got == want
+
+
+BASE_TEXT = seq_to_text(encode([[QuantNote(0, 0, 60, 1, 0), QuantNote(1, 3, 62, 2, 5)]], GRID))
+CANONICAL_TEXTS = [
+    BASE_TEXT,
+    BASE_TEXT.rstrip("\n"),  # no final newline
+    "\n\n" + BASE_TEXT.replace("\n", "\n\n \n", 2) + "  \n",  # blank lines
+    "",
+    "\n",
+    BASE_TEXT.replace("3 0 0 60 1 0", "3 000000000000000000 00 060 001 0"),  # leading zeros
+    BASE_TEXT.replace("3 0 0 60 1 0", "3 999999999999999999 0 60 1 0"),  # 18 digits
+    BASE_TEXT.replace("0 0 0 0 0 0", "0  0 0 0 0   0", 1),
+]
+OTHER_TEXTS = [
+    BASE_TEXT.replace("3 0 0 60 1 0", "3 0000000000000000000 0 60 1 0"),  # 19 digits
+    BASE_TEXT.replace("3 0 0 60 1 0", "3 1000000000000000000 0 60 1 0"),  # 19 digits, 10**18
+    BASE_TEXT.replace("3 0 0 60 1 0", "3 9999999999999999999 0 60 1 0"),  # beyond int64
+    BASE_TEXT.replace("3 0 0 60 1 0", "3 0000000000000000000000005 0 60 1 0"),
+    BASE_TEXT.replace("\n", "\r\n"),
+    BASE_TEXT.replace(" ", "\t"),
+    BASE_TEXT.replace("3 0 0 60 1 0", "3 +0 0 60 1 0"),
+    BASE_TEXT.replace("3 0 0 60 1 0", "3 -5 0 60 1 0"),
+    BASE_TEXT.replace("3 0 0 60 1 0", "3 0 0 6_0 1 0"),
+    BASE_TEXT.replace("3 0 0 60 1 0", "3 0 0 \u0666\u0660 1 0"),  # Arabic-Indic 60
+    BASE_TEXT.replace("3 0 0 60 1 0", "3 0 0 \uff16\uff10 1 0"),  # fullwidth 60
+    BASE_TEXT.replace("3 0 0 60 1 0", "3 0 0 60 1"),  # five tokens
+    BASE_TEXT.replace("3 0 0 60 1 0", "3 0 0 60 1 0 0"),  # seven tokens
+    BASE_TEXT.replace("3 0 0 60 1 0\n", "3 0 0 60\n1 0\n"),  # one event on two lines
+    BASE_TEXT.replace("\n", " ", 1),  # twelve tokens on one line
+    BASE_TEXT + "x",
+]
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("text", CANONICAL_TEXTS + OTHER_TEXTS)
+def test_text_boundary_cases_match_reference(text, validate):
+    got = _outcome(seq_from_text, text, GRID, validate=validate)
+    want = _outcome(reference_from_text, text, GRID, validate=validate)
+    if "9999999999999999999" in text and not validate:
+        assert got == (ValueError, "line 5: 9999999999999999999 does not fit in int64", None)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("text", CANONICAL_TEXTS)
+def test_canonical_text_is_read_in_one_pass(text, monkeypatch):
+    # Canonical text never reaches the token-by-token reader.
+    def refuse(*args):
+        raise AssertionError("token-by-token reader used")
+
+    monkeypatch.setattr(events_module, "_read_lines", refuse)
+    seq_from_text(text, GRID, validate=False)
+
+
+@pytest.mark.parametrize("text", OTHER_TEXTS)
+def test_other_text_goes_to_the_token_reader(text, monkeypatch):
+    calls = []
+    read_lines = events_module._read_lines
+    monkeypatch.setattr(
+        events_module, "_read_lines", lambda *a: calls.append(1) or read_lines(*a)
+    )
+    _outcome(seq_from_text, text, GRID, validate=False)
+    assert calls == [1]
 
 
 def test_text_reader_reports_wide_integers_by_line_or_by_event():

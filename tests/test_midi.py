@@ -12,6 +12,7 @@ from conftest import (
 )
 from duetflow.grid import GridSpec, round_half_away
 from duetflow.midi import (
+    DRUM_CHANNEL,
     IneligiblePieceError,
     MidiParseError,
     Piece,
@@ -26,6 +27,7 @@ from duetflow.midi import (
     track_from_text,
     track_to_text,
 )
+from reference_midi import reference_parse_midi
 
 
 def test_round_half_away_exact_cases() -> None:
@@ -184,6 +186,14 @@ def test_unknown_chunk_skipped() -> None:
     assert len(parsed.notes) == 1
 
 
+def _parse_outcome(parse, data: bytes, include_drums: bool):
+    """What a reader gave: the parsed file, or its error's message and offset."""
+    try:
+        return parse(data, include_drums=include_drums)
+    except MidiParseError as exc:
+        return str(exc), exc.offset
+
+
 def _mutation_bases() -> list[bytes]:
     running = midibuild.Track()
     running.raw(0, bytes([0x90, 60, 80])).raw(10, bytes([62, 80]))
@@ -214,8 +224,11 @@ MUTATION_BASES = _mutation_bases()
         min_size=1,
         max_size=3,
     ),
+    st.booleans(),
 )
-def test_mutated_file_parses_or_raises_parse_error(base: bytes, mutations) -> None:
+def test_mutated_file_parses_or_raises_parse_error(
+    base: bytes, mutations, include_drums: bool
+) -> None:
     data = bytearray(base)
     for kind, at, value in mutations:
         if kind == "flip":
@@ -224,11 +237,61 @@ def test_mutated_file_parses_or_raises_parse_error(base: bytes, mutations) -> No
             data.insert(at % (len(data) + 1), value - 1)
         else:
             del data[at % len(data)]
+    data = bytes(data)
+    # The same notes, or the same error at the same byte, as the reference.
+    got = _parse_outcome(parse_midi, data, include_drums)
+    assert got == _parse_outcome(reference_parse_midi, data, include_drums)
     try:
-        piece = piece_from_bytes(bytes(data), "mutated", GridSpec())
+        piece = piece_from_bytes(data, "mutated", GridSpec())
     except MidiParseError:
         return
     assert isinstance(piece, Piece)
+
+
+def test_truncated_golden_file_matches_reference_reader(golden_midi: bytes) -> None:
+    for cut in range(len(golden_midi) + 1):
+        data = golden_midi[:cut]
+        got = _parse_outcome(parse_midi, data, False)
+        assert got == _parse_outcome(reference_parse_midi, data, False), cut
+
+
+def test_event_crossing_its_chunk_end_is_truncated() -> None:
+    # The first chunk declares one byte less than its events take: the
+    # end-of-track event's length byte lies past the chunk's end. Read on
+    # into the next chunk, that byte would be its "M" (a 77-byte payload).
+    first = midibuild.note_track([(0, 480, 60)])
+    second = midibuild.note_track([(i * 480, 480, 48 + i) for i in range(16)])
+    assert len(second.data()) > 8 + 77
+    body = first.data()[8:-1]
+    short = b"MTrk" + len(body).to_bytes(4, "big") + body
+    data = midibuild.build([first, second])[:14] + short + second.data()
+    track_end = 14 + len(short)
+    with pytest.raises(MidiParseError) as err:
+        parse_midi(data)
+    assert str(err.value) == f"truncated variable-length quantity (at byte {track_end})"
+    assert err.value.offset == track_end
+    assert _parse_outcome(reference_parse_midi, data, False) == (str(err.value), track_end)
+
+
+def test_drum_notes_left_out_are_counted(grid: GridSpec) -> None:
+    drums = midibuild.Track()
+    for i in range(7):
+        pitch = 36 + i % 3
+        drums.note_on(120, pitch, channel=DRUM_CHANNEL).note_off(120, pitch, channel=DRUM_CHANNEL)
+    # A drum note never closed counts once, as a drum left out.
+    drums.note_on(0, 38, channel=DRUM_CHANNEL).end(480)
+    melody = midibuild.note_track([(0, 480, 60), (480, 480, 62)])
+    data = midibuild.build([melody, drums])
+    parsed = parse_midi(data)
+    assert (parsed.drum_notes, parsed.unclosed_notes) == (8, 0)
+    assert len(parsed.notes) == 2
+    assert reference_parse_midi(data) == parsed
+    piece = piece_from_bytes(data, "drums", grid)
+    assert piece.drum_notes == 8
+    assert len(piece.tracks) == 1
+    with_drums = piece_from_bytes(data, "drums", grid, include_drums=True)
+    assert (with_drums.drum_notes, with_drums.unclosed_notes) == (0, 1)
+    assert len(with_drums.tracks) == 2
 
 
 def test_quantize_drops_beyond_max_beat() -> None:

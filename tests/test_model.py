@@ -497,6 +497,39 @@ def test_load_rejects_corrupted_input():
         load_model(blob[:18] + struct.pack("<I", 0) + blob[22:])
 
 
+def _table_layout(model):
+    """Where each table of save_model(model) starts, and its entry heads."""
+    offset = 4 + struct.calcsize("<HIdIIIQ")
+    layout = []
+    for table in model.tables:
+        heads = offset + 8 + 20 * np.arange(len(table)) + 16 * table.offsets[:-1]
+        layout.append((offset, heads.tolist()))
+        offset += 8 + 20 * len(table) + 16 * len(table.codes)
+    assert offset == len(save_model(model))
+    return layout
+
+
+def test_huge_table_size_is_refused_without_allocating():
+    model = train([simple_piece([60, 64, 67, 60, 62])], k=2)
+    blob = save_model(model)
+    for start, _ in _table_layout(model):
+        for size in (2**40, 2**64 - 1):
+            bad = blob[:start] + struct.pack("<Q", size) + blob[start + 8 :]
+            with pytest.raises(ValueError, match="^truncated model tables"):
+                load_model(bad)
+
+
+def test_file_cut_inside_table_heads_is_truncated():
+    model = train([simple_piece([60, 64, 67, 60, 62])], k=2)
+    blob = save_model(model)
+    layout = _table_layout(model)
+    assert all(heads for _, heads in layout)
+    for start, heads in layout:
+        for cut in [start + 3] + [h + r for h in heads for r in (0, 1, 12, 19)]:
+            with pytest.raises(ValueError, match="^truncated model tables"):
+                load_model(blob[:cut])
+
+
 def write_blob(k, lam, grid, trained, tables):
     """A model file holding tables exactly as listed, sorted or not.
 
