@@ -41,6 +41,8 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _midi_paths(root: Path) -> list[Path]:
+    if not root.exists():
+        raise ValueError(f"{root} does not exist")
     if root.is_file():
         return [root]
     return sorted(p for p in root.rglob("*") if p.suffix.lower() in (".mid", ".midi"))
@@ -85,12 +87,13 @@ def _write_events(out_dir: Path, stem: str, parts: dict[str, EventSequence]) -> 
 
 
 def cmd_tokenize(args: argparse.Namespace, cfg: Config) -> int:
+    source = Path(args.source)
+    paths = _midi_paths(source)
+    strict = source.is_file()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    source = Path(args.source)
-    strict = source.is_file()
     written = skipped = dropped = unclosed = drums = 0
-    for path in _midi_paths(source):
+    for path in paths:
         try:
             piece = _read_piece(path, cfg)
             if len(piece.tracks) == 2:
@@ -131,16 +134,17 @@ def cmd_train(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def _piece_tracks(args: argparse.Namespace, cfg: Config):
-    if args.x_text and args.y_text:
-        return (
-            track_from_text(Path(args.x_text).read_text()),
-            track_from_text(Path(args.y_text).read_text()),
-            Path(args.x_text).stem,
-        )
-    if not args.piece:
-        raise ValueError("give either a MIDI piece or --x-text/--y-text")
-    piece = _read_piece(Path(args.piece), cfg)
-    return (*split_tracks(piece), piece.source_id)
+    texts = (args.x_text, args.y_text)
+    if bool(args.piece) == any(texts) or any(texts) != all(texts):
+        raise ValueError("give either a MIDI piece or both --x-text and --y-text")
+    if args.piece:
+        piece = _read_piece(Path(args.piece), cfg)
+        return (*split_tracks(piece), piece.source_id)
+    return (
+        track_from_text(Path(args.x_text).read_text()),
+        track_from_text(Path(args.y_text).read_text()),
+        Path(args.x_text).stem,
+    )
 
 
 def cmd_score(args: argparse.Namespace, cfg: Config) -> int:
@@ -227,6 +231,8 @@ def cmd_generate(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def _oracle_spec(args: argparse.Namespace) -> oracle.JointMarkovSpec:
+    if args.alphabet != 2 and (args.spec or args.chain == "independent"):
+        raise ValueError("--alphabet sizes only the copy and instantaneous chains")
     if args.spec:
         return oracle.spec_from_text(Path(args.spec).read_text())
     builders = {

@@ -9,8 +9,8 @@ import csv
 import io
 import json
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -265,24 +265,6 @@ class ExperimentReport:
         return buf.getvalue()
 
 
-_POOL_CHUNK = 16  # pairs per task of a worker process
-
-_WORKER_MODEL: ContextModel | None = None
-_WORKER_PARAMS: FlowParams | None = None
-_WORKER_CONFIG: dict | None = None
-
-
-def _init_worker(model: ContextModel, params: FlowParams, config: dict | None) -> None:
-    global _WORKER_MODEL, _WORKER_PARAMS, _WORKER_CONFIG
-    _WORKER_MODEL, _WORKER_PARAMS, _WORKER_CONFIG = model, params, config
-    model.fingerprint()
-
-
-def _score_chunk_remote(pairs: list[Pair]) -> list[ScoredPair]:
-    assert _WORKER_MODEL is not None and _WORKER_PARAMS is not None
-    return _score_pairs(_WORKER_MODEL, pairs, _WORKER_PARAMS, _WORKER_CONFIG)
-
-
 def _score_pairs(
     model: ContextModel, pairs: Sequence[Pair], params: FlowParams, config: dict | None
 ) -> list[ScoredPair]:
@@ -309,18 +291,21 @@ def batch_score(
 ) -> ExperimentReport:
     """Score every pair; per-pair errors land in the report, not the caller.
 
-    All pairs are scored in one batch, or, with workers > 1, in chunks of
-    _POOL_CHUNK pairs spread over that many processes.
+    All pairs are scored in one batch, or, with workers > 1, split into one
+    chunk per worker process. Every score is per position, so the report
+    is the same either way.
     """
     pair_list = list(pairs.pairs if isinstance(pairs, PairSet) else pairs)
     if workers > 1:
-        chunks = [
-            pair_list[i : i + _POOL_CHUNK] for i in range(0, len(pair_list), _POOL_CHUNK)
-        ]
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(model, params, config)
-        ) as pool:
-            scored = [s for chunk in pool.map(_score_chunk_remote, chunks) for s in chunk]
+        # Imported here so that no other path loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        model.fingerprint()  # cached before pickling, so no worker recomputes it
+        size = max(1, -(-len(pair_list) // workers))
+        chunks = [pair_list[i : i + size] for i in range(0, len(pair_list), size)]
+        score = partial(_score_pairs, model, params=params, config=config)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            scored = [s for chunk in pool.map(score, chunks) for s in chunk]
     else:
         scored = _score_pairs(model, pair_list, params, config)
     return ExperimentReport(tuple(scored), params, model.fingerprint())
@@ -413,6 +398,11 @@ def self_enhancement(
     a generator's pieces in one batch. Whether each scorer rates its own
     generator higher is reported as an observed direction, nothing more.
     """
+    if steps <= params.burn_in:
+        raise ValueError(
+            f"steps {steps} must exceed burn_in {params.burn_in}, "
+            "or no continuation has an event to score"
+        )
     models = {"a": model_a, "b": model_b}
     sums = {s: {g: 0.0 for g in models} for s in models}
     counts = {s: {g: 0 for g in models} for s in models}
@@ -476,13 +466,9 @@ def markov_corpus(
     return pieces
 
 
-def echo_corpus(
-    n_pieces: int, piece_len: int, seed: int, grid: GridSpec, *, alphabet: int = 2
-) -> list[Piece]:
+def echo_corpus(n_pieces: int, piece_len: int, seed: int, grid: GridSpec) -> list[Piece]:
     """Pieces whose second voice repeats the first, one step later."""
-    return markov_corpus(
-        oracle.copy_spec(alphabet), n_pieces, piece_len, seed, grid, name="echo"
-    )
+    return markov_corpus(oracle.copy_spec(), n_pieces, piece_len, seed, grid, name="echo")
 
 
 def training_encodings(

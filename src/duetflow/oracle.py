@@ -257,19 +257,14 @@ Y_PITCH_BASE = 72
 
 
 def embed_tracks(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    grid: GridSpec,
-    *,
-    x_base: int = X_PITCH_BASE,
-    y_base: int = Y_PITCH_BASE,
-    program: int = 0,
+    xs: np.ndarray, ys: np.ndarray, grid: GridSpec
 ) -> tuple[tuple[QuantNote, ...], tuple[QuantNote, ...]]:
     """One symbol per grid step, in the pitch field, all else constant.
 
-    The two voices get disjoint pitch ranges so the merged encoding keeps
-    them apart and interleaves them deterministically; without that, the
-    per-field factorized model would be measuring a blurred signal.
+    The two voices get disjoint pitch ranges, from X_PITCH_BASE and
+    Y_PITCH_BASE, so the merged encoding keeps them apart and interleaves
+    them deterministically; without that, the per-field factorized model
+    would be measuring a blurred signal.
     """
     if len(xs) != len(ys):
         raise ValueError("paths must have equal length")
@@ -277,18 +272,14 @@ def embed_tracks(
         raise ValueError(f"path of {len(xs)} steps does not fit {grid.steps} slots")
     hi_x = int(xs.max()) if len(xs) else 0
     hi_y = int(ys.max()) if len(ys) else 0
-    if x_base + hi_x >= y_base or y_base + hi_y >= 128:
+    if X_PITCH_BASE + hi_x >= Y_PITCH_BASE or Y_PITCH_BASE + hi_y >= 128:
         raise ValueError("pitch ranges overlap or leave the MIDI range")
-    res = grid.resolution
-    track_x = tuple(
-        QuantNote(t // res, t % res, x_base + int(s), 1, program)
-        for t, s in enumerate(xs)
-    )
-    track_y = tuple(
-        QuantNote(t // res, t % res, y_base + int(s), 1, program)
-        for t, s in enumerate(ys)
-    )
-    return track_x, track_y
+
+    def track(path: np.ndarray, base: int) -> tuple[QuantNote, ...]:
+        res = grid.resolution
+        return tuple(QuantNote(t // res, t % res, base + int(s), 1, 0) for t, s in enumerate(path))
+
+    return track(xs, X_PITCH_BASE), track(ys, Y_PITCH_BASE)
 
 
 def embed_pieces(
@@ -296,7 +287,6 @@ def embed_pieces(
     ys: np.ndarray,
     piece_len: int,
     grid: GridSpec,
-    **kwargs,
 ) -> list[tuple[tuple[QuantNote, ...], tuple[QuantNote, ...]]]:
     """Chop paths into consecutive fixed-length pieces (tail discarded).
 
@@ -309,7 +299,7 @@ def embed_pieces(
     pieces = []
     for start in range(0, len(xs) - piece_len + 1, piece_len):
         stop = start + piece_len
-        pieces.append(embed_tracks(xs[start:stop], ys[start:stop], grid, **kwargs))
+        pieces.append(embed_tracks(xs[start:stop], ys[start:stop], grid))
     return pieces
 
 

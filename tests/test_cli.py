@@ -20,7 +20,7 @@ from duetflow.config import Config
 from duetflow.events import seq_from_text, seq_to_text, sequences_from_notes
 from duetflow.grid import GridSpec
 from duetflow.harness import training_encodings
-from duetflow.midi import piece_from_bytes, track_to_text
+from duetflow.midi import QuantNote, piece_from_bytes, track_to_text
 from duetflow.model import save_model, train
 from duetflow.oracle import copy_spec, embed_pieces, independent_spec, sample_paths, spec_to_text
 
@@ -114,8 +114,6 @@ def test_score_json_output_is_consistent(midi_dir, trained, capsys):
 
 def test_score_accepts_text_voices(tmp_path, trained, capsys):
     _, model = trained
-    from duetflow.midi import QuantNote
-
     x = tmp_path / "x.notes"
     y = tmp_path / "y.notes"
     x.write_text(track_to_text([QuantNote(i, 0, 60 + (i % 5), 12, 5) for i in range(24)]))
@@ -293,6 +291,27 @@ def test_selfbias_command(tmp_path, midi_dir, trained, capsys):
     assert "scorer_a_prefers_own:" in out
 
 
+@pytest.mark.parametrize("steps, code", [(-1, 1), (0, 1), (16, 1), (17, 0)])
+def test_selfbias_needs_more_steps_than_the_burn_in(tmp_path, trained, capsys, steps, code):
+    tok, model = trained
+    primes = tmp_path / "primes"
+    primes.mkdir()
+    (primes / "piece0.x.events").write_text((tok / "piece0.x.events").read_text())
+    rc = main(
+        ["selfbias", "--model-a", str(model), "--model-b", str(model),
+         "--primes", str(primes), "--steps", str(steps)]
+    )
+    out = capsys.readouterr()
+    assert rc == code
+    if code:
+        assert out.err == (
+            f"error: steps {steps} must exceed burn_in 16, "
+            "or no continuation has an event to score\n"
+        )
+    else:
+        assert "primes: 1 (skipped 0), steps: 17" in out.out
+
+
 def test_oracle_exact_command(capsys, tmp_path):
     assert main(["oracle", "exact", "--chain", "copy", "--alphabet", "2"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -421,6 +440,49 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["tokenize", "pairs", "bias"])
+def test_missing_midi_path_exits_1_naming_it(tmp_path, trained, capsys, command):
+    _, model = trained
+    missing = tmp_path / "nonexistent"
+    args = {
+        "tokenize": ["tokenize", str(missing), "--out-dir", str(tmp_path / "out")],
+        "pairs": ["pairs", "--corpus", str(missing), "--out", str(tmp_path / "p.json")],
+        "bias": ["bias", "--model", str(model), "--corpus", str(missing)],
+    }[command]
+    rc = main(args)
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.err == f"error: {missing} does not exist\n"
+    assert not out.out and not (tmp_path / "out").exists()
+
+
+def test_tokenize_one_track_file_writes_a_solo_view(tmp_path, capsys):
+    solo = tmp_path / "solo.mid"
+    solo.write_bytes(build([note_track([(i * 480, 480, 60 + i % 3) for i in range(20)])]))
+    assert main(["tokenize", str(solo), "--out-dir", str(tmp_path / "tok")]) == 0
+    assert "wrote 1 sequences" in capsys.readouterr().out
+    assert [p.name for p in (tmp_path / "tok").iterdir()] == ["solo.solo.events"]
+    seq = seq_from_text((tmp_path / "tok" / "solo.solo.events").read_text(), GRID)
+    assert seq.note_count == 20
+
+
+def test_tokenize_three_track_file_is_skipped_or_refused(tmp_path, capsys):
+    d = tmp_path / "mix"
+    d.mkdir()
+    notes = [(i * 480, 480, 60) for i in range(8)]
+    trio = build([note_track(notes, channel=c) for c in range(3)])
+    (d / "trio.mid").write_bytes(trio)
+    (d / "good.mid").write_bytes(duet_midi(60))
+    rc = main(["tokenize", str(d), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "wrote 3 sequences" in captured.out and "(1 inputs skipped)" in captured.out
+    assert "skipping trio.mid: " in captured.err and "3 non-empty tracks" in captured.err
+    rc = main(["tokenize", str(d / "trio.mid"), "--out-dir", str(tmp_path / "out2")])
+    assert rc == 3
+    assert "3 non-empty tracks" in capsys.readouterr().err
+
+
 def test_tokenize_directory_skips_bad_files(tmp_path, capsys):
     d = tmp_path / "mix"
     d.mkdir()
@@ -463,6 +525,39 @@ def test_value_error_exit_codes(tmp_path, midi_dir, trained, capsys):
         ["--resolution", "6", "score", str(midi_dir / "piece0.mid"), "--model", str(model)]
     ) == 1
     assert "does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["score", "PIECE", "--x-text", "X"],
+        ["score", "PIECE", "--x-text", "X", "--y-text", "X"],
+        ["score", "--x-text", "X"],
+        ["score", "--y-text", "X"],
+        ["oracle", "exact", "--chain", "independent", "--alphabet", "5"],
+        ["oracle", "exact", "--spec", "SPEC", "--alphabet", "3"],
+        ["oracle", "sample", "--spec", "SPEC", "--alphabet", "3",
+         "--length", "100", "--out-dir", "OUT"],
+    ],
+    ids=["piece-and-x", "piece-and-both", "x-only", "y-only", "independent-alphabet",
+         "spec-alphabet", "sample-spec-alphabet"],
+)
+def test_flags_that_would_be_ignored_exit_1(tmp_path, midi_dir, trained, capsys, args):
+    _, model = trained
+    x = tmp_path / "x.notes"
+    x.write_text(track_to_text([QuantNote(i, 0, 60 + i % 5, 12, 5) for i in range(24)]))
+    spec = tmp_path / "copy.spec"
+    spec.write_text(spec_to_text(copy_spec(3)))
+    paths = {"PIECE": midi_dir / "piece0.mid", "X": x, "SPEC": spec, "OUT": tmp_path / "out"}
+    argv = [str(paths.get(a, a)) for a in args]
+    if args[0] == "score":
+        argv += ["--model", str(model)]
+    capsys.readouterr()
+    rc = main(argv)
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.err.startswith("error: ") and not out.out
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["score", "batch", "bias", "selfbias", "generate"])
@@ -691,9 +786,11 @@ def test_console_script_is_wired_up():
 
 
 def test_runtime_imports_no_scipy():
+    # Nor the process pool's modules: only batch_score with workers > 1 loads them.
     code = (
         "import sys, duetflow, duetflow.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "names = ('scipy', 'multiprocessing', 'concurrent.futures.process'); "
+        "print(sorted(m for m in sys.modules for n in names if m == n or m.startswith(n + '.')))"
     )
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr

@@ -197,6 +197,14 @@ def test_parallel_scoring_matches_serial(echo_setup):
     assert parallel.scored[0].report.config == {"run": 1}
 
 
+def test_parallel_predictive_scoring_matches_serial(echo_setup):
+    model, pairs = echo_setup
+    params = FlowParams(mode="predictive")
+    serial = batch_score(model, pairs, params)
+    assert serial.failures == 0
+    assert batch_score(model, pairs, params, workers=2) == serial
+
+
 # --- positional bias -------------------------------------------------------------
 
 def test_positional_bias_is_exactly_zero(echo_setup):
@@ -209,6 +217,17 @@ def test_positional_bias_is_exactly_zero(echo_setup):
     assert set(report.mse_per_field) == set(FIELD_NAMES)
     with pytest.raises(ValueError):
         positional_bias(model, [])
+
+
+def test_positional_bias_raises_the_first_error_in_piece_order(echo_setup):
+    model, _ = echo_setup
+    good = echo_corpus(2, 64, seed=22, grid=GRID)
+    short = two_voice_piece("short", 8)  # fewer notes than the burn-in
+    solo = Piece("solo", GRID, (short.tracks[0],))
+    with pytest.raises(IneligiblePieceError):
+        positional_bias(model, [good[0], solo, short, good[1]])
+    with pytest.raises(ValueError, match="^X: 8 note events"):
+        positional_bias(model, [good[0], short, solo, good[1]])
 
 
 # --- self enhancement -------------------------------------------------------------
@@ -248,6 +267,16 @@ def test_self_enhancement_matrix(two_models):
     assert again == report
     shifted = self_enhancement(model_a, model_b, primes, steps=24, params=params, seed=6)
     assert shifted.n_primes == report.n_primes
+
+
+def test_self_enhancement_refuses_steps_within_the_burn_in(two_models):
+    model_a, model_b = two_models
+    prime = encode([tuple(QuantNote(t // 12, t % 12, 36, 1, 0) for t in range(24))], GRID)
+    for steps in (-1, 0, 16):
+        with pytest.raises(ValueError, match=f"^steps {steps} must exceed burn_in 16"):
+            self_enhancement(model_a, model_b, [prime], steps, FlowParams(burn_in=16))
+    report = self_enhancement(model_a, model_b, [prime], 17, FlowParams(burn_in=16))
+    assert report.skipped == 0
 
 
 def test_self_enhancement_skips_empty_primes(two_models):

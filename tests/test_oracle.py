@@ -321,11 +321,13 @@ def test_embed_tracks_rejections():
         embed_tracks(np.zeros(3, dtype=int), np.zeros(4, dtype=int), grid)
     with pytest.raises(ValueError, match="does not fit"):
         embed_tracks(np.zeros(5, dtype=int), np.zeros(5, dtype=int), grid)
-    one = np.ones(2, dtype=int)
+    zero = np.zeros(2, dtype=int)
+    # the highest symbols that still fit: X ends at pitch 71, Y at 127
+    embed_tracks(np.array([0, 35]), np.array([0, 55]), grid)
     with pytest.raises(ValueError, match="overlap"):
-        embed_tracks(one, one, grid, x_base=71)
+        embed_tracks(np.array([0, 36]), zero, grid)
     with pytest.raises(ValueError, match="overlap"):
-        embed_tracks(one, one, grid, y_base=127)
+        embed_tracks(zero, np.array([0, 56]), grid)
 
 
 def test_embed_pieces_chops_and_restarts():
