@@ -45,7 +45,10 @@ def _midi_paths(root: Path) -> list[Path]:
         raise ValueError(f"{root} does not exist")
     if root.is_file():
         return [root]
-    return sorted(p for p in root.rglob("*") if p.suffix.lower() in (".mid", ".midi"))
+    paths = sorted(p for p in root.rglob("*") if p.suffix.lower() in (".mid", ".midi"))
+    if not paths:
+        raise ValueError(f"no .mid or .midi files in {root}")
+    return paths
 
 
 def _read_piece(path: Path, cfg: Config) -> Piece:
@@ -150,11 +153,9 @@ def _piece_tracks(args: argparse.Namespace, cfg: Config):
 def cmd_score(args: argparse.Namespace, cfg: Config) -> int:
     model = _load_model(args.model, cfg)
     x, y, piece_id = _piece_tracks(args, cfg)
-    report = information_flow(
-        model, x, y, cfg.flow_params, piece_id=piece_id, config=cfg.to_dict()
-    )
+    report = information_flow(model, x, y, cfg.flow_params, piece_id=piece_id)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps({**report.to_dict(), "config": cfg.to_dict()}, indent=2))
     else:
         sys.stdout.write(report.to_text())
     return EXIT_OK
@@ -174,9 +175,7 @@ def cmd_pairs(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_batch(args: argparse.Namespace, cfg: Config) -> int:
     model = _load_model(args.model, cfg)
     pair_set = harness.PairSet.from_json(Path(args.pairs).read_text())
-    report = harness.batch_score(
-        model, pair_set, cfg.flow_params, workers=cfg.workers, config=cfg.to_dict()
-    )
+    report = harness.batch_score(model, pair_set, cfg.flow_params, workers=cfg.workers)
     _write_text(Path(args.out), report.to_csv())
     summary = {
         "model_id": report.model_id,

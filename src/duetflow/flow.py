@@ -12,8 +12,8 @@ positive flow when one voice is predictable from the other's past.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -137,8 +137,7 @@ class FlowReport:
     h_first: tuple[float, ...]
     h_second: tuple[float, ...]
     h_merged: tuple[float, ...]
-    units: str = "nats"
-    config: dict = field(default_factory=dict, compare=False)
+    units: ClassVar[str] = "nats"
 
     @property
     def field_flows(self) -> tuple[float, ...]:
@@ -175,7 +174,6 @@ class FlowReport:
             },
             "total_flow": self.total_flow,
             "total_flow_bits": self.total_flow_bits,
-            "config": self.config,
         }
 
     def to_text(self) -> str:
@@ -211,7 +209,6 @@ def information_flows(
     params: FlowParams = FlowParams(),
     *,
     piece_ids: Sequence[str] | None = None,
-    config: dict | None = None,
 ) -> list[FlowReport | ValueError]:
     """information_flow of every (x, y) piece, all scored in one batch.
 
@@ -251,7 +248,6 @@ def information_flows(
                     h_first=h_x,
                     h_second=h_y,
                     h_merged=h_xy,
-                    config=dict(config) if config else {},
                 )
         pending.clear()
         streams.clear()
@@ -284,10 +280,9 @@ def information_flow(
     params: FlowParams = FlowParams(),
     *,
     piece_id: str = "",
-    config: dict | None = None,
 ) -> FlowReport:
     """Flow between two voices under one model. Symmetric in x and y."""
-    (result,) = information_flows(model, [(x, y)], params, piece_ids=[piece_id], config=config)
+    (result,) = information_flows(model, [(x, y)], params, piece_ids=[piece_id])
     if isinstance(result, ValueError):
         raise result
     return result

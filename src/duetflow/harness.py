@@ -266,14 +266,10 @@ class ExperimentReport:
 
 
 def _score_pairs(
-    model: ContextModel, pairs: Sequence[Pair], params: FlowParams, config: dict | None
+    model: ContextModel, pairs: Sequence[Pair], params: FlowParams
 ) -> list[ScoredPair]:
     results = information_flows(
-        model,
-        [(p.x, p.y) for p in pairs],
-        params,
-        piece_ids=[p.pair_id for p in pairs],
-        config=config,
+        model, [(p.x, p.y) for p in pairs], params, piece_ids=[p.pair_id for p in pairs]
     )
     return [
         ScoredPair(p, None, str(r)) if isinstance(r, ValueError) else ScoredPair(p, r)
@@ -287,7 +283,6 @@ def batch_score(
     params: FlowParams = FlowParams(),
     *,
     workers: int = 1,
-    config: dict | None = None,
 ) -> ExperimentReport:
     """Score every pair; per-pair errors land in the report, not the caller.
 
@@ -303,11 +298,11 @@ def batch_score(
         model.fingerprint()  # cached before pickling, so no worker recomputes it
         size = max(1, -(-len(pair_list) // workers))
         chunks = [pair_list[i : i + size] for i in range(0, len(pair_list), size)]
-        score = partial(_score_pairs, model, params=params, config=config)
+        score = partial(_score_pairs, model, params=params)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             scored = [s for chunk in pool.map(score, chunks) for s in chunk]
     else:
-        scored = _score_pairs(model, pair_list, params, config)
+        scored = _score_pairs(model, pair_list, params)
     return ExperimentReport(tuple(scored), params, model.fingerprint())
 
 
@@ -419,16 +414,14 @@ def self_enhancement(
             )
         except ValueError as exc:
             results = [exc] * len(kept)
-        made = [
-            (i, notes, r)
-            for (i, _, notes), r in zip(kept, results)
+        pieces = [
+            (notes, r.sampled_notes)
+            for (_, _, notes), r in zip(kept, results)
             if not isinstance(r, ValueError)
         ]
-        skipped += len(kept) - len(made)
-        pieces = [(notes, r.sampled_notes) for _, notes, r in made]
-        ids = [f"prime{i}-gen{g_name}" for i, _, _ in made]
+        skipped += len(kept) - len(pieces)
         for s_name, s_model in models.items():
-            for report in information_flows(s_model, pieces, params, piece_ids=ids):
+            for report in information_flows(s_model, pieces, params):
                 if isinstance(report, ValueError):
                     skipped += 1
                     continue

@@ -77,7 +77,6 @@ _ENTRY_WORDS = _ENTRY.itemsize // 4
 _PAIR_WORDS = _PAIR.itemsize // 4
 
 _HASH_CHUNK = 1 << 14  # events hashed per numpy pass
-_SCORE_CHUNK = 1 << 13  # positions per match-and-interpolate pass when scoring
 _DENSE_ROWS = 256  # whole distributions built per pass
 # Most values one row of whole distributions may hold, all fields together;
 # the default grid needs 1,394. Wider grids are refused before allocating.
@@ -314,41 +313,38 @@ class ContextModel:
             events = np.asarray(context, dtype=np.int64).reshape(len(context), N_FIELDS)
         except OverflowError:
             raise ValueError("context values must be integers that fit in int64") from None
-        tails, avail = _tails(self.k, [events])
-        probs = _interpolate(self, _match(self, _tail_hashes(tails), avail))[0]
+        hashes, avail = _context_hashes(self.k, [events])
+        probs = _interpolate(self, _match(self, hashes, avail))[0]
         ends = np.cumsum(self.vocab)
         return FieldDistributions(
             tuple(probs[end - size : end] for size, end in zip(self.vocab, ends))
         )
 
 
-def _tails(k: int, contexts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The event hashes of each context's last k events, and how many there are.
+def _context_hashes(k: int, contexts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Hashes of lengths 0..k after each context, shape (k + 1, B), and avail.
 
-    The hashes are right-aligned in a (len(contexts), k) array; a context
-    shorter than k leaves zeros on the left, which no usable length reaches.
-    They come from the scalar event_hash: numpy calls cost more than they
-    save on k events.
+    avail[b] = min(k, len(contexts[b])) says which lengths are usable for
+    context b. Its last avail[b] events and one placeholder row are laid
+    end to end with the other contexts'; the _rolling_hashes at each
+    placeholder are the hashes after the context. A length beyond avail[b]
+    reaches into the context before and must not be used.
     """
-    tails = np.zeros((len(contexts), k), dtype=np.uint64)
     avail = np.array([min(k, len(c)) for c in contexts], dtype=np.int64)
-    for b, (events, n) in enumerate(zip(contexts, avail)):
-        if n:
-            tails[b, k - n :] = [event_hash(e) for e in events[len(events) - n :].tolist()]
-    return tails, avail
+    placeholder = np.zeros((1, N_FIELDS), dtype=np.int64)
+    rows = [part for c, n in zip(contexts, avail) for part in (c[len(c) - n :], placeholder)]
+    ends = np.cumsum(avail + 1) - 1
+    rolling = _rolling_hashes(_event_hashes(np.concatenate(rows)), k)
+    return np.stack([h[ends] for h in rolling]), avail
 
 
-def _tail_hashes(tails: np.ndarray) -> np.ndarray:
-    """Context hashes of lengths 0..k after right-aligned tails, shape (k + 1, B).
+def _push(hashes: np.ndarray, new: np.ndarray) -> None:
+    """Move hashes from _context_hashes on by one event per context, in place.
 
-    The sums _rolling_hashes builds, term by term: the event i places back
-    weighs _CTX_MULT ** (i - 1), in wrapping uint64.
+    new holds the event hash of each context's next event; this is the
+    step of _rolling_hashes, taken across contexts.
     """
-    k = tails.shape[1]
-    powers = np.array([pow(_CTX_MULT, i, 1 << 64) for i in range(k)], dtype=np.uint64)
-    hashes = np.zeros((k + 1, len(tails)), dtype=np.uint64)
-    hashes[1:] = np.cumsum(tails[:, ::-1] * powers, axis=1).T
-    return hashes
+    hashes[1:] = hashes[:-1] * np.uint64(_CTX_MULT) + new
 
 
 def _match(model: ContextModel, hashes: np.ndarray, avail: np.ndarray) -> np.ndarray:
@@ -498,10 +494,6 @@ def train(corpus: Sequence[EventSequence], k: int, lam: float = 1.0) -> ContextM
     return model
 
 
-def predict_next(model: ContextModel, context: Sequence[Event]) -> FieldDistributions:
-    return model.predict_next(context)
-
-
 def score_sequences(
     model: ContextModel,
     arrays: Sequence[np.ndarray | Sequence[Event]],
@@ -511,9 +503,9 @@ def score_sequences(
     """Per-event, per-field scores in nats of every stream, each (len, 6).
 
     Each stream is a sequence's (n, 6) event array, or anything np.asarray
-    turns into one. The streams are hashed and matched together, at most
-    _SCORE_CHUNK positions per pass, and a context never reaches back into
-    the stream before its own.
+    turns into one. The streams are hashed, matched and interpolated
+    together in one pass, so callers bound how many events one call holds;
+    a context never reaches back into the stream before its own.
 
     nll mode scores the realized value, -log p(value | context); predictive
     mode scores the full predicted distribution, -sum p log p. The context
@@ -529,18 +521,12 @@ def score_sequences(
     events = np.concatenate(streams) if streams else np.zeros((0, N_FIELDS), np.int64)
     firsts = np.cumsum(lengths) - lengths
     avail = np.minimum(np.arange(len(events)) - np.repeat(firsts, lengths), kmax)
-    out = np.empty((len(events), N_FIELDS))
-    for start in range(0, len(events), _SCORE_CHUNK):
-        stop = start + _SCORE_CHUNK
-        # The kmax events before the chunk complete its first contexts.
-        lead = min(start, kmax)
-        rolling = _rolling_hashes(_event_hashes(events[start - lead : stop]), kmax)
-        hashes = np.stack([h[lead:] for h in rolling])
-        chains = _match(model, hashes, avail[start:stop])
-        if mode == "nll":
-            out[start:stop] = -np.log(_interpolate(model, chains, events[start:stop]))
-        else:
-            out[start:stop] = _entropies(model, chains)
+    hashes = np.stack(list(_rolling_hashes(_event_hashes(events), kmax)))
+    chains = _match(model, hashes, avail)
+    if mode == "nll":
+        out = -np.log(_interpolate(model, chains, events))
+    else:
+        out = _entropies(model, chains)
     return np.split(out, np.cumsum(lengths)[:-1])
 
 
@@ -643,15 +629,16 @@ def generate_many(
     sampled[:, :, 0] = TYPE_NOTE
     if live and steps:
         rngs = [np.random.default_rng(seeds[i]) for i in live]
-        tails, avail = _tails(model.k, [prefixes[i] for i in live])
+        hashes, avail = _context_hashes(model.k, [prefixes[i] for i in live])
         for step in range(steps):
-            chains = _match(model, _tail_hashes(tails), avail)
+            chains = _match(model, hashes, avail)
             draws = np.array([rng.random(N_FIELDS - 1) for rng in rngs])
             for block, probs in _dense_blocks(model, chains):
                 sampled[block, step, 1:] = _sample(probs, model.vocab, draws[block])
             if model.k:
-                tails[:, :-1] = tails[:, 1:]
-                tails[:, -1] = [event_hash(e) for e in sampled[:, step].tolist()]
+                # One event per prime: the scalar event_hash beats a numpy pass.
+                new = [event_hash(e) for e in sampled[:, step].tolist()]
+                _push(hashes, np.array(new, dtype=np.uint64))
                 np.minimum(avail + 1, model.k, out=avail)
     results: list[GenerationResult | SequenceStructureError] = list(prefixes)
     for b, i in enumerate(live):

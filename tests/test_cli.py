@@ -456,6 +456,25 @@ def test_missing_midi_path_exits_1_naming_it(tmp_path, trained, capsys, command)
     assert not out.out and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["tokenize", "pairs", "bias"])
+def test_midi_directory_without_midi_files_exits_1_naming_it(tmp_path, trained, capsys, command):
+    _, model = trained
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("not a MIDI file\n")
+    args = {
+        "tokenize": ["tokenize", str(empty), "--out-dir", str(tmp_path / "out")],
+        "pairs": ["pairs", "--corpus", str(empty), "--out", str(tmp_path / "p.json")],
+        "bias": ["bias", "--model", str(model), "--corpus", str(empty)],
+    }[command]
+    rc = main(args)
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.err == f"error: no .mid or .midi files in {empty}\n"
+    assert not out.out and not (tmp_path / "out").exists()
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_tokenize_one_track_file_writes_a_solo_view(tmp_path, capsys):
     solo = tmp_path / "solo.mid"
     solo.write_bytes(build([note_track([(i * 480, 480, 60 + i % 3) for i in range(20)])]))
@@ -676,6 +695,29 @@ def test_config_file_with_flag_overrides(tmp_path, midi_dir, capsys):
     assert data["config"]["k"] == 2          # file value, no flag this time
     assert data["config"]["burn_in"] == 4
     assert data["config"]["seed"] == 11
+
+
+def test_reports_carry_the_run_config(tmp_path, midi_dir, trained, capsys):
+    # A file value and a flag, both in the config every JSON report prints.
+    _, model = trained
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"burn_in": 4}))
+    want = Config(burn_in=4, seed=9).to_dict()
+    manifest = tmp_path / "pairs.json"
+    assert main(["--seed", "9", "pairs", "--corpus", str(midi_dir), "--out", str(manifest)]) == 0
+    capsys.readouterr()
+    runs = {
+        "score": ["score", str(midi_dir / "piece0.mid"), "--model", str(model), "--json"],
+        "batch": ["batch", "--model", str(model), "--pairs", str(manifest),
+                  "--out", str(tmp_path / "flows.csv")],
+        "bias": ["bias", "--model", str(model), "--corpus", str(midi_dir)],
+    }
+    for command, args in runs.items():
+        assert main(["--config", str(cfg), "--seed", "9", *args]) == 0, command
+        data = json.loads(capsys.readouterr().out)
+        assert data["config"] == want, command
+        if command != "batch":  # batch adds its t-statistic after the config
+            assert list(data)[-1] == "config", command
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):

@@ -176,17 +176,6 @@ def test_per_event_normalization_halves_merged_term(indep_model):
     assert per_pair.h_first == per_event.h_first
 
 
-def test_report_config_is_copied_and_ignored_in_equality(indep_model):
-    x, y = make_pair(np.random.default_rng(21), 48, echo=False)
-    cfg = {"seed": 1}
-    a = information_flow(indep_model, x, y, config=cfg)
-    cfg["seed"] = 2
-    assert a.config == {"seed": 1}
-    b = information_flow(indep_model, x, y, config={"anything": "else"})
-    assert a == b
-    assert a.to_dict()["fields"]["pitch"]["flow"] == pytest.approx(a.field_flows[3])
-
-
 # --- flow behavior on known couplings ----------------------------------------
 
 def test_independent_voices_have_near_zero_flow(indep_model):
@@ -263,13 +252,13 @@ def flow_batches(draw):
 def test_information_flows_equals_per_piece_scoring(indep_model, batch):
     pieces, params = batch
     ids = [f"piece{i}" for i in range(len(pieces))]
-    results = information_flows(indep_model, pieces, params, piece_ids=ids, config={"c": 1})
+    results = information_flows(indep_model, pieces, params, piece_ids=ids)
     # Swapped, and scored a few pieces per call instead of all at once.
     batch_events = duetflow.flow._BATCH_EVENTS
     duetflow.flow._BATCH_EVENTS = 64
     try:
         swapped = information_flows(
-            indep_model, [(y, x) for x, y in pieces], params, piece_ids=ids, config={"c": 1}
+            indep_model, [(y, x) for x, y in pieces], params, piece_ids=ids
         )
     finally:
         duetflow.flow._BATCH_EVENTS = batch_events
@@ -282,7 +271,7 @@ def test_information_flows_equals_per_piece_scoring(indep_model, batch):
             assert type(other) is type(exc) and str(other) == str(exc)
             continue
         assert [result.h_first, result.h_second, result.h_merged] == want
-        assert result.piece_id == piece_id and result.config == {"c": 1}
+        assert result.piece_id == piece_id
         assert result.model_id == indep_model.fingerprint()
         assert other == result and other.to_dict() == result.to_dict()
         assert information_flow(indep_model, x, y, params, piece_id=piece_id) == result

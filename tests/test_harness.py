@@ -191,10 +191,9 @@ def test_batch_score_records_per_pair_failures(echo_setup):
 
 def test_parallel_scoring_matches_serial(echo_setup):
     model, pairs = echo_setup
-    serial = batch_score(model, pairs, FlowParams(), config={"run": 1})
-    parallel = batch_score(model, pairs, FlowParams(), workers=2, config={"run": 1})
+    serial = batch_score(model, pairs, FlowParams())
+    parallel = batch_score(model, pairs, FlowParams(), workers=2)
     assert parallel == serial
-    assert parallel.scored[0].report.config == {"run": 1}
 
 
 def test_parallel_predictive_scoring_matches_serial(echo_setup):

@@ -29,7 +29,6 @@ from duetflow.model import (
     generate_many,
     load_model,
     load_model_file,
-    predict_next,
     save_model,
     save_model_file,
     score_sequence,
@@ -201,23 +200,6 @@ def test_score_sequences_equals_per_stream_reference(case, mode):
         assert np.array_equal(got, solo) and np.array_equal(got, want)
 
 
-def test_score_sequences_chunks_reach_back_across_the_chunk_edge(monkeypatch):
-    # Positions right after a chunk edge take their contexts from the chunk
-    # before; a small chunk puts many edges inside each stream.
-    import duetflow.model as model_module
-
-    rng = np.random.default_rng(5)
-    corpus = [random_piece(rng, 30, programs=(0, 24)) for _ in range(4)]
-    model = train(corpus, k=3)
-    streams = [seq.events for seq in corpus]
-    for mode in ("nll", "predictive"):
-        whole = score_sequences(model, streams, 64, mode)
-        monkeypatch.setattr(model_module, "_SCORE_CHUNK", 7)
-        chunked = score_sequences(model, streams, 64, mode)
-        monkeypatch.undo()
-        assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_sampler_draws_what_rng_choice_draws(seed):
@@ -380,7 +362,7 @@ def test_score_modes_match_predict_next():
     pred = score_sequence(model, probe, context_len=64, mode="predictive")
     assert nll.shape == pred.shape == (len(probe), 6)
     for t in (0, 1, len(probe) // 2, len(probe) - 1):
-        dists = predict_next(model, list(probe[:t]))
+        dists = model.predict_next(list(probe[:t]))
         for f in range(6):
             assert nll[t, f] == pytest.approx(
                 -math.log(dists.probability(f, probe[t][f])), rel=1e-12
