@@ -95,7 +95,7 @@ def cmd_tokenize(args: argparse.Namespace, cfg: Config) -> int:
     strict = source.is_file()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = skipped = dropped = unclosed = drums = 0
+    written = skipped = dropped = unclosed = drums = clipped = 0
     for path in paths:
         try:
             piece = _read_piece(path, cfg)
@@ -118,9 +118,11 @@ def cmd_tokenize(args: argparse.Namespace, cfg: Config) -> int:
         dropped += piece.dropped_notes
         unclosed += piece.unclosed_notes
         drums += piece.drum_notes
+        clipped += piece.clipped_notes
     print(
         f"wrote {written} sequences to {out_dir} ({skipped} inputs skipped); "
-        f"notes dropped {dropped}, unclosed {unclosed}, drums left out {drums}"
+        f"notes dropped {dropped}, unclosed {unclosed}, drums left out {drums}, "
+        f"durations clipped {clipped}"
     )
     return EXIT_OK
 
@@ -155,7 +157,8 @@ def cmd_score(args: argparse.Namespace, cfg: Config) -> int:
     x, y, piece_id = _piece_tracks(args, cfg)
     report = information_flow(model, x, y, cfg.flow_params, piece_id=piece_id)
     if args.json:
-        print(json.dumps({**report.to_dict(), "config": cfg.to_dict()}, indent=2))
+        summary = {**report.to_dict(), "config": cfg.to_dict()}
+        print(json.dumps(summary, indent=2, allow_nan=False))
     else:
         sys.stdout.write(report.to_text())
     return EXIT_OK
@@ -186,8 +189,12 @@ def cmd_batch(args: argparse.Namespace, cfg: Config) -> int:
     if len(report.label_flows(harness.POSITIVE)) > 1 and len(
         report.label_flows(harness.NEGATIVE)
     ) > 1:
-        summary["t_statistic_total"] = report.t_statistic()
-    print(json.dumps(summary, indent=2))
+        summary["t_statistic_total"] = t = report.t_statistic()
+        if t is None:
+            summary["t_statistic_reason"] = (
+                "each label's flows are all equal, so the Welch standard error is 0"
+            )
+    print(json.dumps(summary, indent=2, allow_nan=False))
     return EXIT_OK
 
 
@@ -204,6 +211,7 @@ def cmd_bias(args: argparse.Namespace, cfg: Config) -> int:
                 "config": cfg.to_dict(),
             },
             indent=2,
+            allow_nan=False,
         )
     )
     return EXIT_OK
@@ -246,7 +254,7 @@ def cmd_oracle(args: argparse.Namespace, cfg: Config) -> int:
     spec = _oracle_spec(args)
     if args.oracle_command == "exact":
         result = oracle.exact_flow(spec)
-        print(json.dumps(result.to_dict(), indent=2))
+        print(json.dumps(result.to_dict(), indent=2, allow_nan=False))
         return EXIT_OK
     # sample: emit aligned two-voice pieces as event text, ready to train on
     out_dir = Path(args.out_dir)

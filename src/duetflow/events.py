@@ -19,13 +19,12 @@ at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .grid import GridSpec
-from .midi import QuantNote
+from .midi import as_track, sort_notes
 
 TYPE_START = 0
 TYPE_INSTRUMENT = 1
@@ -134,55 +133,8 @@ def _off_grid(notes: np.ndarray, grid: GridSpec) -> np.ndarray:
     return ((notes < low) | (notes >= high)).any(axis=1)
 
 
-def _note_array(track: Sequence[QuantNote]) -> np.ndarray | None:
-    """One track as an (n, 5) int64 array.
-
-    None when every field is an integer but some do not fit int64;
-    ValueError when a note does not have 5 fields or a field is not an
-    integer.
-    """
-    try:
-        values = list(chain.from_iterable(track))
-        five = {*map(len, track)} <= {5}
-    except TypeError:
-        five = False
-    if not five:
-        raise ValueError("every note must have 5 integer fields")
-    notes = np.array(values)
-    if not _int64_exact(notes):
-        for v in values:
-            if not isinstance(v, (int, np.integer)):
-                raise ValueError(f"note field {v!r} is not an integer")
-        # Integers numpy could not hold in one integer dtype (beyond int64,
-        # or of mixed signedness), or no notes at all.
-        try:
-            notes = np.array([int(v) for v in values], dtype=np.int64)
-        except OverflowError:
-            return None
-    return notes.astype(np.int64, copy=False).reshape(-1, 5)
-
-
-def _wide_note_problem(
-    tracks: Sequence[Sequence[QuantNote]], grid: GridSpec, split: bool
-) -> str:
-    """The error for notes with fields beyond int64: the first offending
-    note in canonical order, found note by note in Python integers."""
-    prepared = [[QuantNote(*map(int, n)) for n in t] for t in tracks]
-    if split and len(prepared) == 2:
-        first_programs = {n.program for n in prepared[0]}
-        prepared[1] = [
-            n._replace(program=(n.program + 1) % 128) if n.program in first_programs else n
-            for n in prepared[1]
-        ]
-    for note in sorted(chain.from_iterable(prepared)):
-        problem = _check_note_fields(note, grid)
-        if problem is not None:
-            return problem
-    return "note fields must fit in int64"
-
-
 def encode(
-    tracks: Sequence[Sequence[QuantNote]],
+    tracks: Sequence,
     grid: GridSpec,
     *,
     split_shared_programs: bool = False,
@@ -192,27 +144,27 @@ def encode(
     With ``split_shared_programs`` a program used by both tracks keeps its
     id in the first track and becomes (program + 1) mod 128 in the second,
     so the voices stay distinguishable at the cost of merge symmetry.
-    Note fields must be integers (Python or numpy); anything else raises
-    ValueError, as does a field outside the grid.
+    Tracks are any (n, 5) array-likes of integers (see ``midi.as_track``);
+    anything else raises ValueError, as does a field outside the grid.
     """
     if not 1 <= len(tracks) <= 2:
         raise ValueError(f"expected 1 or 2 tracks, got {len(tracks)}")
-    parts = [_note_array(t) for t in tracks]
-    if any(p is None for p in parts):
-        raise ValueError(_wide_note_problem(tracks, grid, split_shared_programs))
+    parts = [as_track(t, wide=True) for t in tracks]
+    # A copy, of Python integers if a part holds integers beyond int64.
+    notes = np.concatenate(parts)
     if split_shared_programs and len(parts) == 2:
-        programs = parts[1][:, 4]
+        programs = notes[len(parts[0]) :, 4]
         shared = np.isin(programs, parts[0][:, 4])
         # int64 wraps by 2**64, a multiple of 128, so this is Python's result.
         programs[shared] = (programs[shared] + 1) % 128
-    notes = np.concatenate(parts)
     if not len(notes):
         raise ValueError("cannot encode an empty note list")
-    # sorted(QuantNote) order: lexsort's last key is the primary one.
-    notes = notes[np.lexsort(notes.T[::-1])]
+    notes = sort_notes(notes)
     bad = _off_grid(notes, grid)
     if bad.any():
         raise ValueError(_check_note_fields(notes[bad.argmax()], grid))
+    if notes.dtype != np.int64:
+        raise ValueError("note fields must fit in int64")
 
     programs = np.unique(notes[:, 4])
     p = len(programs)
@@ -307,13 +259,12 @@ def validate_sequence(seq: EventSequence) -> None:
     _check_events(seq.events, seq.grid)
 
 
-def sequence_notes(seq: EventSequence) -> tuple[QuantNote, ...]:
-    """The note events of a sequence as notes, in sequence order, unchecked."""
-    rows = seq.events[seq.events[:, 0] == TYPE_NOTE, 1:]
-    return tuple(map(QuantNote._make, rows.tolist()))
+def sequence_notes(seq: EventSequence) -> np.ndarray:
+    """The note events of a sequence as a track, in sequence order, unchecked."""
+    return as_track(seq.events[seq.events[:, 0] == TYPE_NOTE, 1:])
 
 
-def decode(seq: EventSequence) -> tuple[QuantNote, ...]:
+def decode(seq: EventSequence) -> np.ndarray:
     """Notes of a valid sequence, in canonical order."""
     validate_sequence(seq)
     return sequence_notes(seq)
@@ -414,15 +365,13 @@ def seq_from_text(text: str, grid: GridSpec, *, validate: bool = True) -> EventS
 
 
 def sequences_from_notes(
-    x: Iterable[QuantNote],
-    y: Iterable[QuantNote],
+    x,
+    y,
     grid: GridSpec,
     *,
     split_shared_programs: bool = False,
 ) -> tuple[EventSequence, EventSequence, EventSequence]:
-    """The (X, Y, merged XY) encodings scored by the flow estimator."""
-    x = tuple(x)
-    y = tuple(y)
+    """The (X, Y, merged XY) encodings of two tracks, scored by the flow estimator."""
     return (
         encode([x], grid),
         encode([y], grid),

@@ -25,7 +25,7 @@ from .events import (
     sequences_from_notes,
     validate_sequence,
 )
-from .midi import QuantNote
+from .midi import as_track
 from .model import MODES, ContextModel, score_sequence, score_sequences
 
 LN2 = math.log(2.0)
@@ -203,9 +203,23 @@ _VIEWS = ("X", "Y", "XY")
 _BATCH_EVENTS = 1 << 13
 
 
+def _voice_order(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two tracks in the order sorted((tuple(x), tuple(y))) puts their rows:
+    with five fields a row, that is the order of their flattened values."""
+    n = min(len(x), len(y))
+    head_x, head_y = x[:n].ravel(), y[:n].ravel()
+    differ = head_x != head_y
+    if differ.any():
+        i = differ.argmax()
+        swap = head_x[i] > head_y[i]
+    else:
+        swap = len(x) > len(y)
+    return (y, x) if swap else (x, y)
+
+
 def information_flows(
     model: ContextModel,
-    pieces: Sequence[tuple[Sequence[QuantNote], Sequence[QuantNote]]],
+    pieces: Sequence[tuple],
     params: FlowParams = FlowParams(),
     *,
     piece_ids: Sequence[str] | None = None,
@@ -253,10 +267,10 @@ def information_flows(
         streams.clear()
 
     for i, (x, y) in enumerate(pieces):
-        # The voices in an order fixed by their notes, so the report is
-        # symmetric in x and y.
-        first, second = sorted((tuple(x), tuple(y)))
         try:
+            # The voices in an order fixed by their notes, so the report is
+            # symmetric in x and y.
+            first, second = _voice_order(as_track(x), as_track(y))
             seqs = sequences_from_notes(
                 first, second, model.grid, split_shared_programs=params.split_shared_programs
             )
@@ -275,8 +289,8 @@ def information_flows(
 
 def information_flow(
     model: ContextModel,
-    x: Sequence[QuantNote],
-    y: Sequence[QuantNote],
+    x,
+    y,
     params: FlowParams = FlowParams(),
     *,
     piece_id: str = "",

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True, slots=True)
 class GridSpec:
@@ -26,11 +28,13 @@ class GridSpec:
         return self.resolution * self.max_beat
 
 
-def round_half_away(numerator: int, denominator: int) -> int:
+def round_half_away(numerator, denominator: int):
     """Integer division rounded half away from zero for non-negative inputs.
 
-    Exact in integer arithmetic, so every platform agrees bit for bit.
+    Exact in integer arithmetic, so every platform agrees bit for bit. The
+    numerator may be an integer array, element by element; the caller keeps
+    2 * numerator + denominator inside its dtype.
     """
-    if numerator < 0 or denominator <= 0:
+    if np.any(numerator < 0) or denominator <= 0:
         raise ValueError("round_half_away expects numerator >= 0 and denominator > 0")
     return (2 * numerator + denominator) // (2 * denominator)

@@ -22,7 +22,7 @@ from .events import EventSequence, FIELD_NAMES, N_FIELDS, sequence_notes, sequen
 from .events import encode  # noqa: F401
 from .flow import FlowParams, FlowReport, information_flow, information_flows  # noqa: F401
 from .grid import GridSpec
-from .midi import IneligiblePieceError, Piece, QuantNote, split_tracks
+from .midi import IneligiblePieceError, Piece, as_track, split_tracks
 from .model import ContextModel, generate, generate_many  # noqa: F401
 
 POSITIVE = "positive"
@@ -32,14 +32,16 @@ NEGATIVE = "negative"
 _PAIR_KEYS = ("pair_id", "label", "x_source", "y_source", "x", "y")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pair:
+    """Two tracks to score; x and y go through ``as_track`` once, here."""
+
     pair_id: str
     label: str
     x_source: str
     y_source: str
-    x: tuple[QuantNote, ...]
-    y: tuple[QuantNote, ...]
+    x: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self) -> None:
         if not isinstance(self.pair_id, str):
@@ -49,9 +51,24 @@ class Pair:
                 f"pair {self.pair_id!r}: label {self.label!r} is neither "
                 f"{POSITIVE!r} nor {NEGATIVE!r}"
             )
+        try:
+            object.__setattr__(self, "x", as_track(self.x))
+            object.__setattr__(self, "y", as_track(self.y))
+        except ValueError as exc:
+            raise ValueError(f"pair {self.pair_id!r}: {exc}") from None
+
+    def _key(self) -> tuple:
+        names = (self.pair_id, self.label, self.x_source, self.y_source)
+        return (*names, self.x.tobytes(), self.y.tobytes())
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, Pair) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-def _notes_from_json(pair_id: object, raw: object) -> tuple[QuantNote, ...]:
+def _notes_from_json(pair_id: object, raw: object) -> list:
     if not isinstance(raw, list):
         raise ValueError(f"pair {pair_id!r}: notes must be a list, got {raw!r}")
     for note in raw:
@@ -59,7 +76,7 @@ def _notes_from_json(pair_id: object, raw: object) -> tuple[QuantNote, ...]:
             isinstance(note, list) and len(note) == 5 and all(type(v) is int for v in note)
         ):
             raise ValueError(f"pair {pair_id!r}: note {note!r} is not 5 integers")
-    return tuple(QuantNote(*n) for n in raw)
+    return raw
 
 
 @dataclass(frozen=True)
@@ -83,8 +100,8 @@ class PairSet:
                         "label": p.label,
                         "x_source": p.x_source,
                         "y_source": p.y_source,
-                        "x": [list(n) for n in p.x],
-                        "y": [list(n) for n in p.y],
+                        "x": p.x.tolist(),
+                        "y": p.y.tolist(),
                     }
                     for p in self.pairs
                 ],
@@ -124,15 +141,10 @@ class PairSet:
         return cls(pairs, raw["seed"], raw["skipped"])
 
 
-def _truncate_at_common_end(
-    x: tuple[QuantNote, ...], y: tuple[QuantNote, ...]
-) -> tuple[tuple[QuantNote, ...], tuple[QuantNote, ...]]:
+def _truncate_at_common_end(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cut both tracks at the earlier of the two final-note beats."""
-    last = min(x[-1].beat, y[-1].beat)
-    return (
-        tuple(n for n in x if n.beat <= last),
-        tuple(n for n in y if n.beat <= last),
-    )
+    last = min(x[-1, 0], y[-1, 0])
+    return x[x[:, 0] <= last], y[y[:, 0] <= last]
 
 
 def build_pairs(
@@ -147,7 +159,7 @@ def build_pairs(
     """
     if melody_index not in (0, 1):
         raise ValueError("melody_index must be 0 or 1")
-    eligible: list[tuple[str, tuple[QuantNote, ...], tuple[QuantNote, ...]]] = []
+    eligible: list[tuple[str, np.ndarray, np.ndarray]] = []
     skipped = 0
     for piece in corpus:
         try:
@@ -172,7 +184,7 @@ def build_pairs(
             donor_index += 1
         donor_source, _, donor_accomp = eligible[donor_index]
         x, y = _truncate_at_common_end(melody, donor_accomp)
-        if not x or not y:
+        if not len(x) or not len(y):
             skipped += 1
             continue
         pairs.append(
@@ -231,11 +243,17 @@ class ExperimentReport:
             }
         return out
 
-    def t_statistic(self, field_index: int | None = None) -> float:
-        """One-sided Welch t for positives carrying more flow than negatives."""
+    def t_statistic(self, field_index: int | None = None) -> float | None:
+        """One-sided Welch t for positives carrying more flow than negatives.
+
+        None when the standard error is 0, that is when every pair of each
+        label has the same flow: t is then not a number.
+        """
         pos = self.label_flows(POSITIVE, field_index)
         neg = self.label_flows(NEGATIVE, field_index)
         stderr = np.sqrt(pos.var(ddof=1) / len(pos) + neg.var(ddof=1) / len(neg))
+        if stderr == 0:
+            return None
         return float((pos.mean() - neg.mean()) / stderr)
 
     def to_csv(self) -> str:
@@ -402,7 +420,7 @@ def self_enhancement(
     sums = {s: {g: 0.0 for g in models} for s in models}
     counts = {s: {g: 0 for g in models} for s in models}
     kept = [(i, prime, sequence_notes(prime)) for i, prime in enumerate(primes)]
-    kept = [(i, prime, notes) for i, prime, notes in kept if notes]
+    kept = [(i, prime, notes) for i, prime, notes in kept if len(notes)]
     skipped = len(primes) - len(kept)
     for g_index, (g_name, g_model) in enumerate(models.items()):
         try:

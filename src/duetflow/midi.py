@@ -3,15 +3,24 @@
 Only note content survives ingestion. Tempo, control changes and other
 performance data are deliberately dropped; the downstream representation is
 metrical (beats and positions), not wall-clock.
+
+A track is one read-only (n, 5) int64 array, one row per note in the
+field order of ``QuantNote``. ``as_track`` makes one from any (n, 5)
+array-like of integers; every layer after it takes the array as it is.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 from .grid import GridSpec, round_half_away
 
 DRUM_CHANNEL = 9  # channel 10 in MIDI UI terms, 0-indexed here
+
+_INT64 = np.iinfo(np.int64)
 
 
 class MidiParseError(ValueError):
@@ -39,13 +48,59 @@ class RawNote(NamedTuple):
 
 
 class QuantNote(NamedTuple):
-    """Grid-aligned note. Field order doubles as the canonical sort order."""
+    """One track row, by field name. Field order doubles as the canonical sort order."""
 
     beat: int
     position: int
     pitch: int
     duration_steps: int
     program: int
+
+
+def as_track(track, *, wide: bool = False) -> np.ndarray:
+    """A track as a read-only (n, 5) int64 array.
+
+    Takes any (n, 5) array-like of integers, such as a list of QuantNote: a
+    track already in that form as it is, anything else copied. ValueError
+    for a note without 5 fields, a field that is not an integer, or one
+    beyond int64. With ``wide``, a track with fields beyond int64 comes
+    back as an object array of Python integers instead, so that encoding
+    can name the note that is off the grid.
+    """
+    frozen = isinstance(track, np.ndarray) and not track.flags.writeable
+    if frozen and track.dtype == np.int64 and track.shape[1:] == (5,):
+        return track
+    try:
+        notes = np.array(track)
+        if notes.dtype.kind not in "ib":
+            # Floats, strings, objects, or integers numpy could not hold in
+            # one integer dtype: the given values, field by field.
+            notes = np.array(track, dtype=object)
+    except ValueError:
+        notes = None  # ragged
+    if notes is not None and notes.shape == (0,):
+        notes = notes.reshape(0, 5)
+    if notes is None or notes.ndim != 2 or notes.shape[1] != 5:
+        raise ValueError("every note must have 5 integer fields")
+    if notes.dtype == object:
+        for v in notes.flat:
+            if not isinstance(v, (int, np.integer)):
+                raise ValueError(f"note field {v!r} is not an integer")
+        try:
+            notes = notes.astype(np.int64)
+        except OverflowError:
+            if not wide:
+                raise ValueError("note fields must fit in int64") from None
+            return np.frompyfunc(int, 1, 1)(notes)
+    notes = notes.astype(np.int64, copy=False)  # np.array above made the copy
+    notes.flags.writeable = False
+    return notes
+
+
+def sort_notes(notes: np.ndarray) -> np.ndarray:
+    """The rows of a note array in canonical (QuantNote field) order."""
+    # lexsort's last key is the primary one.
+    return notes[np.lexsort(notes.T[::-1])]
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,16 +112,33 @@ class ParsedMidi:
     drum_notes: int  # channel-10 notes left out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Piece:
-    """Quantized non-empty tracks of one file, in file order."""
+    """Quantized non-empty tracks of one file, in file order.
+
+    Tracks go through ``as_track`` once, here.
+    """
 
     source_id: str
     grid: GridSpec
-    tracks: tuple[tuple[QuantNote, ...], ...]
+    tracks: tuple[np.ndarray, ...]
     dropped_notes: int = 0
     unclosed_notes: int = 0
     drum_notes: int = 0
+    clipped_notes: int = 0  # durations clamped to grid.max_duration
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tracks", tuple(map(as_track, self.tracks)))
+
+    def _key(self) -> tuple:
+        counts = (self.dropped_notes, self.unclosed_notes, self.drum_notes, self.clipped_notes)
+        return self.source_id, self.grid, tuple(t.tobytes() for t in self.tracks), counts
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, Piece) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _need(data: bytes, pos: int, size: int, what: str) -> None:
@@ -256,54 +328,68 @@ def _parse_track(
     return n_open, len(closed) - len(kept)
 
 
-def quantize(
-    notes: list[RawNote] | tuple[RawNote, ...],
-    ticks_per_beat: int,
-    grid: GridSpec,
-) -> tuple[list[QuantNote], int]:
-    """Snap notes to the grid. Returns (quantized notes, dropped count).
+def _raw_array(notes) -> np.ndarray:
+    """RawNotes as an (n, 5) array: int64, or Python integers where one
+    is beyond int64."""
+    try:
+        return np.fromiter(chain.from_iterable(notes), np.int64).reshape(-1, 5)
+    except OverflowError:
+        return np.array(notes, dtype=object).reshape(-1, 5)
 
-    Onsets and durations round half away from zero in exact integer
-    arithmetic. Durations clamp to [1, max_duration]; notes whose beat
-    lands at or beyond max_beat are dropped and counted.
+
+def quantize(
+    notes, ticks_per_beat: int, grid: GridSpec
+) -> tuple[np.ndarray, int, int]:
+    """Snap RawNotes, or an (n, 5) array of their fields, to the grid.
+
+    Returns the (n, 5) note array, in input order, and the counts of notes
+    dropped and of durations clipped. Onsets and durations round half away
+    from zero in exact integer arithmetic: int64 while 2 * ticks *
+    resolution + ticks_per_beat fits in it, Python integers beyond; negative
+    ticks raise ValueError. Durations clamp to [1, max_duration], and those
+    above it count as clipped; notes whose beat lands at or beyond max_beat
+    are dropped and counted.
     """
     if ticks_per_beat <= 0:
         raise ValueError("ticks_per_beat must be positive")
-    out: list[QuantNote] = []
-    dropped = 0
+    raw = notes if isinstance(notes, np.ndarray) else _raw_array(notes)
     res = grid.resolution
-    for note in notes:
-        steps = round_half_away(note.onset_ticks * res, ticks_per_beat)
-        beat, position = divmod(steps, res)
-        if beat >= grid.max_beat:
-            dropped += 1
-            continue
-        duration = round_half_away(note.duration_ticks * res, ticks_per_beat)
-        duration = min(max(duration, 1), grid.max_duration)
-        out.append(QuantNote(beat, position, note.pitch, duration, note.program))
-    return out, dropped
+    ticks = raw[:, :2]
+    widest = max(int(ticks.max()), -int(ticks.min())) if len(raw) else 0
+    if 2 * widest * res + ticks_per_beat > _INT64.max:
+        ticks = ticks.astype(object)
+    steps = round_half_away(ticks * res, ticks_per_beat)
+    kept = steps[:, 0] < grid.steps
+    steps = steps[kept]
+    out = np.empty((len(steps), 5), dtype=np.int64)
+    out[:, 0] = steps[:, 0] // res
+    out[:, 1] = steps[:, 0] % res
+    out[:, 2] = raw[kept, 2]
+    out[:, 3] = np.clip(steps[:, 1], 1, grid.max_duration)
+    out[:, 4] = raw[kept, 3]
+    clipped = int(np.count_nonzero(steps[:, 1] > grid.max_duration))
+    return out, len(raw) - len(out), clipped
 
 
 def build_piece(
     parsed: ParsedMidi, grid: GridSpec, source_id: str
 ) -> Piece:
-    """Quantize a parsed file into canonical per-track note lists.
+    """Quantize a parsed file into canonical per-track note arrays.
 
     Tracks that end up empty (no notes, or all notes dropped) are omitted,
     keeping file order for the rest.
     """
-    by_track: dict[int, list[RawNote]] = {}
-    for note in parsed.notes:
-        by_track.setdefault(note.track_index, []).append(note)
-    tracks: list[tuple[QuantNote, ...]] = []
-    dropped = 0
-    for index in sorted(by_track):
-        quant, n_drop = quantize(by_track[index], parsed.ticks_per_beat, grid)
+    raw = _raw_array(parsed.notes)
+    tracks: list[np.ndarray] = []
+    dropped = clipped = 0
+    for index in np.unique(raw[:, 4]):
+        quant, n_drop, n_clip = quantize(raw[raw[:, 4] == index], parsed.ticks_per_beat, grid)
         dropped += n_drop
-        if quant:
-            tracks.append(tuple(sorted(quant)))
+        clipped += n_clip
+        if len(quant):
+            tracks.append(as_track(sort_notes(quant)))
     return Piece(
-        source_id, grid, tuple(tracks), dropped, parsed.unclosed_notes, parsed.drum_notes
+        source_id, grid, tuple(tracks), dropped, parsed.unclosed_notes, parsed.drum_notes, clipped
     )
 
 
@@ -313,7 +399,7 @@ def piece_from_bytes(
     return build_piece(parse_midi(data, include_drums=include_drums), grid, source_id)
 
 
-def split_tracks(piece: Piece) -> tuple[tuple[QuantNote, ...], tuple[QuantNote, ...]]:
+def split_tracks(piece: Piece) -> tuple[np.ndarray, np.ndarray]:
     if len(piece.tracks) != 2:
         raise IneligiblePieceError(
             f"expected exactly 2 non-empty tracks, found {len(piece.tracks)}",
@@ -322,23 +408,18 @@ def split_tracks(piece: Piece) -> tuple[tuple[QuantNote, ...], tuple[QuantNote, 
     return piece.tracks[0], piece.tracks[1]
 
 
-def merge_tracks(
-    x: tuple[QuantNote, ...] | list[QuantNote],
-    y: tuple[QuantNote, ...] | list[QuantNote],
-) -> tuple[QuantNote, ...]:
+def merge_tracks(x, y) -> np.ndarray:
     """Multiset union in canonical order. Track identity does not survive."""
-    return tuple(sorted(list(x) + list(y)))
+    return as_track(sort_notes(np.concatenate([as_track(x), as_track(y)])))
 
 
-def track_to_text(track: tuple[QuantNote, ...] | list[QuantNote]) -> str:
-    lines = [
-        f"{n.beat} {n.position} {n.pitch} {n.duration_steps} {n.program}"
-        for n in track
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+def track_to_text(track) -> str:
+    """One line of five space-separated integers per note."""
+    notes = as_track(track)
+    return ("%d %d %d %d %d\n" * len(notes)) % tuple(notes.ravel().tolist())
 
 
-def track_from_text(text: str) -> tuple[QuantNote, ...]:
+def track_from_text(text: str) -> np.ndarray:
     notes = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -353,5 +434,5 @@ def track_from_text(text: str) -> tuple[QuantNote, ...]:
             raise ValueError(f"line {lineno}: {exc}") from None
         if any(v < 0 for v in values):
             raise ValueError(f"line {lineno}: negative field")
-        notes.append(QuantNote(*values))
-    return tuple(notes)
+        notes.append(values)
+    return as_track(notes)

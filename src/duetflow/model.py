@@ -543,7 +543,7 @@ def score_sequence(
 @dataclass(frozen=True, slots=True)
 class GenerationResult:
     sequence: EventSequence
-    sampled_notes: tuple[QuantNote, ...]
+    sampled_notes: tuple[QuantNote, ...]  # in canonical order
 
 
 def _validate_prime(prime: EventSequence) -> np.ndarray:
@@ -647,8 +647,9 @@ def generate_many(
             results[i] = GenerationResult(EventSequence(end, primes[i].grid), ())
             continue
         rows = np.vstack([prefixes[i], sampled[b]])
-        notes = [QuantNote(*n) for n in rows[rows[:, 0] == TYPE_NOTE, 1:].tolist()]
-        new = tuple(sorted(QuantNote(*n) for n in sampled[b, :, 1:].tolist()))
+        notes = rows[rows[:, 0] == TYPE_NOTE, 1:]
+        # Python integers, not numpy ones, in the notes callers print.
+        new = tuple(sorted(map(QuantNote._make, sampled[b, :, 1:].tolist())))
         results[i] = GenerationResult(encode([notes], model.grid), new)
     return results
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import GridSpec
-from .midi import QuantNote
+from .midi import as_track
 
 MAX_ALPHABET = 8
 _PROB_TOL = 1e-12
@@ -258,13 +258,14 @@ Y_PITCH_BASE = 72
 
 def embed_tracks(
     xs: np.ndarray, ys: np.ndarray, grid: GridSpec
-) -> tuple[tuple[QuantNote, ...], tuple[QuantNote, ...]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One symbol per grid step, in the pitch field, all else constant.
 
-    The two voices get disjoint pitch ranges, from X_PITCH_BASE and
-    Y_PITCH_BASE, so the merged encoding keeps them apart and interleaves
-    them deterministically; without that, the per-field factorized model
-    would be measuring a blurred signal.
+    Step t of a path is the note (t // resolution, t % resolution,
+    base + symbol, 1, 0) of its track. The two voices get disjoint pitch
+    ranges, from X_PITCH_BASE and Y_PITCH_BASE, so the merged encoding
+    keeps them apart and interleaves them deterministically; without that,
+    the per-field factorized model would be measuring a blurred signal.
     """
     if len(xs) != len(ys):
         raise ValueError("paths must have equal length")
@@ -274,10 +275,12 @@ def embed_tracks(
     hi_y = int(ys.max()) if len(ys) else 0
     if X_PITCH_BASE + hi_x >= Y_PITCH_BASE or Y_PITCH_BASE + hi_y >= 128:
         raise ValueError("pitch ranges overlap or leave the MIDI range")
+    steps = np.arange(len(xs))
+    beat, position = divmod(steps, grid.resolution)
+    ones = np.ones_like(steps)
 
-    def track(path: np.ndarray, base: int) -> tuple[QuantNote, ...]:
-        res = grid.resolution
-        return tuple(QuantNote(t // res, t % res, base + int(s), 1, 0) for t, s in enumerate(path))
+    def track(path: np.ndarray, base: int) -> np.ndarray:
+        return as_track(np.column_stack([beat, position, base + path, ones, 0 * ones]))
 
     return track(xs, X_PITCH_BASE), track(ys, Y_PITCH_BASE)
 
@@ -287,7 +290,7 @@ def embed_pieces(
     ys: np.ndarray,
     piece_len: int,
     grid: GridSpec,
-) -> list[tuple[tuple[QuantNote, ...], tuple[QuantNote, ...]]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Chop paths into consecutive fixed-length pieces (tail discarded).
 
     Training needs repeated contexts; a single long piece never repeats a

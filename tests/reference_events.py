@@ -8,6 +8,7 @@ and event index; tests compare the two on random inputs.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 from duetflow.events import (
@@ -22,7 +23,7 @@ from duetflow.events import (
     SequenceStructureError,
 )
 from duetflow.grid import GridSpec
-from duetflow.midi import QuantNote, merge_tracks
+from duetflow.midi import QuantNote
 
 
 def event_rows(seq: EventSequence) -> list[Event]:
@@ -61,7 +62,7 @@ def reference_encode(
             else n
             for n in prepared[1]
         ]
-    notes = merge_tracks(*prepared) if len(prepared) == 2 else tuple(sorted(prepared[0]))
+    notes = tuple(sorted(chain.from_iterable(prepared)))
     if not notes:
         raise ValueError("cannot encode an empty note list")
     for note in notes:

@@ -5,10 +5,13 @@ the bound: the whole file for the header and chunk framing, the chunk's
 declared end inside a track chunk. The package's reader must give an equal
 ``ParsedMidi`` on every input, or the same ``MidiParseError`` message and
 byte offset; tests compare the two on mutated and truncated files.
+``reference_quantize`` snaps notes one at a time in Python integers, for the
+package's whole-array quantization to match.
 """
 from __future__ import annotations
 
-from duetflow.midi import DRUM_CHANNEL, MidiParseError, ParsedMidi, RawNote
+from duetflow.grid import round_half_away
+from duetflow.midi import DRUM_CHANNEL, MidiParseError, ParsedMidi, QuantNote, RawNote
 
 
 class _Reader:
@@ -194,3 +197,20 @@ def _parse_track(
         while key in open_notes:
             close(key, tick)
     return notes, n_open, drums
+
+
+def reference_quantize(notes, ticks_per_beat: int, grid) -> tuple[list[QuantNote], int, int]:
+    """Note by note in Python integers: (notes, dropped, clipped)."""
+    out, dropped, clipped = [], 0, 0
+    res = grid.resolution
+    for note in notes:
+        steps = round_half_away(note.onset_ticks * res, ticks_per_beat)
+        beat, position = divmod(steps, res)
+        if beat >= grid.max_beat:
+            dropped += 1
+            continue
+        duration = round_half_away(note.duration_ticks * res, ticks_per_beat)
+        clipped += duration > grid.max_duration
+        duration = min(max(duration, 1), grid.max_duration)
+        out.append(QuantNote(beat, position, note.pitch, duration, note.program))
+    return out, dropped, clipped

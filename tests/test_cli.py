@@ -149,6 +149,46 @@ def test_pairs_then_batch(tmp_path, midi_dir, trained, capsys):
     assert len(lines) == 1 + 8 * 6
 
 
+
+def strict_json(text):
+    """json.loads that refuses the non-standard constants NaN and Infinity."""
+
+    def refuse(constant):
+        raise AssertionError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_batch_reports_a_zero_standard_error_as_null(tmp_path, capsys):
+    # Two duets scored in predictive mode by a model trained on an oracle
+    # chain: every pair of a label gets the same flow, so Welch's t has a
+    # zero standard error.
+    duets = tmp_path / "duets"
+    duets.mkdir()
+    for name, shift in (("duet", 0), ("duet2", 5)):
+        melody = [(i * 240, 240, 60 + shift + i % 7) for i in range(24)]
+        bass = [(i * 480, 480, 36 + shift + i % 5) for i in range(20)]
+        tracks = [note_track(melody, program=5, with_tempo=True),
+                  note_track(bass, channel=1, program=33)]
+        (duets / f"{name}.mid").write_bytes(build(tracks))
+    chain, model, manifest = tmp_path / "chain", tmp_path / "chain.dfm", tmp_path / "pairs.json"
+    steps = [
+        ["--seed", "7", "oracle", "sample", "--length", "400", "--piece-len", "64",
+         "--out-dir", str(chain)],
+        ["train", "--corpus", str(chain), "--out", str(model)],
+        ["pairs", "--corpus", str(duets), "--out", str(manifest)],
+    ]
+    for argv in steps:
+        assert main(argv) == 0
+    capsys.readouterr()
+    rc = main(["--mode", "predictive", "--burn-in", "4", "batch", "--model", str(model),
+               "--pairs", str(manifest), "--out", str(tmp_path / "flows.csv")])
+    assert rc == 0
+    summary = strict_json(capsys.readouterr().out)
+    assert summary["t_statistic_total"] is None
+    assert "standard error is 0" in summary["t_statistic_reason"]
+
+
 @pytest.mark.parametrize(
     "bad_note",
     [["0", "0", "60", "4", "0"], [0, 0, 60, 4], [0, 0, 60.5, 4, 0]],
@@ -413,6 +453,17 @@ def test_tokenize_reports_ingest_losses(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "wrote 3 sequences" in out
     assert "(0 inputs skipped); notes dropped 1, unclosed 1, drums left out 6" in out
+
+
+def test_tokenize_reports_clipped_durations(tmp_path, capsys):
+    # 9600 ticks at 480 per beat is 240 positions, clipped to max_duration.
+    melody = [(0, 9600, 60)] + [(i * 480, 480, 62) for i in range(1, 8)]
+    accomp = [(i * 480, 480, 40) for i in range(8)]
+    tracks = [note_track(melody, program=5), note_track(accomp, channel=1, program=33)]
+    (tmp_path / "duet.mid").write_bytes(build(tracks))
+    rc = main(["tokenize", str(tmp_path / "duet.mid"), "--out-dir", str(tmp_path / "tok")])
+    assert rc == 0
+    assert "drums left out 0, durations clipped 1" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["exact", "sample"])

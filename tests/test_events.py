@@ -87,7 +87,7 @@ note_strategy = st.builds(
 def test_encode_decode_identity_single(notes) -> None:
     seq = encode([notes], GRID)
     validate_sequence(seq)
-    assert decode(seq) == tuple(sorted(notes))
+    assert np.array_equal(decode(seq), sorted(notes))
 
 
 @given(
@@ -96,7 +96,7 @@ def test_encode_decode_identity_single(notes) -> None:
 )
 def test_encode_decode_identity_merged(xs, ys) -> None:
     seq = encode([xs, ys], GRID)
-    assert decode(seq) == merge_tracks(xs, ys)
+    assert np.array_equal(decode(seq), merge_tracks(xs, ys))
 
 
 @given(st.lists(note_strategy, min_size=1, max_size=30))
@@ -410,7 +410,7 @@ def test_encode_refuses_non_integer_fields():
     with pytest.raises(ValueError, match="5 integer fields"):
         encode([[(0, 0, 60, 1)]], GRID)
     numpy_ints = QuantNote(*np.array([0, 1, 60, 2, 3], dtype=np.int32))
-    assert decode(encode([[numpy_ints]], GRID)) == (QuantNote(0, 1, 60, 2, 3),)
+    assert np.array_equal(decode(encode([[numpy_ints]], GRID)), [QuantNote(0, 1, 60, 2, 3)])
     wide = QuantNote(0, 0, 60, 1, 2**70)
     with pytest.raises(ValueError, match=rf"^program {2**70} outside \[0, 128\)$"):
         encode([[wide, QuantNote(0, 0, 60, 1, 0)]], GRID)

@@ -18,7 +18,7 @@ from duetflow.flow import (
     information_flows,
 )
 from duetflow.grid import GridSpec
-from duetflow.midi import QuantNote
+from duetflow.midi import QuantNote, as_track
 from duetflow.model import empty_model, score_sequence, train
 from reference_events import event_rows
 
@@ -289,3 +289,23 @@ def test_information_flows_gives_every_piece_a_batch_refusal():
     # nll scores the realized values only, so the same batch is scored.
     nll = information_flows(model, pieces, FlowParams(burn_in=4))
     assert all(isinstance(result, FlowReport) for result in nll)
+
+
+# --- voice order --------------------------------------------------------------
+
+small_rows = st.lists(st.tuples(*[st.integers(0, 2)] * 5), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_rows, small_rows, st.sampled_from(["any", "equal", "prefix", "empty"]))
+def test_voice_order_equals_sorted_tuples(a, b, shape):
+    if shape == "equal":
+        b = list(a)
+    elif shape == "prefix":
+        b = a + b
+    elif shape == "empty":
+        a = []
+    for x, y in ((a, b), (b, a)):
+        got = duetflow.flow._voice_order(as_track(x), as_track(y))
+        want = sorted((tuple(x), tuple(y)))
+        assert [t.tolist() for t in got] == [list(map(list, t)) for t in want]

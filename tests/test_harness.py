@@ -8,11 +8,14 @@ import pytest
 from scipy import stats as scipy_stats
 
 from duetflow.events import Event, EventSequence, FIELD_NAMES, encode, sequence_notes
-from duetflow.flow import FlowParams, information_flow
+from duetflow.flow import FlowParams, FlowReport, information_flow
 from duetflow.grid import GridSpec
 from duetflow.harness import (
     NEGATIVE,
     POSITIVE,
+    ExperimentReport,
+    Pair,
+    ScoredPair,
     batch_score,
     build_pairs,
     echo_corpus,
@@ -46,8 +49,8 @@ def test_build_pairs_layout_and_determinism():
     for pair in ps.by_label(POSITIVE):
         assert pair.pair_id == f"{pair.x_source}#pos"
         assert pair.x_source == pair.y_source
-        assert pair.x == corpus[int(pair.x_source[1])].tracks[0]
-        assert pair.y == corpus[int(pair.x_source[1])].tracks[1]
+        assert np.array_equal(pair.x, corpus[int(pair.x_source[1])].tracks[0])
+        assert np.array_equal(pair.y, corpus[int(pair.x_source[1])].tracks[1])
     for pair in ps.by_label(NEGATIVE):
         assert pair.pair_id == f"{pair.x_source}#neg"
         assert pair.y_source != pair.x_source
@@ -83,8 +86,8 @@ def test_negative_pairs_truncate_to_common_end():
     corpus = [two_voice_piece("short", 10), two_voice_piece("long", 30, start=0)]
     ps = build_pairs(corpus, seed=1)
     for pair in ps.by_label(NEGATIVE):
-        last_x = max(n.beat for n in pair.x)
-        last_y = max(n.beat for n in pair.y)
+        last_x = max(pair.x[:, 0])
+        last_y = max(pair.y[:, 0])
         assert last_x <= 9 and last_y <= 9
 
 
@@ -92,8 +95,8 @@ def test_melody_index_selects_the_kept_voice():
     corpus = [two_voice_piece(f"p{i}", 16) for i in range(3)]
     ps0 = build_pairs(corpus, seed=2, melody_index=0)
     ps1 = build_pairs(corpus, seed=2, melody_index=1)
-    assert ps0.by_label(POSITIVE)[0].x[0].pitch == 60
-    assert ps1.by_label(POSITIVE)[0].x[0].pitch == 72
+    assert ps0.by_label(POSITIVE)[0].x[0, 2] == 60
+    assert ps1.by_label(POSITIVE)[0].x[0, 2] == 72
     with pytest.raises(ValueError):
         build_pairs(corpus, seed=2, melody_index=2)
 
@@ -153,6 +156,30 @@ def test_batch_score_report_contents(echo_setup):
     again = batch_score(model, pairs, FlowParams())
     assert again == report
 
+
+
+def report_of_flows(positives, negatives):
+    """An ExperimentReport whose pairs have these total flows, all on field 0."""
+    zeros = (0.0,) * 6
+    scored = []
+    for label, flows in ((POSITIVE, positives), (NEGATIVE, negatives)):
+        for i, value in enumerate(flows):
+            pair = Pair(f"{label}{i}", label, "a", "b", [(i, 0, 60, 1, 0)], [(i, 0, 72, 1, 0)])
+            h = (value,) + zeros[1:]
+            report = FlowReport(pair.pair_id, "m", "nll", 64, 16, "per_pair", h, zeros, zeros)
+            scored.append(ScoredPair(pair, report))
+    return ExperimentReport(tuple(scored), FlowParams(), "m")
+
+
+def test_t_statistic_is_none_for_a_zero_standard_error():
+    # The suite turns RuntimeWarnings into errors, so a division by the zero
+    # standard error would fail here rather than return inf or nan.
+    assert report_of_flows([1.0, 1.0], [0.5, 0.5, 0.5]).t_statistic() is None
+    assert report_of_flows([0.5, 0.5], [0.5, 0.5]).t_statistic() is None
+    pos, neg = np.array([1.0, 2.0, 4.0]), np.array([0.5, 0.25])
+    welch = (pos.mean() - neg.mean()) / np.sqrt(pos.var(ddof=1) / 3 + neg.var(ddof=1) / 2)
+    assert report_of_flows(pos, neg).t_statistic() == float(welch)
+    assert report_of_flows(pos, neg).t_statistic(0) == float(welch)
 
 def test_batch_score_csv_round_trip(echo_setup):
     model, pairs = echo_setup
@@ -307,7 +334,7 @@ def test_self_enhancement_equals_prime_by_prime_scoring(two_models):
     skipped = 0
     for i, prime in enumerate(primes):
         notes = sequence_notes(prime)
-        if not notes:
+        if not len(notes):
             skipped += 1
             continue
         for g_index, (g_name, g_model) in enumerate(models.items()):
@@ -335,7 +362,7 @@ def test_echo_corpus_structure():
         x, y = piece.tracks
         assert len(x) == len(y) == 16
         for t in range(1, 16):
-            assert y[t].pitch - Y_PITCH_BASE == x[t - 1].pitch - X_PITCH_BASE
+            assert y[t, 2] - Y_PITCH_BASE == x[t - 1, 2] - X_PITCH_BASE
     seqs = training_encodings(pieces)
     assert len(seqs) == 9
     assert seqs[2].note_count == 32  # merged

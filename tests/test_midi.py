@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,9 +16,11 @@ from duetflow.midi import (
     DRUM_CHANNEL,
     IneligiblePieceError,
     MidiParseError,
+    ParsedMidi,
     Piece,
     QuantNote,
     RawNote,
+    as_track,
     build_piece,
     merge_tracks,
     parse_midi,
@@ -27,7 +30,7 @@ from duetflow.midi import (
     track_from_text,
     track_to_text,
 )
-from reference_midi import reference_parse_midi
+from reference_midi import reference_parse_midi, reference_quantize
 
 
 def test_round_half_away_exact_cases() -> None:
@@ -69,7 +72,9 @@ def test_parse_golden_two_tracks(golden_midi: bytes) -> None:
 
 def test_golden_quantization_bit_exact(golden_midi: bytes, grid: GridSpec) -> None:
     piece = piece_from_bytes(golden_midi, "golden", grid)
-    assert piece.tracks == (GOLDEN_QUANT_MELODY, GOLDEN_QUANT_ACCOMP)
+    assert len(piece.tracks) == 2
+    assert np.array_equal(piece.tracks[0], GOLDEN_QUANT_MELODY)
+    assert np.array_equal(piece.tracks[1], GOLDEN_QUANT_ACCOMP)
     assert piece.dropped_notes == 0
     assert piece.unclosed_notes == 0
 
@@ -297,16 +302,21 @@ def test_drum_notes_left_out_are_counted(grid: GridSpec) -> None:
 def test_quantize_drops_beyond_max_beat() -> None:
     grid = GridSpec(resolution=12, max_beat=4, max_duration=96)
     notes = [RawNote(0, 480, 60, 0, 0), RawNote(4 * 480, 480, 62, 0, 0)]
-    quant, dropped = quantize(notes, 480, grid)
+    quant, dropped, _ = quantize(notes, 480, grid)
     assert dropped == 1
-    assert [n.pitch for n in quant] == [60]
+    assert quant[:, 2].tolist() == [60]
 
 
 def test_quantize_duration_clamps() -> None:
     grid = GridSpec(resolution=12, max_beat=1024, max_duration=24)
-    quant, _ = quantize([RawNote(0, 9600, 60, 0, 0), RawNote(0, 1, 61, 0, 0)], 480, grid)
-    assert quant[0].duration_steps == 24
-    assert quant[1].duration_steps == 1
+    notes = (RawNote(0, 9600, 60, 0, 0), RawNote(0, 1, 61, 0, 0))
+    quant, _, clipped = quantize(notes, 480, grid)
+    assert quant[0, 3] == 24
+    assert quant[1, 3] == 1
+    assert clipped == 1
+    piece = build_piece(ParsedMidi(notes, 480, 1, 0, 0), grid, "clip")
+    assert piece.clipped_notes == 1
+    assert piece.dropped_notes == 0
 
 
 @given(
@@ -321,13 +331,68 @@ def test_quantize_idempotent_on_aligned_input(triples) -> None:
     # second pass through quantization is the identity.
     grid = GridSpec(resolution=12, max_beat=64, max_duration=96)
     raw = [RawNote(t * 12 + p % 12, d, p, 0, 0) for t, d, p in triples]
-    once, _ = quantize(raw, 12, grid)
+    once, _, _ = quantize(raw, 12, grid)
     back = [
-        RawNote(n.beat * 12 + n.position, n.duration_steps, n.pitch, n.program, 0)
-        for n in once
+        RawNote(beat * 12 + position, duration_steps, pitch, program, 0)
+        for beat, position, pitch, duration_steps, program in once.tolist()
     ]
-    twice, _ = quantize(back, 12, grid)
-    assert once == twice
+    twice, _, _ = quantize(back, 12, grid)
+    assert np.array_equal(once, twice)
+
+
+
+ticks = st.one_of(st.integers(0, 5000), st.integers(0, 2**62), st.integers(0, 2**70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.builds(RawNote, ticks, ticks, st.integers(0, 127), st.integers(0, 127), st.just(0)),
+        max_size=20,
+    ),
+    st.one_of(st.just(1), st.integers(1, 2000), st.integers(1, 2**40)),
+    st.builds(
+        GridSpec,
+        resolution=st.integers(1, 48),
+        max_beat=st.one_of(st.integers(1, 2000), st.integers(1, 2**56)),
+        max_duration=st.one_of(st.integers(1, 200), st.integers(1, 2**56)),
+    ),
+)
+def test_quantize_matches_per_note_reference(notes, ticks_per_beat, grid) -> None:
+    # Ticks up to 2**62 fit int64 but their products with the resolution do
+    # not; ticks up to 2**70 do not fit at all. Both take the exact path.
+    quant, dropped, clipped = quantize(notes, ticks_per_beat, grid)
+    want, want_dropped, want_clipped = reference_quantize(notes, ticks_per_beat, grid)
+    assert quant.dtype == np.int64
+    assert quant.tolist() == [list(n) for n in want]
+    assert (dropped, clipped) == (want_dropped, want_clipped)
+
+
+def test_as_track_takes_any_integer_rows_once() -> None:
+    track = as_track([QuantNote(0, 1, 60, 2, 3), (1, 0, 62, 1, 3)])
+    assert track.dtype == np.int64 and track.shape == (2, 5)
+    assert track.tolist() == [[0, 1, 60, 2, 3], [1, 0, 62, 1, 3]]
+    with pytest.raises(ValueError):
+        track[0, 0] = 5
+    assert as_track(track) is track  # a track is taken as it is
+    mutable = np.array(track)
+    assert as_track(mutable) is not mutable  # anything else is copied
+    assert as_track([]).shape == as_track(()).shape == (0, 5)
+    with pytest.raises(ValueError, match="5 integer fields"):
+        as_track([(0, 0, 60, 1)])
+    with pytest.raises(ValueError, match="is not an integer"):
+        as_track([(0, 0, 60.0, 1, 0)])
+    with pytest.raises(ValueError, match="fit in int64"):
+        as_track([(0, 0, 60, 1, 2**63)])
+    wide = as_track([(0, 0, 60, 1, 2**63)], wide=True)
+    assert wide.dtype == object and wide[0, 4] == 2**63
+
+
+def test_pieces_compare_by_value(grid: GridSpec) -> None:
+    a = Piece("p", grid, ([QuantNote(0, 0, 60, 1, 0)],))
+    assert a == Piece("p", grid, (np.array([[0, 0, 60, 1, 0]]),))
+    assert a != Piece("p", grid, ([QuantNote(0, 0, 61, 1, 0)],))
+    assert a != Piece("p", grid, ([QuantNote(0, 0, 60, 1, 0)],), clipped_notes=1)
 
 
 note_strategy = st.builds(
@@ -342,7 +407,7 @@ note_strategy = st.builds(
 
 @given(st.lists(note_strategy, max_size=25), st.lists(note_strategy, max_size=25))
 def test_merge_commutative(xs, ys) -> None:
-    assert merge_tracks(xs, ys) == merge_tracks(ys, xs)
+    assert np.array_equal(merge_tracks(xs, ys), merge_tracks(ys, xs))
 
 
 @given(
@@ -351,19 +416,21 @@ def test_merge_commutative(xs, ys) -> None:
     st.lists(note_strategy, max_size=15),
 )
 def test_merge_associative(xs, ys, zs) -> None:
-    assert merge_tracks(merge_tracks(xs, ys), zs) == merge_tracks(xs, merge_tracks(ys, zs))
+    assert np.array_equal(
+        merge_tracks(merge_tracks(xs, ys), zs), merge_tracks(xs, merge_tracks(ys, zs))
+    )
 
 
 def test_merge_orders_same_onset_by_pitch() -> None:
     a = [QuantNote(0, 0, 64, 4, 0)]
     b = [QuantNote(0, 0, 60, 4, 0)]
     merged = merge_tracks(a, b)
-    assert [n.pitch for n in merged] == [60, 64]
+    assert merged[:, 2].tolist() == [60, 64]
 
 
 def test_merge_keeps_duplicates() -> None:
     n = QuantNote(1, 3, 60, 4, 0)
-    assert merge_tracks([n], [n]) == (n, n)
+    assert np.array_equal(merge_tracks([n], [n]), (n, n))
 
 
 def test_split_tracks_requires_exactly_two(grid: GridSpec) -> None:
@@ -387,7 +454,7 @@ def test_build_piece_drops_empty_tracks(grid: GridSpec) -> None:
 @given(st.lists(note_strategy, max_size=30))
 def test_track_text_round_trip(notes) -> None:
     track = tuple(sorted(notes))
-    assert track_from_text(track_to_text(track)) == track
+    assert track_from_text(track_to_text(track)).tolist() == list(map(list, track))
 
 
 def test_track_text_rejects_bad_lines() -> None:

@@ -693,6 +693,14 @@ def test_generate_is_deterministic(alternating_model, alternating_prime):
     assert c.sampled_notes != d.sampled_notes
 
 
+def test_sampled_notes_are_rows_of_python_ints(alternating_model, alternating_prime):
+    out = generate(alternating_model, alternating_prime, steps=12, seed=5)
+    assert all(type(v) is int for note in out.sampled_notes for v in note)
+    # The text a digest of the notes hashes: numpy integers would print as np.int64(...).
+    assert "np.int64(" not in repr(tuple(tuple(n) for n in out.sampled_notes))
+    assert list(out.sampled_notes) == sorted(out.sampled_notes)
+
+
 def test_generated_events_are_valid_notes(alternating_model, alternating_prime):
     out = generate(alternating_model, alternating_prime, steps=12, seed=5)
     assert len(out.sampled_notes) == 12

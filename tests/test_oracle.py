@@ -10,6 +10,8 @@ from duetflow.grid import GridSpec
 from duetflow.oracle import (
     ConvergenceError,
     JointMarkovSpec,
+    X_PITCH_BASE,
+    Y_PITCH_BASE,
     copy_spec,
     embed_pieces,
     embed_tracks,
@@ -302,15 +304,32 @@ def test_embed_tracks_layout():
     xs = np.array([0, 1, 0])
     ys = np.array([1, 0, 1])
     tx, ty = embed_tracks(xs, ys, grid)
-    assert tx == (
+    assert np.array_equal(tx, (
         (0, 0, 36, 1, 0),
         (0, 1, 37, 1, 0),
         (0, 2, 36, 1, 0),
-    )
-    assert ty == ((0, 0, 73, 1, 0), (0, 1, 72, 1, 0), (0, 2, 73, 1, 0))
+    ))
+    assert np.array_equal(ty, ((0, 0, 73, 1, 0), (0, 1, 72, 1, 0), (0, 2, 73, 1, 0)))
     long = np.zeros(13, dtype=int)
     tx2, _ = embed_tracks(long, long, grid)
-    assert tx2[12][:2] == (1, 0)  # wraps to the next beat
+    assert np.array_equal(tx2[12][:2], (1, 0))  # wraps to the next beat
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 7), max_size=300), st.integers(1, 24))
+def test_embed_tracks_equals_tuple_construction(symbols, resolution):
+    grid = GridSpec(resolution=resolution)
+    xs = np.array(symbols, dtype=np.int64)
+    ys = xs[::-1].copy()
+
+    def by_tuples(path, base):
+        return [(t // resolution, t % resolution, base + int(s), 1, 0) for t, s in enumerate(path)]
+
+    tx, ty = embed_tracks(xs, ys, grid)
+    assert tx.dtype == ty.dtype == np.int64
+    assert not tx.flags.writeable and not ty.flags.writeable
+    assert list(map(tuple, tx.tolist())) == by_tuples(xs, X_PITCH_BASE)
+    assert list(map(tuple, ty.tolist())) == by_tuples(ys, Y_PITCH_BASE)
 
 
 def test_embed_tracks_rejections():
@@ -337,7 +356,7 @@ def test_embed_pieces_chops_and_restarts():
     assert len(pieces) == 2  # the 2-step tail is dropped
     for tx, ty in pieces:
         assert len(tx) == len(ty) == 4
-        assert tx[0][:2] == (0, 0)
+        assert np.array_equal(tx[0][:2], (0, 0))
     with pytest.raises(ValueError):
         embed_pieces(xs, xs, 0, grid)
 
