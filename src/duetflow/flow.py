@@ -6,8 +6,9 @@ The flow of a piece with voices X and Y is, per field,
 
 with every term a conditional-entropy mean produced by the same model
 under the same parameters, and XY the merged encoding of both voices.
-A well-trained model gives flow near zero for unrelated voices and
-positive flow when one voice is predictable from the other's past.
+Independent voices score near zero, a voice pair assembled from two
+unrelated pieces typically scores at or below zero, and flow is positive
+when one voice is predictable from the other's past.
 """
 from __future__ import annotations
 

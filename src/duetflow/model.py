@@ -22,9 +22,10 @@ position's back-off chain, its matched entry at every context length, with
 one binary search per length, and ``_interpolate`` turns chains into
 probabilities. Scoring runs them over whole batches of streams (predictive
 scoring builds each distinct chain's distributions once), and generation
-over all primes in lockstep. The file format writes the same arrays entry
-by entry, and ``load_model`` accepts only files that ``save_model`` could
-have written.
+over all primes in lockstep (each call builds a chain's sampling rows
+once and keeps them up to a fixed size). The file format writes the same
+arrays entry by entry, and ``load_model`` accepts only files that
+``save_model`` could have written.
 """
 from __future__ import annotations
 
@@ -81,6 +82,11 @@ _DENSE_ROWS = 256  # whole distributions built per pass
 # Most values one row of whole distributions may hold, all fields together;
 # the default grid needs 1,394. Wider grids are refused before allocating.
 _DENSE_WIDTH = 1 << 16
+# Most bytes of sampling rows one generate_many call keeps for reuse. A row
+# is the cumulative sums of fields 1..5: 1,389 float64 on the default grid,
+# about 11 KB, so about 1,500 rows. The rows are dropped all at once when
+# the next ones would pass the limit.
+_SAMPLE_CACHE_BYTES = 16 << 20
 _LOG_SMALLEST = math.log(sys.float_info.min)
 
 
@@ -576,17 +582,16 @@ def _validate_prime(prime: EventSequence) -> np.ndarray:
     return events
 
 
-def _sample(probs: np.ndarray, vocab: Sequence[int], draws: np.ndarray) -> np.ndarray:
-    """A note's fields 1..5 from whole distributions, one row per prime.
+def _cdfs(probs: np.ndarray, vocab: Sequence[int]) -> np.ndarray:
+    """The cumulative sums _draw compares draws with, one row per distribution.
 
-    probs holds each row's distributions side by side, and draws[i, f - 1]
-    the uniform draw for field f. Each field is normalised, with duration 0
-    left out, and its value found the way numpy's Generator.choice(n, p=vec)
-    finds it from the same draw: the number of normalised cumulative sums
-    that do not exceed the draw.
+    probs holds each row's whole distributions side by side. Fields 1..5
+    are normalised, duration 0 zeroed first, summed cumulatively and
+    divided by their last sum, then laid side by side again: shape
+    (len(probs), sum(vocab[1:])).
     """
     ends = np.cumsum(vocab)
-    out = np.empty((len(probs), N_FIELDS - 1), dtype=np.int64)
+    cdfs = []
     for f in range(1, N_FIELDS):
         vecs = probs[:, ends[f] - vocab[f] : ends[f]]
         if f == 4:
@@ -594,8 +599,42 @@ def _sample(probs: np.ndarray, vocab: Sequence[int], draws: np.ndarray) -> np.nd
             vecs[:, 0] = 0.0  # a note cannot have duration zero
         cdf = (vecs / vecs.sum(axis=1, keepdims=True)).cumsum(axis=1)
         cdf /= cdf[:, -1:]
-        out[:, f - 1] = (cdf <= draws[:, f - 1 : f]).sum(axis=1)
-    return out
+        cdfs.append(cdf)
+    return np.hstack(cdfs)
+
+
+def _draw(cdfs: np.ndarray, vocab: Sequence[int], draws: np.ndarray) -> np.ndarray:
+    """A note's fields 1..5 from _cdfs rows, with draws[i, f - 1] for field f.
+
+    Each value is found the way numpy's Generator.choice(n, p=vec) finds it
+    from the same draw: the number of normalised cumulative sums that do
+    not exceed the draw.
+    """
+    sizes = np.asarray(vocab[1:])
+    below = cdfs <= np.repeat(draws, sizes, axis=1)
+    return np.add.reduceat(below, np.cumsum(sizes) - sizes, axis=1, dtype=np.int64)
+
+
+def _cached_cdfs(
+    model: ContextModel, chains: np.ndarray, cache: dict[bytes, np.ndarray]
+) -> np.ndarray:
+    """The _cdfs row of every chain, building only chains not in cache.
+
+    A row depends on its chain alone, so a cached row equals a rebuilt one.
+    The cache is keyed by a chain's bytes. When the rows of these chains
+    would take it past _SAMPLE_CACHE_BYTES, it is emptied, and every
+    distinct chain here is rebuilt and kept.
+    """
+    keys = [row.tobytes() for row in chains]
+    new = {key: i for i, key in enumerate(keys) if key not in cache}
+    row_bytes = 8 * (sum(model.vocab) - model.vocab[0])
+    if len(cache) + len(new) > max(1, _SAMPLE_CACHE_BYTES // row_bytes):
+        cache.clear()
+        new = {key: i for i, key in enumerate(keys)}
+    if new:
+        probs = _interpolate(model, chains[list(new.values())])
+        cache.update(zip(new, _cdfs(probs, model.vocab)))
+    return np.stack([cache[key] for key in keys])
 
 
 def generate_many(
@@ -607,12 +646,14 @@ def generate_many(
     """generate for every prime, stepping all primes together.
 
     Each step hashes only the events sampled in the step before, matches
-    every prime's context and interpolates in one call, and draws one
-    uniform per field from each prime's own generator, so each result
-    equals generate(model, primes[i], steps, seeds[i]). A prime that is not
-    a valid prefix gets its SequenceStructureError in place of a result;
-    an error that concerns every prime (steps < 0, a grid too wide for
-    whole distributions) is raised.
+    every prime's context in one call, and draws one uniform per field from
+    each prime's own generator, so each result equals
+    generate(model, primes[i], steps, seeds[i]). Distributions are built
+    only for back-off chains not yet seen in this call, and kept up to
+    _SAMPLE_CACHE_BYTES. A prime that is not a valid prefix gets its
+    SequenceStructureError in place of a result; an error that concerns
+    every prime (steps < 0, a grid too wide for whole distributions) is
+    raised.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -630,11 +671,14 @@ def generate_many(
     if live and steps:
         rngs = [np.random.default_rng(seeds[i]) for i in live]
         hashes, avail = _context_hashes(model.k, [prefixes[i] for i in live])
+        cache: dict[bytes, np.ndarray] = {}
         for step in range(steps):
             chains = _match(model, hashes, avail)
             draws = np.array([rng.random(N_FIELDS - 1) for rng in rngs])
-            for block, probs in _dense_blocks(model, chains):
-                sampled[block, step, 1:] = _sample(probs, model.vocab, draws[block])
+            for start in range(0, len(chains), _DENSE_ROWS):
+                block = slice(start, start + _DENSE_ROWS)
+                cdfs = _cached_cdfs(model, chains[block], cache)
+                sampled[block, step, 1:] = _draw(cdfs, model.vocab, draws[block])
             if model.k:
                 # One event per prime: the scalar event_hash beats a numpy pass.
                 new = [event_hash(e) for e in sampled[:, step].tolist()]

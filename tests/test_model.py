@@ -20,6 +20,7 @@ from duetflow.events import (
 )
 from duetflow.grid import GridSpec
 from duetflow.midi import QuantNote
+import duetflow.model as model_module
 from duetflow.model import (
     ContextModel,
     GenerationResult,
@@ -34,8 +35,9 @@ from duetflow.model import (
     score_sequence,
     score_sequences,
     train,
+    _cdfs,
+    _draw,
     _event_hashes,
-    _sample,
     _validate_prime,
 )
 from reference_events import event_rows
@@ -216,7 +218,7 @@ def test_sampler_draws_what_rng_choice_draws(seed):
         probs[:, ends[f] - 1] += 1e-3  # every field keeps some mass past duration 0
     seeds = rng.integers(0, 2**63, rows)
     draws = np.array([np.random.default_rng(s).random(5) for s in seeds])
-    got = _sample(probs, vocab, draws)
+    got = _draw(_cdfs(probs, vocab), vocab, draws)
     for row, s in enumerate(seeds):
         chooser = np.random.default_rng(s)
         want = []
@@ -777,6 +779,37 @@ def test_generate_many_equals_generate_for_each_prime(batch, steps, data):
         assert result.sampled_notes == tuple(sorted(QuantNote(*v) for v in sampled))
     with pytest.raises(ValueError, match="steps"):
         generate_many(model, primes, -1, seeds)
+
+
+def test_generate_many_reuses_chains_and_matches_reference(
+    alternating_model, alternating_prime, monkeypatch
+):
+    built = []  # rows of each whole-distribution build
+    interpolate = model_module._interpolate
+
+    def counting(model, chains, values=None):
+        built.append(len(chains))
+        return interpolate(model, chains, values)
+
+    monkeypatch.setattr(model_module, "_interpolate", counting)
+    primes = [
+        alternating_prime,
+        simple_piece([64, 60, 64]),
+        simple_piece([60, 60, 61, 62, 63]),
+        simple_piece([70]),
+    ]
+    seeds = [3, 11, 12, 2**32 - 1]
+    steps = 200
+    results = generate_many(alternating_model, primes, steps, seeds)
+    cached = sum(built)
+    # A limit of 1 byte keeps one row, emptied whenever a new chain comes.
+    monkeypatch.setattr(model_module, "_SAMPLE_CACHE_BYTES", 1)
+    built.clear()
+    assert generate_many(alternating_model, primes, steps, seeds) == results
+    assert cached < len(primes) * steps // 4 < sum(built)
+    for prime, seed, result in zip(primes, seeds, results):
+        sampled = reference_generate(alternating_model, _validate_prime(prime), steps, seed)
+        assert result.sampled_notes == tuple(sorted(QuantNote(*v) for v in sampled))
 
 
 def test_generate_reproduces_learned_transition_stats(alternating_model, alternating_prime):
