@@ -15,10 +15,19 @@ A sequence stores its events as one read-only (n, 6) int64 array, one row
 per event. Encoding, text reading and writing, and validation work on whole
 arrays; ``Event`` is the type of a single row where code handles one event
 at a time.
+
+Canonical note order is the order of one int64 key per note, its five
+fields packed by the grid's spans. Validation decides with a few
+whole-sequence checks, the key's order among them, and walks the rows only
+to name the first bad event; encoding sorts by the key, and not at all
+when the notes are in order already. A grid whose spans multiply to 2**63
+or more has no such key, and its notes take the row-by-row path throughout.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -126,11 +135,46 @@ def _check_note_fields(note: Sequence[int], grid: GridSpec) -> str | None:
     return None
 
 
+# The lowest value of each note field, as _check_note_fields allows.
+_NOTE_LOW = np.array([0, 0, 0, 1, 0])
+
+
 def _off_grid(notes: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Which rows of an (n, 5) note array fail _check_note_fields."""
-    low = np.array([0, 0, 0, 1, 0])
     high = np.array([grid.max_beat, grid.resolution, 128, grid.max_duration + 1, 128])
-    return ((notes < low) | (notes >= high)).any(axis=1)
+    return ((notes < _NOTE_LOW) | (notes >= high)).any(axis=1)
+
+
+@lru_cache(maxsize=64)
+def _key_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray] | None:
+    """The spans of a note's five fields on this grid, and their key weights.
+
+    None when the spans multiply to 2**63 or more, where a key or a weight
+    may not fit int64.
+    """
+    spans = (grid.max_beat, grid.resolution, 128, grid.max_duration + 1, 128)
+    if math.prod(spans) >= 1 << 63:
+        return None
+    weights = [math.prod(spans[f + 1 :]) for f in range(5)]
+    layout = np.array([spans, weights], dtype=np.int64)
+    layout.flags.writeable = False  # shared by every caller
+    return layout[0], layout[1]
+
+
+def _note_keys(notes: np.ndarray, grid: GridSpec) -> np.ndarray | None:
+    """One int64 per note of an (n, 5) array that orders as the rows do.
+
+    Each field is a digit below its span, so comparing keys compares rows
+    field by field. None when the notes are not int64, a note is off the
+    grid, or the grid has no key layout.
+    """
+    layout = _key_layout(grid)
+    if layout is None or notes.dtype != np.int64:
+        return None
+    spans, weights = layout
+    if not ((notes >= _NOTE_LOW).all() and (notes < spans).all()):
+        return None
+    return notes @ weights
 
 
 def encode(
@@ -159,14 +203,22 @@ def encode(
         programs[shared] = (programs[shared] + 1) % 128
     if not len(notes):
         raise ValueError("cannot encode an empty note list")
-    notes = sort_notes(notes)
-    bad = _off_grid(notes, grid)
-    if bad.any():
-        raise ValueError(_check_note_fields(notes[bad.argmax()], grid))
-    if notes.dtype != np.int64:
-        raise ValueError("note fields must fit in int64")
+    keys = _note_keys(notes, grid)
+    if keys is None:
+        # A note off the grid or beyond int64, or a grid without keys: sort
+        # the rows themselves, and name the first bad note in that order.
+        notes = sort_notes(notes)
+        bad = _off_grid(notes, grid)
+        if bad.any():
+            raise ValueError(_check_note_fields(notes[bad.argmax()], grid))
+        if notes.dtype != np.int64:
+            raise ValueError("note fields must fit in int64")
+    elif (keys[1:] < keys[:-1]).any():
+        # Equal keys are equal notes, so any order of them is canonical;
+        # the stable sort merges the runs of two ordered tracks fastest.
+        notes = notes[keys.argsort(kind="stable")]
 
-    programs = np.unique(notes[:, 4])
+    programs = np.flatnonzero(np.bincount(notes[:, 4], minlength=128))
     p = len(programs)
     events = np.zeros((len(notes) + p + 3, N_FIELDS), dtype=np.int64)
     events[1 : p + 1, 0] = TYPE_INSTRUMENT
@@ -189,6 +241,37 @@ def _run_end(types: np.ndarray, start: int, event_type: int) -> int:
     return start + int(other.argmax()) if other.any() else len(types)
 
 
+def _is_valid(events: np.ndarray, grid: GridSpec) -> bool:
+    """Whether an (n, 6) event array is a valid encoding, by whole-array checks.
+
+    False as well on a grid without a note key layout, where only the
+    row-by-row checks decide.
+    """
+    types = events[:, 0]
+    p = int(np.count_nonzero(types == TYPE_INSTRUMENT))
+    m = len(events) - p - 3
+    if p < 1 or m < 0:
+        return False
+    layout = np.repeat(np.arange(TYPE_END + 1), (1, p, 1, m, 1))
+    if not (types == layout).all():
+        return False
+    head = events[: p + 2]  # the start, the instruments, the start of notes
+    if head[:, 1:5].any() or head[0, 5] or head[-1, 5] or events[-1, 1:].any():
+        return False
+    instruments = head[1:-1, 5]
+    if not 0 <= instruments[0] <= instruments[-1] < 128:
+        return False
+    if (instruments[1:] <= instruments[:-1]).any():
+        return False
+    notes = events[p + 2 : -1, 1:]
+    keys = _note_keys(notes, grid)
+    if keys is None:
+        return False
+    declared = np.zeros(128, dtype=bool)
+    declared[instruments] = True
+    return bool(declared[notes[:, 4]].all()) and not (keys[1:] < keys[:-1]).any()
+
+
 def _check_events(
     events: np.ndarray, grid: GridSpec, shown: Sequence[Sequence[int]] | None = None
 ) -> None:
@@ -197,7 +280,12 @@ def _check_events(
     Messages quote values from shown (the events themselves by default),
     for callers whose events stand in for integers beyond int64.
     """
-    shown = events if shown is None else shown
+    if not _is_valid(events, grid):
+        _name_error(events, grid, events if shown is None else shown)
+
+
+def _name_error(events: np.ndarray, grid: GridSpec, shown: Sequence[Sequence[int]]) -> None:
+    """Walk the encoding row by row and raise at its first bad event, if any."""
     n = len(events)
     if not n or events[0].any():
         raise SequenceStructureError("expected the start event", 0)

@@ -19,13 +19,15 @@ keys (value * 8 + field) of every context in ascending order with their
 counts. Training counts with sorts over whole-corpus arrays. Prediction
 is two steps over many positions at once: ``_match`` finds each
 position's back-off chain, its matched entry at every context length, with
-one binary search per length, and ``_interpolate`` turns chains into
-probabilities. Scoring runs them over whole batches of streams (predictive
-scoring builds each distinct chain's distributions once), and generation
-over all primes in lockstep (each call builds a chain's sampling rows
-once and keeps them up to a fixed size). The file format writes the same
-arrays entry by entry, and ``load_model`` accepts only files that
-``save_model`` could have written.
+one binary search per length from 1 on, and ``_interpolate`` turns chains
+into probabilities. Table 0 holds only the empty context, which every
+position matches, so its step from the uniform distribution is built once
+per call as one row. Scoring runs both steps over whole batches of streams
+(predictive scoring builds each distinct chain's distributions once), and
+generation over all primes in lockstep (each call builds a chain's
+sampling rows once and keeps them up to a fixed size). The file format
+writes the same arrays entry by entry, and ``load_model`` accepts only
+files that ``save_model`` could have written.
 """
 from __future__ import annotations
 
@@ -357,20 +359,42 @@ def _match(model: ContextModel, hashes: np.ndarray, avail: np.ndarray) -> np.nda
     """The entry each position matches at every context length, the back-off chain.
 
     hashes[j, i] is the hash of the j events before position i, usable for
-    j <= avail[i]. Lengths are matched upward with one binary search each.
-    The result has shape (m, len(hashes)): chains[i, j] is the entry of
-    table j for position i, and -1 from its first unusable or unseen length
-    on. Positions with equal chains get equal predictions.
+    j <= avail[i]. Table 0 holds at most the empty context, which every
+    position matches, so length 0 needs no search; longer lengths are
+    matched upward with one binary search each. The result has shape
+    (m, len(hashes)): chains[i, j] is the entry of table j for position i,
+    and -1 from its first unusable or unseen length on. Positions with
+    equal chains get equal predictions.
     """
     chains = np.full((hashes.shape[1], hashes.shape[0]), -1, dtype=np.int64)
+    if not len(model.tables[0]):
+        return chains
+    chains[:, 0] = 0
     rows = np.arange(hashes.shape[1])
-    for j in range(hashes.shape[0]):
+    for j in range(1, hashes.shape[0]):
         rows = rows[avail[rows] >= j]
         rows, entries = model.tables[j].find(hashes[j, rows], rows)
         if not len(rows):
             break
         chains[rows, j] = entries
     return chains
+
+
+def _root_row(model: ContextModel, vocab: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The length-0 step from the uniform distribution, as one row.
+
+    Every field's values side by side, then one slot per field with count
+    0, the probability of a value outside the vocabulary. The expression
+    is the one _interpolate applies at every length.
+    """
+    table = model.tables[0]
+    width = int(vocab.sum())
+    sizes = np.concatenate([np.repeat(vocab, vocab), vocab])
+    counts = np.zeros((1, width + N_FIELDS))
+    counts[:, :width] = table.dense_counts(np.zeros(1, dtype=np.int64), starts, width)
+    lam = model.lam
+    denom = table.totals[:1].astype(np.float64)[:, None] + lam
+    return ((1.0 / sizes) * (lam / denom) + counts / denom)[0]
 
 
 def _interpolate(
@@ -384,10 +408,14 @@ def _interpolate(
     probability of values[i, f], shape (m, 6); without, the whole
     distribution of every field side by side, shape (m, sum(vocab)), which
     a grid with more than _DENSE_WIDTH values in all may not ask for.
+
+    Length 0 is the same single entry for every chain, so where the grid
+    allows whole rows it is built once per call and read or broadcast;
+    point lookups on a wider grid take length 0 in the loop as well.
     """
     vocab = np.array(model.vocab)
+    width = int(vocab.sum())
     if values is None:
-        width = int(vocab.sum())
         if width > _DENSE_WIDTH:
             raise ValueError(
                 f"grid {model.grid} has {width} values per distribution, "
@@ -397,10 +425,21 @@ def _interpolate(
     else:
         sizes = vocab
     starts = np.cumsum(vocab) - vocab
-    probs = np.tile(1.0 / sizes, (len(chains), 1))
+    if width > _DENSE_WIDTH or not len(model.tables[0]):
+        probs = np.tile(1.0 / sizes, (len(chains), 1))
+        first = 0
+    else:
+        root = _root_row(model, vocab, starts)
+        if values is None:
+            at_root = root[:width]
+        else:
+            known = (values >= 0) & (values < vocab)
+            at_root = root[np.where(known, values + starts, width + np.arange(N_FIELDS))]
+        probs = np.where(chains[:, :1] >= 0, at_root, 1.0 / sizes)
+        first = 1
     lam = model.lam
     rows = np.arange(len(chains))
-    for j in range(chains.shape[1]):
+    for j in range(first, chains.shape[1]):
         rows = rows[chains[rows, j] >= 0]
         if not len(rows):
             break
@@ -523,8 +562,10 @@ def score_sequences(
         raise ValueError("context_len must be >= 0")
     kmax = min(model.k, context_len)
     streams = [np.asarray(a, dtype=np.int64).reshape(len(a), N_FIELDS) for a in arrays]
+    if not streams:
+        return []
     lengths = np.array([len(s) for s in streams], dtype=np.int64)
-    events = np.concatenate(streams) if streams else np.zeros((0, N_FIELDS), np.int64)
+    events = np.concatenate(streams)
     firsts = np.cumsum(lengths) - lengths
     avail = np.minimum(np.arange(len(events)) - np.repeat(firsts, lengths), kmax)
     hashes = np.stack(list(_rolling_hashes(_event_hashes(events), kmax)))

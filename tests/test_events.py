@@ -169,11 +169,23 @@ def test_sequences_from_notes_shapes() -> None:
 INT64_EDGES = (2**63 - 1, -(2**63))
 WIDE = (2**63, -(2**63) - 1, 2**64, 2**70, -(2**70))
 
-grids = st.builds(
-    GridSpec,
-    resolution=st.integers(1, 24),
-    max_beat=st.integers(1, 40000),
-    max_duration=st.integers(1, 200),
+# Grids at the edge of the int64 note key: the five note field spans of the
+# first multiply to just under 2**63, those of the others to 2**63 or more,
+# where encoding and validation take their row-by-row paths.
+KEY_EDGE_GRIDS = [
+    GridSpec(resolution=2**14, max_beat=2**20, max_duration=2**14),
+    GridSpec(resolution=2**24, max_beat=1, max_duration=2**25 - 1),
+    GridSpec(resolution=2**14, max_beat=2**20, max_duration=2**15),
+    GridSpec(resolution=2**20, max_beat=2**40, max_duration=2**20),
+]
+grids = st.one_of(
+    st.builds(
+        GridSpec,
+        resolution=st.integers(1, 24),
+        max_beat=st.integers(1, 40000),
+        max_duration=st.integers(1, 200),
+    ),
+    st.sampled_from(KEY_EDGE_GRIDS),
 )
 wild_value = st.one_of(
     st.integers(-3, 130), st.sampled_from(INT64_EDGES + WIDE), st.integers(-(2**70), 2**70)
@@ -267,6 +279,69 @@ def test_validate_matches_reference(case):
     if want == []:
         assert event_rows(seq) == events
         assert seq_to_text(seq) == reference_to_text(events)
+
+
+@st.composite
+def on_grid_tracks(draw):
+    """One or two tracks of notes on the grid, in any order, duplicates included."""
+    grid = draw(grids)
+    programs = draw(st.lists(st.integers(0, 127), min_size=1, max_size=3))
+    note = st.builds(
+        QuantNote,
+        st.sampled_from([0, 1, grid.max_beat - 1]),
+        st.sampled_from([0, grid.resolution - 1]),
+        st.sampled_from([0, 60, 127]),
+        st.sampled_from([1, grid.max_duration]),
+        st.sampled_from(programs),
+    )
+    count = draw(st.integers(1, 2))
+    tracks = [draw(st.lists(note, min_size=1, max_size=12)) for _ in range(count)]
+    ordered = draw(st.booleans())
+    return [sorted(t) for t in tracks] if ordered else tracks, grid, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(on_grid_tracks())
+def test_encode_of_notes_on_the_grid_matches_reference(case):
+    # Every note is on the grid, so encoding orders the notes by their keys.
+    tracks, grid, split = case
+    got = _outcome(encode, tracks, grid, split_shared_programs=split)
+    want = _outcome(reference_encode, tracks, grid, split_shared_programs=split)
+    assert got == want
+
+
+@pytest.mark.parametrize("grid", [GRID, GridSpec(3, 5, 2), *KEY_EDGE_GRIDS])
+def test_validate_matches_reference_on_every_single_edit(grid):
+    # Each value of each event changed, each pair of events swapped, each
+    # event dropped or doubled: the whole-sequence checks accept exactly
+    # what the event-by-event reference accepts, and the errors agree.
+    notes = [
+        QuantNote(0, 0, 60, 1, 5),
+        QuantNote(0, 0, 60, 1, 5),
+        QuantNote(0, grid.resolution - 1, 0, grid.max_duration, 127),
+        QuantNote(grid.max_beat - 1, 0, 127, 1, 0),
+    ]
+    rows = [list(e) for e in reference_encode([notes], grid)]
+    values = sorted({-1, 0, 1, 2, 3, 4, 5, 126, 127, 128, grid.max_beat - 1, grid.max_beat,
+                     grid.resolution, grid.max_duration, grid.max_duration + 1, *INT64_EDGES})
+    cases = []
+    for i in range(len(rows)):
+        for f in range(N_FIELDS):
+            for v in values:
+                edited = [list(r) for r in rows]
+                edited[i][f] = v
+                cases.append(edited)
+        for j in range(i + 1, len(rows)):
+            swapped = [list(r) for r in rows]
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            cases.append(swapped)
+        cases.append(rows[:i] + rows[i + 1 :])
+        cases.append(rows[: i + 1] + rows[i:])
+    for case in cases:
+        events = [Event(*r) for r in case]
+        got = _outcome(lambda: validate_sequence(EventSequence(events, grid)) or ())
+        want = _outcome(lambda: reference_validate(events, grid) or ())
+        assert got == want, case
 
 
 @settings(max_examples=200, deadline=None)

@@ -202,6 +202,60 @@ def test_score_sequences_equals_per_stream_reference(case, mode):
         assert np.array_equal(got, solo) and np.array_equal(got, want)
 
 
+def test_score_sequences_of_no_streams_is_empty():
+    trained = train([simple_piece([60, 64, 67])], k=2)
+    for model in (empty_model(GRID), trained):
+        for mode in ("nll", "predictive"):
+            assert score_sequences(model, [], 64, mode) == []
+
+
+def test_nll_on_a_grid_too_wide_for_whole_rows_matches_reference():
+    # Length 0 is interpolated with the longer lengths on this grid, not
+    # built as one whole row first; the scores must not tell the two apart.
+    wide = GridSpec(max_beat=70000)
+    assert sum(vocab_sizes(wide)) > model_module._DENSE_WIDTH
+    rng = np.random.default_rng(3)
+    tracks = [
+        np.column_stack([
+            rng.integers(0, 70000, 10),
+            rng.integers(0, 12, 10),
+            rng.integers(0, 128, 10),
+            rng.integers(1, 97, 10),
+            rng.choice([0, 9], 10),
+        ])
+        for _ in range(3)
+    ]
+    corpus = [encode([track], wide) for track in tracks]
+    model = train(corpus, k=2, lam=0.5)
+    tables, _ = reference_train(corpus, 2)
+    # A piece the model has not seen, mixing contexts of two it has.
+    probe = encode([tracks[0][:4], tracks[1][5:]], wide).events
+    for stream in [seq.events for seq in corpus] + [probe]:
+        got = score_sequence(model, stream, 64)
+        want = reference_scores(tables, 2, model.lam, model.vocab, stream, 64, "nll")
+        assert np.array_equal(got, want)
+
+
+def test_nll_of_values_outside_the_vocabulary_has_count_zero():
+    seq = simple_piece([60, 64, 67, 60])
+    lam = 0.5
+    model = train([seq], k=0, lam=lam)
+    total = len(seq)
+    vocab = vocab_sizes(GRID)
+    int64 = np.iinfo(np.int64)
+    outside = [
+        [5, 1024, 12, 128, 97, 128],
+        [-1, -1, -1, -1, -1, -1],
+        [int64.max] * 6,
+        [int64.min] * 6,
+    ]
+    scores = score_sequence(model, outside, 64)
+    for row in scores:
+        for f, size in enumerate(vocab):
+            want = -math.log((1 / size) * lam / (total + lam))
+            assert row[f] == pytest.approx(want, rel=1e-12)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_sampler_draws_what_rng_choice_draws(seed):
