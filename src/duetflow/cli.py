@@ -178,7 +178,7 @@ def cmd_pairs(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_batch(args: argparse.Namespace, cfg: Config) -> int:
     model = _load_model(args.model, cfg)
     pair_set = harness.PairSet.from_json(Path(args.pairs).read_text())
-    report = harness.batch_score(model, pair_set, cfg.flow_params, workers=cfg.workers)
+    report = harness.batch_score(model, pair_set, cfg.flow_params)
     _write_text(Path(args.out), report.to_csv())
     summary = {
         "model_id": report.model_id,

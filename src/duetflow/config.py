@@ -38,7 +38,6 @@ class Config:
     mode: str = _FLOW.mode
     xy_norm: str = _FLOW.xy_norm
     seed: int = 0
-    workers: int = 1
     split_shared_programs: bool = _FLOW.split_shared_programs
     include_drums: bool = False
 
@@ -51,8 +50,6 @@ class Config:
                 raise ValueError(f"config key {f.name!r} must be {noun}, got {value!r}")
         object.__setattr__(self, "lam", float(self.lam))
         _check_params(self.k, self.lam)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         grid = GridSpec(self.resolution, self.max_beat, self.max_duration)
         flow = FlowParams(
             self.context_len, self.burn_in, self.mode, self.xy_norm, self.split_shared_programs

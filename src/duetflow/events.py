@@ -141,8 +141,7 @@ _NOTE_LOW = np.array([0, 0, 0, 1, 0])
 
 def _off_grid(notes: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Which rows of an (n, 5) note array fail _check_note_fields."""
-    high = np.array([grid.max_beat, grid.resolution, 128, grid.max_duration + 1, 128])
-    return ((notes < _NOTE_LOW) | (notes >= high)).any(axis=1)
+    return ((notes < _NOTE_LOW) | (notes >= vocab_sizes(grid)[1:])).any(axis=1)
 
 
 @lru_cache(maxsize=64)
@@ -152,7 +151,7 @@ def _key_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray] | None:
     None when the spans multiply to 2**63 or more, where a key or a weight
     may not fit int64.
     """
-    spans = (grid.max_beat, grid.resolution, 128, grid.max_duration + 1, 128)
+    spans = vocab_sizes(grid)[1:]
     if math.prod(spans) >= 1 << 63:
         return None
     weights = [math.prod(spans[f + 1 :]) for f in range(5)]

@@ -142,8 +142,8 @@ class PairSet:
 
 
 def _truncate_at_common_end(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cut both tracks at the earlier of the two final-note beats."""
-    last = min(x[-1, 0], y[-1, 0])
+    """Cut both tracks at the earlier of the two tracks' last beats."""
+    last = min(x[:, 0].max(), y[:, 0].max())
     return x[x[:, 0] <= last], y[y[:, 0] <= last]
 
 

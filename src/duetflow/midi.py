@@ -400,9 +400,12 @@ def piece_from_bytes(
 
 
 def split_tracks(piece: Piece) -> tuple[np.ndarray, np.ndarray]:
-    if len(piece.tracks) != 2:
+    """The two tracks of a piece, or IneligiblePieceError unless it has
+    exactly two and neither is empty."""
+    if len(piece.tracks) != 2 or not all(len(t) for t in piece.tracks):
         raise IneligiblePieceError(
-            f"expected exactly 2 non-empty tracks, found {len(piece.tracks)}",
+            f"expected exactly 2 non-empty tracks, found notes per track "
+            f"{[len(t) for t in piece.tracks]}",
             piece.source_id,
         )
     return piece.tracks[0], piece.tracks[1]

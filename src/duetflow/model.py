@@ -51,9 +51,9 @@ from .events import (
     TYPE_INSTRUMENT,
     TYPE_NOTE,
     TYPE_NOTES_BEGIN,
-    TYPE_START,
     SequenceStructureError,
     encode,
+    validate_sequence,
     vocab_sizes,
 )
 from .grid import GridSpec
@@ -593,33 +593,21 @@ class GenerationResult:
     sampled_notes: tuple[QuantNote, ...]  # in canonical order
 
 
-def _validate_prime(prime: EventSequence) -> np.ndarray:
+def _validate_prime(prime: EventSequence, grid: GridSpec) -> np.ndarray:
     """The events generation continues from, or SequenceStructureError.
 
-    A prime is a sequence prefix: the start event, instrument events, then
-    optionally start-of-notes and notes. A trailing end event is dropped,
-    and start-of-notes is added to a prime that stops after its header.
+    A prime is a valid sequence on grid without its end event, and
+    optionally without its start-of-notes. A trailing end event is dropped,
+    start-of-notes is added after a final instrument event, and the events,
+    with an end event appended, must pass validate_sequence; its error, if
+    any, is raised.
     """
     events = prime.events
     if len(events) and events[-1, 0] == TYPE_END:
         events = events[:-1]
-    # The type each event must have after the run of instrument events
-    # that follows the start: start-of-notes, then notes.
-    others = events[1:, 0] != TYPE_INSTRUMENT
-    header = int(others.argmax()) if others.any() else len(others)
-    expected = np.full(len(events), TYPE_NOTE)
-    expected[:1] = TYPE_START
-    expected[1 : header + 1] = TYPE_INSTRUMENT
-    expected[header + 1 : header + 2] = TYPE_NOTES_BEGIN if header else TYPE_INSTRUMENT
-    wrong = events[:, 0] != expected
-    if len(events) and events[0].any():
-        raise SequenceStructureError("prime must open with the start event", 0)
-    if wrong.any():
-        raise SequenceStructureError("prime is not a valid sequence prefix", int(wrong.argmax()))
-    if len(events) <= 1:
-        raise SequenceStructureError("prime header is incomplete", len(events))
-    if len(events) == header + 1:
+    if len(events) and events[-1, 0] == TYPE_INSTRUMENT:
         events = np.vstack([events, [TYPE_NOTES_BEGIN, 0, 0, 0, 0, 0]])
+    validate_sequence(EventSequence(np.vstack([events, [TYPE_END, 0, 0, 0, 0, 0]]), grid))
     return events
 
 
@@ -691,10 +679,12 @@ def generate_many(
     each prime's own generator, so each result equals
     generate(model, primes[i], steps, seeds[i]). Distributions are built
     only for back-off chains not yet seen in this call, and kept up to
-    _SAMPLE_CACHE_BYTES. A prime that is not a valid prefix gets its
-    SequenceStructureError in place of a result; an error that concerns
-    every prime (steps < 0, a grid too wide for whole distributions) is
-    raised.
+    _SAMPLE_CACHE_BYTES. Each prime is checked on the model's grid by
+    _validate_prime, and one that is not a valid sequence without its end
+    event (off the grid, out of order, with an undeclared instrument, or
+    malformed) gets validate_sequence's SequenceStructureError in place of
+    a result; an error that concerns every prime (steps < 0, a grid too
+    wide for whole distributions) is raised.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -703,7 +693,7 @@ def generate_many(
     prefixes: list[np.ndarray | SequenceStructureError] = []
     for prime in primes:
         try:
-            prefixes.append(_validate_prime(prime))
+            prefixes.append(_validate_prime(prime, model.grid))
         except SequenceStructureError as exc:
             prefixes.append(exc)
     live = [i for i, p in enumerate(prefixes) if isinstance(p, np.ndarray)]
@@ -729,7 +719,7 @@ def generate_many(
     for b, i in enumerate(live):
         if not steps:
             end = np.vstack([prefixes[i], [TYPE_END, 0, 0, 0, 0, 0]])
-            results[i] = GenerationResult(EventSequence(end, primes[i].grid), ())
+            results[i] = GenerationResult(EventSequence(end, model.grid), ())
             continue
         rows = np.vstack([prefixes[i], sampled[b]])
         notes = rows[rows[:, 0] == TYPE_NOTE, 1:]

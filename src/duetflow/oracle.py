@@ -25,6 +25,11 @@ class ConvergenceError(RuntimeError):
     """The chain has no unique stationary distribution to converge to."""
 
 
+def _check_alphabets(*sizes: int) -> None:
+    if not all(1 <= m <= MAX_ALPHABET for m in sizes):
+        raise ValueError(f"alphabet sizes must be in [1, {MAX_ALPHABET}]")
+
+
 @dataclass(frozen=True)
 class JointMarkovSpec:
     """P(x1, y1 | x0, y0) as an (ax, ay, ax, ay) table plus an initial law."""
@@ -38,8 +43,7 @@ class JointMarkovSpec:
         if t.ndim != 4 or t.shape[0] != t.shape[2] or t.shape[1] != t.shape[3]:
             raise ValueError(f"transitions must be (ax, ay, ax, ay), got {t.shape}")
         ax, ay = t.shape[:2]
-        if not (1 <= ax <= MAX_ALPHABET and 1 <= ay <= MAX_ALPHABET):
-            raise ValueError(f"alphabet sizes must be in [1, {MAX_ALPHABET}]")
+        _check_alphabets(ax, ay)
         if init.shape != (ax, ay):
             raise ValueError(f"initial must be {(ax, ay)}, got {init.shape}")
         if not (np.isfinite(t).all() and np.isfinite(init).all()):
@@ -180,6 +184,7 @@ def independent_spec(
 
 def copy_spec(m: int = 2) -> JointMarkovSpec:
     """X is an i.i.d. uniform source and Y repeats X one step later."""
+    _check_alphabets(m)
     trans = np.zeros((m, m, m, m))
     for x0 in range(m):
         for y0 in range(m):
@@ -195,6 +200,7 @@ def instantaneous_spec(m: int = 2) -> JointMarkovSpec:
     All dependence is instantaneous, so both transfer entropies vanish
     while the flow value stays at log m.
     """
+    _check_alphabets(m)
     trans = np.zeros((m, m, m, m))
     for x0 in range(m):
         for y0 in range(m):

@@ -304,6 +304,23 @@ def test_generate_command(tmp_path, trained, capsys):
     assert seq.note_count == prime_seq.note_count + 5
 
 
+def test_generate_refuses_a_prime_out_of_order(tmp_path, trained, capsys):
+    tok, model = trained
+    rows = (tok / "piece0.x.events").read_text().splitlines()
+    first = next(i for i, row in enumerate(rows) if row.startswith("3 "))
+    rows[first], rows[first + 1] = rows[first + 1], rows[first]
+    prime = tmp_path / "swapped.events"
+    prime.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "continued.events"
+    capsys.readouterr()
+    rc = main(["generate", "--model", str(model), "--prime", str(prime), "--steps", "5",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: event {first + 1}: notes out of canonical order\n"
+    assert not captured.out and not out.exists()
+
+
 def test_selfbias_command(tmp_path, midi_dir, trained, capsys):
     tok, model = trained
     other_midi = tmp_path / "midi2"
@@ -363,6 +380,18 @@ def test_oracle_exact_command(capsys, tmp_path):
     assert main(["oracle", "exact", "--spec", str(spec_path)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["info_flow"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("alphabet", ["0", "-1", "9", "1000"])
+@pytest.mark.parametrize("command", ["exact", "sample"])
+def test_oracle_alphabet_outside_the_range_exits_1(tmp_path, capsys, alphabet, command):
+    extra = ["--length", "100", "--out-dir", str(tmp_path / "out")] if command == "sample" else []
+    for chain in ("copy", "instantaneous"):
+        rc = main(["oracle", command, "--chain", chain, "--alphabet", alphabet, *extra])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert out.err == "error: alphabet sizes must be in [1, 8]\n" and not out.out
+    assert not (tmp_path / "out").exists()
 
 
 def test_oracle_sample_command(tmp_path, capsys):
@@ -662,7 +691,6 @@ def test_model_grid_must_match_config_grid(tmp_path, midi_dir, trained, capsys, 
         {"xy_norm": "x"},
         {"burn_in": 0},
         {"context_len": -3},
-        {"workers": -4},
         {"resolution": 0},
         {"k": -1},
         {"lam": 0},

@@ -63,9 +63,10 @@ def test_build_pairs_skips_and_counts_ineligible():
     one_track = Piece("solo", GRID, (tuple(QuantNote(i, 0, 60, 6, 0) for i in range(8)),))
     three = two_voice_piece("three", 8)
     three = Piece("three", GRID, three.tracks + (three.tracks[0],))
-    corpus = [two_voice_piece("a", 24), one_track, two_voice_piece("b", 24), three]
+    empty = Piece("empty", GRID, (one_track.tracks[0], ()))
+    corpus = [two_voice_piece("a", 24), one_track, two_voice_piece("b", 24), three, empty]
     ps = build_pairs(corpus, seed=0)
-    assert ps.skipped == 2
+    assert ps.skipped == 3
     assert {p.x_source for p in ps.pairs} == {"a", "b"}
 
 
@@ -89,6 +90,16 @@ def test_negative_pairs_truncate_to_common_end():
         last_x = max(pair.x[:, 0])
         last_y = max(pair.y[:, 0])
         assert last_x <= 9 and last_y <= 9
+
+
+def test_negative_pairs_cut_at_the_last_beat_of_tracks_out_of_order():
+    # A hand-built track need not be sorted: its last beat is its largest.
+    melody = [QuantNote(b, 0, 60, 6, 0) for b in (5, 0, 1)]
+    unsorted = Piece("unsorted", GRID, (melody, [QuantNote(0, 0, 72, 6, 16)]))
+    ps = build_pairs([unsorted, two_voice_piece("long", 30)], seed=0)
+    (pair,) = [p for p in ps.by_label(NEGATIVE) if p.x_source == "unsorted"]
+    assert pair.x[:, 0].tolist() == [5, 0, 1]
+    assert pair.y[:, 0].tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_melody_index_selects_the_kept_voice():

@@ -440,6 +440,9 @@ def test_split_tracks_requires_exactly_two(grid: GridSpec) -> None:
     empty = Piece("empty-file", grid, ())
     with pytest.raises(IneligiblePieceError, match="empty-file"):
         split_tracks(empty)
+    hollow = Piece("hollow-file", grid, (one.tracks[0], ()))
+    with pytest.raises(IneligiblePieceError, match=r"hollow-file.*notes per track \[1, 0\]"):
+        split_tracks(hollow)
 
 
 def test_build_piece_drops_empty_tracks(grid: GridSpec) -> None:

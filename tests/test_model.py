@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import math
+import re
 import struct
 from collections import Counter
 
@@ -12,8 +13,12 @@ from hypothesis import given, settings, strategies as st
 from duetflow.events import (
     Event,
     EventSequence,
+    N_FIELDS,
     TYPE_END,
+    TYPE_INSTRUMENT,
     TYPE_NOTE,
+    TYPE_NOTES_BEGIN,
+    SequenceStructureError,
     encode,
     validate_sequence,
     vocab_sizes,
@@ -733,6 +738,10 @@ def test_generate_zero_steps_returns_terminated_prime(alternating_model, alterna
     assert out.sampled_notes == ()
     assert event_rows(out.sequence) == event_rows(alternating_prime)
     assert event_rows(out.sequence)[-1].type == TYPE_END
+    # A prime is checked on the model's grid, and every result lives on it.
+    wider = EventSequence(alternating_prime.events, GridSpec(GRID.resolution, 4096, 96))
+    for steps in (0, 3):
+        assert generate(alternating_model, wider, steps, seed=1).sequence.grid == GRID
 
 
 def test_generate_is_deterministic(alternating_model, alternating_prime):
@@ -771,7 +780,6 @@ def test_generated_events_are_valid_notes(alternating_model, alternating_prime):
 def test_generate_rejects_malformed_prime(alternating_model):
     seq = simple_piece([60, 64])
     broken = seq.events[1:]
-    from duetflow.events import EventSequence, SequenceStructureError
 
     with pytest.raises(SequenceStructureError):
         generate(alternating_model, EventSequence(broken, GRID), 1, seed=0)
@@ -780,11 +788,38 @@ def test_generate_rejects_malformed_prime(alternating_model):
         generate(alternating_model, EventSequence(shuffled, GRID), 1, seed=0)
     with pytest.raises(ValueError):
         generate(alternating_model, seq, -1, seed=0)
+    # Off the grid, out of order, an instrument beyond 127: in one batch, each
+    # prime gets its own error, and the valid prime its continuation.
+    far, wide = seq.events.copy(), seq.events.copy()
+    far[3, 1] = 5000
+    wide[1, 5] = 300
+    swapped = seq.events[[0, 1, 2, 4, 3, 5]]
+    primes = [EventSequence(e, GRID) for e in (far, swapped, wide)] + [seq]
+    results = generate_many(alternating_model, primes, 4, [0, 1, 2, 3])
+    assert [str(r) for r in results[:3]] == [
+        "event 3: beat 5000 outside [0, 1024)",
+        "event 4: notes out of canonical order",
+        "event 1: instrument 300 out of range",
+    ]
+    assert results[3] == generate(alternating_model, seq, 4, 3)
+
+
+def terminated(prime):
+    """The rows a prime stands for: no trailing end event, start-of-notes
+    after a final instrument event, then one end event."""
+    rows = prime.events
+    if len(rows) and rows[-1, 0] == TYPE_END:
+        rows = rows[:-1]
+    if len(rows) and rows[-1, 0] == TYPE_INSTRUMENT:
+        rows = np.vstack([rows, [TYPE_NOTES_BEGIN, 0, 0, 0, 0, 0]])
+    return np.vstack([rows, [TYPE_END, 0, 0, 0, 0, 0]])
 
 
 @st.composite
 def prime_batches(draw):
-    """Primes of different lengths for one model; some are not valid prefixes."""
+    """Primes of different lengths for one model; some are not valid prefixes:
+    malformed, with a note off the grid or out of order, or with an
+    undeclared or out-of-range instrument."""
     grid = GridSpec(4, 8, 6)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -799,9 +834,24 @@ def prime_batches(draw):
     model = train([piece(12) for _ in range(draw(st.integers(1, 4)))], k=draw(st.integers(0, 4)))
     primes = []
     for _ in range(draw(st.integers(1, 5))):
-        events = piece(draw(st.integers(1, 10))).events
-        cut = draw(st.sampled_from(["whole", "prefix", "header", "broken", "shuffled"]))
-        if cut == "prefix":
+        events = piece(draw(st.integers(1, 10))).events.copy()
+        notes = np.flatnonzero(events[:, 0] == TYPE_NOTE)
+        cut = draw(st.sampled_from(["whole", "prefix", "header", "broken", "shuffled",
+                                    "off-grid", "unordered", "undeclared", "instrument"]))
+        if cut == "off-grid":
+            field = draw(st.integers(1, N_FIELDS - 1))
+            high = vocab_sizes(grid)[field]
+            events[rng.choice(notes), field] = draw(st.sampled_from([-1, high, high + 5000]))
+        elif cut == "unordered":
+            # Swapping two different notes of a canonical run breaks its order.
+            distinct = np.unique(events[notes], axis=0, return_index=True)[1]
+            pair = notes[np.sort(distinct)[:2]]
+            events[pair] = events[pair[::-1]]
+        elif cut == "undeclared":
+            events[rng.choice(notes), 5] = 3
+        elif cut == "instrument":
+            events[1, 5] = draw(st.sampled_from([-1, 128, 300]))
+        elif cut == "prefix":
             events = events[: draw(st.integers(2, len(events)))]
         elif cut == "header":
             events = events[: int(np.argmax(events[:, 0] == 2))]
@@ -823,13 +873,15 @@ def test_generate_many_equals_generate_for_each_prime(batch, steps, data):
     assert len(results) == len(primes)
     for prime, seed, result in zip(primes, seeds, results):
         try:
-            solo = generate(model, prime, steps, seed)
-        except ValueError as exc:
-            assert type(result) is type(exc) and str(result) == str(exc)
+            validate_sequence(EventSequence(terminated(prime), model.grid))
+        except SequenceStructureError as exc:
+            assert type(result) is SequenceStructureError and str(result) == str(exc)
+            with pytest.raises(SequenceStructureError, match=re.escape(str(exc))):
+                generate(model, prime, steps, seed)
             continue
         assert isinstance(result, GenerationResult)
-        assert result == solo
-        sampled = reference_generate(model, _validate_prime(prime), steps, seed)
+        assert result == generate(model, prime, steps, seed)
+        sampled = reference_generate(model, _validate_prime(prime, model.grid), steps, seed)
         assert result.sampled_notes == tuple(sorted(QuantNote(*v) for v in sampled))
     with pytest.raises(ValueError, match="steps"):
         generate_many(model, primes, -1, seeds)
@@ -862,7 +914,9 @@ def test_generate_many_reuses_chains_and_matches_reference(
     assert generate_many(alternating_model, primes, steps, seeds) == results
     assert cached < len(primes) * steps // 4 < sum(built)
     for prime, seed, result in zip(primes, seeds, results):
-        sampled = reference_generate(alternating_model, _validate_prime(prime), steps, seed)
+        sampled = reference_generate(
+            alternating_model, _validate_prime(prime, alternating_model.grid), steps, seed
+        )
         assert result.sampled_notes == tuple(sorted(QuantNote(*v) for v in sampled))
 
 

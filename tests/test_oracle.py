@@ -215,6 +215,14 @@ def test_spec_validation_errors():
         JointMarkovSpec(good.transitions, good.initial * 0.5)
 
 
+@pytest.mark.parametrize("m", [0, -1, 9, 1000, 10**9])
+@pytest.mark.parametrize("build", [copy_spec, instantaneous_spec])
+def test_canonical_chains_refuse_alphabets_outside_the_range(build, m):
+    # Before any table of m**4 entries is allocated.
+    with pytest.raises(ValueError, match=r"alphabet sizes must be in \[1, 8\]"):
+        build(m)
+
+
 @pytest.mark.parametrize("where", ["transitions", "initial"])
 def test_spec_rejects_nan_probabilities(where):
     good = copy_spec(2)
