@@ -234,6 +234,8 @@ def cmd_generate(args: argparse.Namespace, cfg: Config) -> int:
     result = generate(model, prime, args.steps, cfg.seed)
     _write_text(Path(args.out), seq_to_text(result.sequence))
     print(f"sampled {args.steps} events -> {args.out}")
+    depths = " ".join(f"{j}={n}" for j, n in enumerate(result.context_depths))
+    print(f"steps by longest matched context length: {depths}")
     return EXIT_OK
 
 
@@ -256,12 +258,16 @@ def cmd_oracle(args: argparse.Namespace, cfg: Config) -> int:
         result = oracle.exact_flow(spec)
         print(json.dumps(result.to_dict(), indent=2, allow_nan=False))
         return EXIT_OK
-    # sample: emit aligned two-voice pieces as event text, ready to train on
+    # sample: emit aligned two-voice pieces as event text, ready to train on.
+    # The pieces are made before the directory, so bad arguments leave none.
+    xs, ys = oracle.sample_paths(spec, args.length, cfg.seed)
+    pieces = oracle.embed_pieces(xs, ys, args.piece_len, cfg.grid)
+    if not pieces:
+        raise ValueError(f"length {args.length} is shorter than one piece of {args.piece_len}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    xs, ys = oracle.sample_paths(spec, args.length, cfg.seed)
     written = 0
-    for i, (x, y) in enumerate(oracle.embed_pieces(xs, ys, args.piece_len, cfg.grid)):
+    for i, (x, y) in enumerate(pieces):
         written += _write_events(out_dir, f"chain-{i:04d}", _views(x, y, cfg))
     print(f"wrote {written} sequences to {out_dir}")
     return EXIT_OK

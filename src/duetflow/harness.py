@@ -407,9 +407,10 @@ def self_enhancement(
     """Continue each prime with both models, score every piece with both.
 
     The prime is voice X and the sampled continuation is voice Y. Each
-    model continues all primes in lockstep, and each scorer scores all of
-    a generator's pieces in one batch. Whether each scorer rates its own
-    generator higher is reported as an observed direction, nothing more.
+    model continues all primes in lockstep; then each scorer scores every
+    generator's pieces in one batch, and the reports are summed back by
+    generator in piece order. Whether each scorer rates its own generator
+    higher is reported as an observed direction, nothing more.
     """
     if steps <= params.burn_in:
         raise ValueError(
@@ -422,6 +423,8 @@ def self_enhancement(
     kept = [(i, prime, sequence_notes(prime)) for i, prime in enumerate(primes)]
     kept = [(i, prime, notes) for i, prime, notes in kept if len(notes)]
     skipped = len(primes) - len(kept)
+    pieces: list[tuple] = []
+    makers: list[str] = []  # the generator of each piece
     for g_index, (g_name, g_model) in enumerate(models.items()):
         try:
             results = generate_many(
@@ -432,19 +435,19 @@ def self_enhancement(
             )
         except ValueError as exc:
             results = [exc] * len(kept)
-        pieces = [
-            (notes, r.sampled_notes)
-            for (_, _, notes), r in zip(kept, results)
-            if not isinstance(r, ValueError)
-        ]
-        skipped += len(kept) - len(pieces)
-        for s_name, s_model in models.items():
-            for report in information_flows(s_model, pieces, params):
-                if isinstance(report, ValueError):
-                    skipped += 1
-                    continue
-                sums[s_name][g_name] += report.total_flow
-                counts[s_name][g_name] += 1
+        for (_, _, notes), r in zip(kept, results):
+            if isinstance(r, ValueError):
+                skipped += 1
+            else:
+                pieces.append((notes, r.sampled_notes))
+                makers.append(g_name)
+    for s_name, s_model in models.items():
+        for g_name, report in zip(makers, information_flows(s_model, pieces, params)):
+            if isinstance(report, ValueError):
+                skipped += 1
+                continue
+            sums[s_name][g_name] += report.total_flow
+            counts[s_name][g_name] += 1
     matrix = {
         s: {g: (sums[s][g] / counts[s][g]) if counts[s][g] else float("nan") for g in sums[s]}
         for s in sums

@@ -24,10 +24,11 @@ into probabilities. Table 0 holds only the empty context, which every
 position matches, so its step from the uniform distribution is built once
 per call as one row. Scoring runs both steps over whole batches of streams
 (predictive scoring builds each distinct chain's distributions once), and
-generation over all primes in lockstep (each call builds a chain's
-sampling rows once and keeps them up to a fixed size). The file format
-writes the same arrays entry by entry, and ``load_model`` accepts only
-files that ``save_model`` could have written.
+generation over all primes in lockstep (each call draws every uniform and
+builds the length-0 row up front, and a chain's sampling rows once, kept
+up to a fixed size). The file format writes the same arrays entry by
+entry, and ``load_model`` accepts only files that ``save_model`` could
+have written.
 """
 from __future__ import annotations
 
@@ -38,8 +39,9 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,18 +94,16 @@ _SAMPLE_CACHE_BYTES = 16 << 20
 _LOG_SMALLEST = math.log(sys.float_info.min)
 
 
-def _mix64(x: int) -> int:
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * _MIX_1) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX_2) & _MASK64
-    return x ^ (x >> 31)
-
-
 def event_hash(e: Event) -> int:
+    """Each field in turn xored into the hash, then mixed; inline, as
+    generation hashes one event per prime at every step."""
     h = _FIELD_SEED
     for v in e:
         # int() guards against numpy integers, which overflow the xor below.
-        h = _mix64(h ^ (int(v) + _FIELD_SEED))
+        x = (h ^ (int(v) + _FIELD_SEED)) & _MASK64
+        x = ((x ^ (x >> 30)) * _MIX_1) & _MASK64
+        x = ((x ^ (x >> 27)) * _MIX_2) & _MASK64
+        h = x ^ (x >> 31)
     return h
 
 
@@ -140,6 +140,28 @@ def _rolling_hashes(event_hashes: np.ndarray, kmax: int) -> Iterable[np.ndarray]
         nxt[1:] += event_hashes[:-1]
         h = nxt
         yield h
+
+
+class _Layout(NamedTuple):
+    """Where each field's values sit in a row of whole distributions."""
+
+    vocab: np.ndarray  # int64, the size of each field
+    starts: np.ndarray  # int64, the first column of each field
+    width: int  # columns in all
+    uniform: np.ndarray | None  # 1 / the size of each column's field; None past _DENSE_WIDTH
+
+
+@lru_cache(maxsize=64)
+def _layout(vocab: tuple[int, ...]) -> _Layout:
+    """The row layout of a vocabulary, shared by every caller: read-only."""
+    sizes = np.array(vocab, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    width = int(sizes.sum())
+    uniform = 1.0 / np.repeat(sizes, sizes) if width <= _DENSE_WIDTH else None
+    for a in (sizes, starts, uniform):
+        if a is not None:
+            a.flags.writeable = False
+    return _Layout(sizes, starts, width, uniform)
 
 
 def _key_shift(grid: GridSpec) -> int:
@@ -323,10 +345,7 @@ class ContextModel:
             raise ValueError("context values must be integers that fit in int64") from None
         hashes, avail = _context_hashes(self.k, [events])
         probs = _interpolate(self, _match(self, hashes, avail))[0]
-        ends = np.cumsum(self.vocab)
-        return FieldDistributions(
-            tuple(probs[end - size : end] for size, end in zip(self.vocab, ends))
-        )
+        return FieldDistributions(tuple(np.split(probs, _layout(self.vocab).starts[1:])))
 
 
 def _context_hashes(k: int, contexts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -380,25 +399,32 @@ def _match(model: ContextModel, hashes: np.ndarray, avail: np.ndarray) -> np.nda
     return chains
 
 
-def _root_row(model: ContextModel, vocab: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The length-0 step from the uniform distribution, as one row.
+def _root_row(model: ContextModel) -> np.ndarray | None:
+    """The length-0 step from the uniform distribution, as one row, or None.
 
     Every field's values side by side, then one slot per field with count
     0, the probability of a value outside the vocabulary. The expression
-    is the one _interpolate applies at every length.
+    is the one _interpolate applies at every length. None when table 0 is
+    empty, so that no chain reaches length 0, or when the grid is too wide
+    for whole rows, where length 0 is looked up like any other length.
     """
+    lay = _layout(model.vocab)
     table = model.tables[0]
-    width = int(vocab.sum())
-    sizes = np.concatenate([np.repeat(vocab, vocab), vocab])
-    counts = np.zeros((1, width + N_FIELDS))
-    counts[:, :width] = table.dense_counts(np.zeros(1, dtype=np.int64), starts, width)
+    if lay.uniform is None or not len(table):
+        return None
+    counts = np.zeros(lay.width + N_FIELDS)
+    counts[: lay.width] = table.dense_counts(np.zeros(1, dtype=np.int64), lay.starts, lay.width)[0]
     lam = model.lam
-    denom = table.totals[:1].astype(np.float64)[:, None] + lam
-    return ((1.0 / sizes) * (lam / denom) + counts / denom)[0]
+    denom = float(table.totals[0]) + lam
+    return np.concatenate([lay.uniform, 1.0 / lay.vocab]) * (lam / denom) + counts / denom
 
 
 def _interpolate(
-    model: ContextModel, chains: np.ndarray, values: np.ndarray | None = None
+    model: ContextModel,
+    chains: np.ndarray,
+    values: np.ndarray | None = None,
+    *,
+    root: np.ndarray | None = None,
 ) -> np.ndarray:
     """Interpolated probabilities along back-off chains, from _match.
 
@@ -410,32 +436,33 @@ def _interpolate(
     a grid with more than _DENSE_WIDTH values in all may not ask for.
 
     Length 0 is the same single entry for every chain, so where the grid
-    allows whole rows it is built once per call and read or broadcast;
-    point lookups on a wider grid take length 0 in the loop as well.
+    allows whole rows it is read or broadcast from root, the _root_row of
+    the model, built here unless the caller, which interpolates many
+    times, has built it once; point lookups on a wider grid take length 0
+    in the loop as well.
     """
-    vocab = np.array(model.vocab)
-    width = int(vocab.sum())
+    lay = _layout(model.vocab)
     if values is None:
-        if width > _DENSE_WIDTH:
+        if lay.uniform is None:
             raise ValueError(
-                f"grid {model.grid} has {width} values per distribution, "
+                f"grid {model.grid} has {lay.width} values per distribution, "
                 f"more than the {_DENSE_WIDTH} whole distributions may hold"
             )
-        sizes = np.repeat(vocab, vocab)
+        uniform = lay.uniform
     else:
-        sizes = vocab
-    starts = np.cumsum(vocab) - vocab
-    if width > _DENSE_WIDTH or not len(model.tables[0]):
-        probs = np.tile(1.0 / sizes, (len(chains), 1))
+        uniform = 1.0 / lay.vocab
+    if root is None:
+        root = _root_row(model)
+    if root is None:
+        probs = np.tile(uniform, (len(chains), 1))
         first = 0
     else:
-        root = _root_row(model, vocab, starts)
         if values is None:
-            at_root = root[:width]
+            at_root = root[: lay.width]
         else:
-            known = (values >= 0) & (values < vocab)
-            at_root = root[np.where(known, values + starts, width + np.arange(N_FIELDS))]
-        probs = np.where(chains[:, :1] >= 0, at_root, 1.0 / sizes)
+            known = (values >= 0) & (values < lay.vocab)
+            at_root = root[np.where(known, values + lay.starts, lay.width + np.arange(N_FIELDS))]
+        probs = np.where(chains[:, :1] >= 0, at_root, uniform)
         first = 1
     lam = model.lam
     rows = np.arange(len(chains))
@@ -447,18 +474,19 @@ def _interpolate(
         entries = chains[rows, j]
         denom = table.totals[entries].astype(np.float64)[:, None] + lam
         if values is None:
-            counts = table.dense_counts(entries, starts, len(sizes))
+            counts = table.dense_counts(entries, lay.starts, lay.width)
         else:
-            counts = table.point_counts(entries, values[rows], vocab)
+            counts = table.point_counts(entries, values[rows], lay.vocab)
         probs[rows] = probs[rows] * (lam / denom) + counts / denom
     return probs
 
 
 def _dense_blocks(model: ContextModel, chains: np.ndarray) -> Iterable[tuple[slice, np.ndarray]]:
     """Whole distributions along chains, _DENSE_ROWS rows at a time."""
+    root = _root_row(model)
     for start in range(0, len(chains), _DENSE_ROWS):
         block = slice(start, start + _DENSE_ROWS)
-        yield block, _interpolate(model, chains[block])
+        yield block, _interpolate(model, chains[block], root=root)
 
 
 def _entropies(model: ContextModel, chains: np.ndarray) -> np.ndarray:
@@ -468,7 +496,7 @@ def _entropies(model: ContextModel, chains: np.ndarray) -> np.ndarray:
     """
     distinct, inverse = np.unique(chains, axis=0, return_inverse=True)
     out = np.empty((len(distinct), N_FIELDS))
-    bounds = np.cumsum(model.vocab)[:-1]
+    bounds = _layout(model.vocab).starts[1:]
     for block, probs in _dense_blocks(model, distinct):
         for f, vecs in enumerate(np.split(probs, bounds, axis=1)):
             out[block, f] = -(vecs * np.log(vecs)).sum(axis=1)
@@ -591,6 +619,10 @@ def score_sequence(
 class GenerationResult:
     sequence: EventSequence
     sampled_notes: tuple[QuantNote, ...]  # in canonical order
+    # context_depths[j]: the steps whose longest context found in the model
+    # has j events, for j = 0..k; 0 also counts the steps of a model with no
+    # counts, which samples from the uniform distribution.
+    context_depths: tuple[int, ...]
 
 
 def _validate_prime(prime: EventSequence, grid: GridSpec) -> np.ndarray:
@@ -619,17 +651,19 @@ def _cdfs(probs: np.ndarray, vocab: Sequence[int]) -> np.ndarray:
     divided by their last sum, then laid side by side again: shape
     (len(probs), sum(vocab[1:])).
     """
-    ends = np.cumsum(vocab)
-    cdfs = []
+    lay = _layout(tuple(vocab))
+    skip = int(lay.starts[1])
+    cdfs = np.empty((len(probs), lay.width - skip))
     for f in range(1, N_FIELDS):
-        vecs = probs[:, ends[f] - vocab[f] : ends[f]]
+        first = int(lay.starts[f])
+        vecs = probs[:, first : first + vocab[f]]
         if f == 4:
             vecs = vecs.copy()
             vecs[:, 0] = 0.0  # a note cannot have duration zero
-        cdf = (vecs / vecs.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        cdf = cdfs[:, first - skip : first - skip + vocab[f]]
+        np.cumsum(vecs / vecs.sum(axis=1, keepdims=True), axis=1, out=cdf)
         cdf /= cdf[:, -1:]
-        cdfs.append(cdf)
-    return np.hstack(cdfs)
+    return cdfs
 
 
 def _draw(cdfs: np.ndarray, vocab: Sequence[int], draws: np.ndarray) -> np.ndarray:
@@ -639,31 +673,37 @@ def _draw(cdfs: np.ndarray, vocab: Sequence[int], draws: np.ndarray) -> np.ndarr
     from the same draw: the number of normalised cumulative sums that do
     not exceed the draw.
     """
-    sizes = np.asarray(vocab[1:])
-    below = cdfs <= np.repeat(draws, sizes, axis=1)
-    return np.add.reduceat(below, np.cumsum(sizes) - sizes, axis=1, dtype=np.int64)
+    lay = _layout(tuple(vocab))
+    below = cdfs <= np.repeat(draws, lay.vocab[1:], axis=1)
+    return np.add.reduceat(below, lay.starts[1:] - lay.starts[1], axis=1, dtype=np.int64)
 
 
-def _cached_cdfs(
-    model: ContextModel, chains: np.ndarray, cache: dict[bytes, np.ndarray]
-) -> np.ndarray:
-    """The _cdfs row of every chain, building only chains not in cache.
+def _cdf_rows(
+    model: ContextModel,
+    chains: np.ndarray,
+    root: np.ndarray | None,
+    slots: dict[bytes, int],
+    table: np.ndarray,
+) -> list[int]:
+    """The row of table that holds each chain's _cdfs row.
 
-    A row depends on its chain alone, so a cached row equals a rebuilt one.
-    The cache is keyed by a chain's bytes. When the rows of these chains
-    would take it past _SAMPLE_CACHE_BYTES, it is emptied, and every
-    distinct chain here is rebuilt and kept.
+    A row depends on its chain alone, so a kept row equals a rebuilt one.
+    slots maps a chain's bytes to its row; only chains not in slots are
+    built, in one _interpolate call. When their rows would take the kept
+    ones past _SAMPLE_CACHE_BYTES, every row is dropped, and every distinct
+    chain here is rebuilt and kept from row 0 on; table has room for them.
     """
     keys = [row.tobytes() for row in chains]
-    new = {key: i for i, key in enumerate(keys) if key not in cache}
-    row_bytes = 8 * (sum(model.vocab) - model.vocab[0])
-    if len(cache) + len(new) > max(1, _SAMPLE_CACHE_BYTES // row_bytes):
-        cache.clear()
+    new = {key: i for i, key in enumerate(keys) if key not in slots}
+    if len(slots) + len(new) > max(1, _SAMPLE_CACHE_BYTES // table[0].nbytes):
+        slots.clear()
         new = {key: i for i, key in enumerate(keys)}
     if new:
-        probs = _interpolate(model, chains[list(new.values())])
-        cache.update(zip(new, _cdfs(probs, model.vocab)))
-    return np.stack([cache[key] for key in keys])
+        first = len(slots)
+        probs = _interpolate(model, chains[list(new.values())], root=root)
+        table[first : first + len(new)] = _cdfs(probs, model.vocab)
+        slots.update(zip(new, range(first, first + len(new))))
+    return [slots[key] for key in keys]
 
 
 def generate_many(
@@ -674,12 +714,13 @@ def generate_many(
 ) -> list[GenerationResult | SequenceStructureError]:
     """generate for every prime, stepping all primes together.
 
-    Each step hashes only the events sampled in the step before, matches
-    every prime's context in one call, and draws one uniform per field from
-    each prime's own generator, so each result equals
-    generate(model, primes[i], steps, seeds[i]). Distributions are built
-    only for back-off chains not yet seen in this call, and kept up to
-    _SAMPLE_CACHE_BYTES. Each prime is checked on the model's grid by
+    Each prime's uniforms, one per field and step, are drawn from its own
+    generator up front, in the order generate draws them, so each result
+    equals generate(model, primes[i], steps, seeds[i]). Each step hashes
+    only the events sampled in the step before and matches every prime's
+    context in one call. The length-0 row is built once per call, and
+    sampling rows only for back-off chains not yet seen in this call, kept
+    up to _SAMPLE_CACHE_BYTES. Each prime is checked on the model's grid by
     _validate_prime, and one that is not a valid sequence without its end
     event (off the grid, out of order, with an undeclared instrument, or
     malformed) gets validate_sequence's SequenceStructureError in place of
@@ -699,33 +740,48 @@ def generate_many(
     live = [i for i, p in enumerate(prefixes) if isinstance(p, np.ndarray)]
     sampled = np.zeros((len(live), steps, N_FIELDS), dtype=np.int64)
     sampled[:, :, 0] = TYPE_NOTE
+    # matched[t, b, j]: whether prime b's context of length j was found at step t.
+    matched = np.zeros((steps, len(live), model.k + 1), dtype=bool)
     if live and steps:
-        rngs = [np.random.default_rng(seeds[i]) for i in live]
+        root = _root_row(model)
+        uniforms = np.stack(
+            [np.random.default_rng(seeds[i]).random((steps, N_FIELDS - 1)) for i in live], axis=1
+        )
         hashes, avail = _context_hashes(model.k, [prefixes[i] for i in live])
-        cache: dict[bytes, np.ndarray] = {}
+        width = sum(model.vocab[1:])
+        # Room for the rows kept and for one block's rows after dropping
+        # them all, but for no more chains than the call has steps.
+        room = max(_SAMPLE_CACHE_BYTES // (8 * width), _DENSE_ROWS)
+        table = np.empty((min(room, len(live) * steps), width))
+        slots: dict[bytes, int] = {}
         for step in range(steps):
             chains = _match(model, hashes, avail)
-            draws = np.array([rng.random(N_FIELDS - 1) for rng in rngs])
+            np.greater_equal(chains, 0, out=matched[step])
             for start in range(0, len(chains), _DENSE_ROWS):
                 block = slice(start, start + _DENSE_ROWS)
-                cdfs = _cached_cdfs(model, chains[block], cache)
-                sampled[block, step, 1:] = _draw(cdfs, model.vocab, draws[block])
+                rows = _cdf_rows(model, chains[block], root, slots, table)
+                sampled[block, step, 1:] = _draw(table[rows], model.vocab, uniforms[step, block])
             if model.k:
                 # One event per prime: the scalar event_hash beats a numpy pass.
                 new = [event_hash(e) for e in sampled[:, step].tolist()]
                 _push(hashes, np.array(new, dtype=np.uint64))
                 np.minimum(avail + 1, model.k, out=avail)
+    # Steps that found lengths 0..j, less those that found j + 1 too; the
+    # empty context counts as found at every step.
+    reached = matched.sum(axis=0)
+    reached[:, 0] = steps
+    depths = (-np.diff(reached, axis=1, append=0)).tolist()
     results: list[GenerationResult | SequenceStructureError] = list(prefixes)
     for b, i in enumerate(live):
         if not steps:
             end = np.vstack([prefixes[i], [TYPE_END, 0, 0, 0, 0, 0]])
-            results[i] = GenerationResult(EventSequence(end, model.grid), ())
+            results[i] = GenerationResult(EventSequence(end, model.grid), (), tuple(depths[b]))
             continue
         rows = np.vstack([prefixes[i], sampled[b]])
         notes = rows[rows[:, 0] == TYPE_NOTE, 1:]
         # Python integers, not numpy ones, in the notes callers print.
         new = tuple(sorted(map(QuantNote._make, sampled[b, :, 1:].tolist())))
-        results[i] = GenerationResult(encode([notes], model.grid), new)
+        results[i] = GenerationResult(encode([notes], model.grid), new, tuple(depths[b]))
     return results
 
 

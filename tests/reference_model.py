@@ -72,10 +72,8 @@ def reference_save(
     return buf.getvalue()
 
 
-def reference_predict(
-    tables: list[dict], k: int, lam: float, vocab: tuple[int, ...], context: Sequence
-) -> list[np.ndarray]:
-    """Per-field distributions after context, interpolated entry by entry."""
+def reference_entries(tables: list[dict], k: int, context: Sequence) -> list:
+    """The entries of lengths 0, 1, ... after context, up to the first unseen one."""
     kmax = min(k, len(context))
     hashes = [0]
     acc, power = 0, 1
@@ -89,6 +87,14 @@ def reference_predict(
         if entry is None:
             break
         entries.append(entry)
+    return entries
+
+
+def reference_predict(
+    tables: list[dict], k: int, lam: float, vocab: tuple[int, ...], context: Sequence
+) -> list[np.ndarray]:
+    """Per-field distributions after context, interpolated entry by entry."""
+    entries = reference_entries(tables, k, context)
     vectors = []
     for f, size in enumerate(vocab):
         vec = np.full(size, 1.0 / size)

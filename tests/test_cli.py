@@ -302,6 +302,15 @@ def test_generate_command(tmp_path, trained, capsys):
     seq = seq_from_text(out.read_text(), GRID)
     prime_seq = seq_from_text(prime.read_text(), GRID)
     assert seq.note_count == prime_seq.note_count + 5
+    # After the sampled line, the steps by longest matched context length,
+    # one count per length 0..k, five in all.
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == f"sampled 5 events -> {out}"
+    label, counts = lines[-1].split(": ")
+    assert label == "steps by longest matched context length"
+    pairs = [c.split("=") for c in counts.split()]
+    assert [int(j) for j, _ in pairs] == list(range(5))
+    assert sum(int(n) for _, n in pairs) == 5
 
 
 def test_generate_refuses_a_prime_out_of_order(tmp_path, trained, capsys):
@@ -392,6 +401,25 @@ def test_oracle_alphabet_outside_the_range_exits_1(tmp_path, capsys, alphabet, c
         assert rc == 1
         assert out.err == "error: alphabet sizes must be in [1, 8]\n" and not out.out
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, error",
+    [
+        ("--length", "0", "length must be >= 1"),
+        ("--length", "-5", "length must be >= 1"),
+        ("--piece-len", "0", "piece_len must be >= 1"),
+        ("--piece-len", "-3", "piece_len must be >= 1"),
+        ("--piece-len", "101", "length 100 is shorter than one piece of 101"),
+    ],
+)
+def test_oracle_sample_refusal_leaves_no_directory(tmp_path, capsys, flag, value, error):
+    out_dir = tmp_path / "chain"
+    rc = main(["oracle", "sample", "--length", "100", flag, value, "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: {error}\n" and not captured.out
+    assert not out_dir.exists()
 
 
 def test_oracle_sample_command(tmp_path, capsys):

@@ -8,7 +8,8 @@ import pytest
 from scipy import stats as scipy_stats
 
 from duetflow.events import Event, EventSequence, FIELD_NAMES, encode, sequence_notes
-from duetflow.flow import FlowParams, FlowReport, information_flow
+import duetflow.harness as harness_module
+from duetflow.flow import FlowParams, FlowReport, information_flow, information_flows
 from duetflow.grid import GridSpec
 from duetflow.harness import (
     NEGATIVE,
@@ -25,7 +26,7 @@ from duetflow.harness import (
     training_encodings,
 )
 from duetflow.midi import IneligiblePieceError, Piece, QuantNote
-from duetflow.model import generate, train
+from duetflow.model import generate, generate_many, train
 from duetflow.oracle import X_PITCH_BASE, Y_PITCH_BASE, independent_spec
 
 GRID = GridSpec()
@@ -362,6 +363,41 @@ def test_self_enhancement_equals_prime_by_prime_scoring(two_models):
     assert report.matrix == {
         s: {g: sums[s][g] / counts[s][g] for g in models} for s in models
     }
+
+
+def test_self_enhancement_scores_once_per_scorer_as_per_generator_batches(
+    two_models, monkeypatch
+):
+    # One information_flows call per scorer, over both generators' pieces,
+    # gives the matrix of one call per (scorer, generator), bit for bit:
+    # the reports split back by generator and are summed in piece order.
+    model_a, model_b = two_models
+    primes = [
+        encode([tuple(QuantNote(t // 12, t % 12, 36 + (t % 3), 1, 0) for t in range(n))], GRID)
+        for n in (14, 9, 20)
+    ]
+    params = FlowParams(burn_in=6, mode="predictive")
+    batches = []
+
+    def counting(model, pieces, params):
+        batches.append(len(pieces))
+        return information_flows(model, pieces, params)
+
+    monkeypatch.setattr(harness_module, "information_flows", counting)
+    report = self_enhancement(model_a, model_b, primes, steps=18, params=params, seed=4)
+    assert batches == [2 * len(primes)] * 2
+    models = {"a": model_a, "b": model_b}
+    want = {}
+    for s_name, s_model in models.items():
+        want[s_name] = {}
+        for g_index, (g_name, g_model) in enumerate(models.items()):
+            seeds = [4 * 7919 + i * 2 + g_index for i in range(len(primes))]
+            results = generate_many(g_model, primes, 18, seeds)
+            pieces = [(sequence_notes(p), r.sampled_notes) for p, r in zip(primes, results)]
+            flows = [r.total_flow for r in information_flows(s_model, pieces, params)]
+            want[s_name][g_name] = sum(flows, 0.0) / len(flows)
+    assert report.matrix == want
+    assert report.skipped == 0
 
 
 # --- synthetic corpora -------------------------------------------------------------

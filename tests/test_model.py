@@ -47,6 +47,7 @@ from duetflow.model import (
 )
 from reference_events import event_rows
 from reference_model import (
+    reference_entries,
     reference_generate,
     reference_predict,
     reference_save,
@@ -893,9 +894,9 @@ def test_generate_many_reuses_chains_and_matches_reference(
     built = []  # rows of each whole-distribution build
     interpolate = model_module._interpolate
 
-    def counting(model, chains, values=None):
+    def counting(model, chains, values=None, **kwargs):
         built.append(len(chains))
-        return interpolate(model, chains, values)
+        return interpolate(model, chains, values, **kwargs)
 
     monkeypatch.setattr(model_module, "_interpolate", counting)
     primes = [
@@ -918,6 +919,55 @@ def test_generate_many_reuses_chains_and_matches_reference(
             alternating_model, _validate_prime(prime, alternating_model.grid), steps, seed
         )
         assert result.sampled_notes == tuple(sorted(QuantNote(*v) for v in sampled))
+
+
+def test_generate_many_builds_the_length_zero_row_once(
+    alternating_model, alternating_prime, monkeypatch
+):
+    roots, built = [], []
+    root_row, interpolate = model_module._root_row, model_module._interpolate
+
+    def counting_roots(model):
+        roots.append(model)
+        return root_row(model)
+
+    def counting_builds(model, chains, values=None, **kwargs):
+        built.append(len(chains))
+        return interpolate(model, chains, values, **kwargs)
+
+    monkeypatch.setattr(model_module, "_root_row", counting_roots)
+    monkeypatch.setattr(model_module, "_interpolate", counting_builds)
+    primes = [alternating_prime, simple_piece([64, 60, 64]), simple_piece([70])]
+    results = generate_many(alternating_model, primes, 60, [5, 6, 7])
+    # Many builds of sampling rows, one length-0 row for all of them.
+    assert len(built) > 1
+    assert roots == [alternating_model]
+    monkeypatch.undo()
+    assert results == [generate(alternating_model, p, 60, s) for p, s in zip(primes, [5, 6, 7])]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 30))
+def test_context_depths_count_steps_by_longest_matched_context(seed, k, steps):
+    # Replaying the sampled events through the dict reference finds each
+    # step's longest matched context; the counts must agree and sum to steps.
+    rng = np.random.default_rng(seed)
+    corpus = [simple_piece(rng.choice([60, 62, 64], 12)) for _ in range(3)]
+    model = train(corpus, k=k)
+    tables, _ = reference_train(corpus, k)
+    prime = simple_piece(rng.choice([60, 62, 64], int(rng.integers(1, 6))))
+    result = generate(model, prime, steps, seed)
+    context = [tuple(e) for e in _validate_prime(prime, GRID).tolist()]
+    want = [0] * (k + 1)
+    for values in reference_generate(model, _validate_prime(prime, GRID), steps, seed):
+        want[len(reference_entries(tables, k, context)) - 1] += 1
+        context.append((TYPE_NOTE, *values))
+    assert result.context_depths == tuple(want)
+    assert sum(result.context_depths) == steps
+    # A model with no counts samples every step from the uniform distribution.
+    assert generate(empty_model(GRID, k), prime, steps, seed).context_depths == (
+        steps, *[0] * k
+    )
 
 
 def test_generate_reproduces_learned_transition_stats(alternating_model, alternating_prime):
