@@ -89,8 +89,11 @@ class EntropyTrace:
 
 
 def _scored_rows(seq: EventSequence, burn_in: int, label: str) -> np.ndarray:
-    """The rows of a valid sequence that are scored: its notes after burn_in."""
-    validate_sequence(seq)
+    """The rows of a valid sequence that are scored: its notes after burn_in.
+
+    The sequence is not validated here; callers check the ones they did
+    not build with encode.
+    """
     note_indices = np.flatnonzero(seq.events[:, 0] == TYPE_NOTE)
     if len(note_indices) <= burn_in:
         raise TooShortError(label, len(note_indices), burn_in)
@@ -113,6 +116,7 @@ def conditional_entropy(
     """
     if burn_in < 1:
         raise ValueError("burn_in must be >= 1")
+    validate_sequence(seq)
     keep = _scored_rows(seq, burn_in, label)
     scores = score_sequence(model, seq.events, context_len, mode)
     return EntropyTrace(scores[keep], mode, context_len, burn_in)
@@ -272,6 +276,7 @@ def information_flows(
             # The voices in an order fixed by their notes, so the report is
             # symmetric in x and y.
             first, second = _voice_order(as_track(x), as_track(y))
+            # encode returns only valid sequences: no need to validate them.
             seqs = sequences_from_notes(
                 first, second, model.grid, split_shared_programs=params.split_shared_programs
             )

@@ -240,16 +240,21 @@ def _parse_track(
     and of drum notes left out. The chunk's end bounds every read: an event
     that crosses it is truncated.
     """
-    # FIFO queues of (onset_tick, program) keyed by (channel, pitch).
-    open_notes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    # (onset_tick, off_tick, channel, pitch, program) in closing order.
-    closed: list[tuple[int, int, int, int, int]] = []
+    # FIFO queues of (onset_tick, program) keyed by channel << 7 | pitch,
+    # which sorts like (channel, pitch).
+    open_notes: dict[int, list[tuple[int, int]]] = {}
+    make = RawNote._make
     programs = [0] * 16
     tick = 0
     running_status = 0
+    drums = 0
 
     while pos < end:
-        delta, pos = _varint(data, pos, end)
+        delta = data[pos]
+        if delta < 0x80:
+            pos += 1
+        else:
+            delta, pos = _varint(data, pos, end)
         tick += delta
         if pos >= end:
             raise MidiParseError("truncated event status", pos)
@@ -307,25 +312,28 @@ def _parse_track(
         pos += 1
 
         if kind == 0x90 and b > 0:
-            open_notes.setdefault((channel, a), []).append((tick, programs[channel]))
+            if channel == DRUM_CHANNEL and not include_drums:
+                # Every note-on makes one note, closed or not: count it and
+                # leave it out now.
+                drums += 1
+            else:
+                open_notes.setdefault(channel << 7 | a, []).append((tick, programs[channel]))
         elif kind == 0x80 or kind == 0x90:
             # A note-off with nothing open is harmless noise; drop it.
-            queue = open_notes.get((channel, a))
+            queue = open_notes.get(channel << 7 | a)
             if queue:
                 onset, program = queue.pop(0)
-                closed.append((onset, tick, channel, a, program))
+                notes.append(make((onset, max(1, tick - onset), a, program, track_index)))
 
     n_open = 0
-    for (channel, pitch), queue in sorted(open_notes.items()):
-        if include_drums or channel != DRUM_CHANNEL:
-            n_open += len(queue)
-        closed += [(onset, tick, channel, pitch, program) for onset, program in queue]
-    kept = [c for c in closed if include_drums or c[2] != DRUM_CHANNEL]
-    notes += [
-        RawNote(onset, max(1, off - onset), pitch, program, track_index)
-        for onset, off, _, pitch, program in kept
-    ]
-    return n_open, len(closed) - len(kept)
+    for key, queue in sorted(open_notes.items()):
+        n_open += len(queue)
+        pitch = key & 0x7F
+        notes += [
+            make((onset, max(1, tick - onset), pitch, program, track_index))
+            for onset, program in queue
+        ]
+    return n_open, drums
 
 
 def _raw_array(notes) -> np.ndarray:

@@ -169,6 +169,23 @@ def _key_shift(grid: GridSpec) -> int:
     return (8 * max(vocab_sizes(grid)) - 1).bit_length()
 
 
+def _search(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """np.searchsorted(haystack, needles), searched in ascending needle order.
+
+    Each search then starts from where the last one ended, so the reads of
+    a large table stay close together; the results go back to the order
+    of the needles.
+    """
+    # Array methods, not np.argsort and np.searchsorted: generation calls
+    # this with one or two needles per step, where their wrappers cost as
+    # much as the search.
+    flat = needles.ravel()
+    order = flat.argsort()
+    at = np.empty_like(order)
+    at[order] = haystack.searchsorted(flat[order])
+    return at.reshape(needles.shape)
+
+
 def _head_mask(n_words: int, first_words: np.ndarray) -> np.ndarray:
     """Which 32-bit words of a serialized table belong to entry records."""
     mask = np.zeros(n_words, dtype=bool)
@@ -215,7 +232,7 @@ class CountTable:
         """The rows whose context hash is in this table, and their entries."""
         if not len(self.contexts):
             return rows[:0], rows[:0]
-        entries = np.searchsorted(self.contexts, hashes)
+        entries = _search(self.contexts, hashes)
         np.minimum(entries, len(self.contexts) - 1, out=entries)
         hit = self.contexts[entries] == hashes
         return rows[hit], entries[hit]
@@ -227,7 +244,7 @@ class CountTable:
         known = (values >= 0) & (values < vocab)
         keys = np.where(known, values * 8 + np.arange(N_FIELDS), 0).astype(np.uint64)
         codes = (entries.astype(np.uint64)[:, None] << np.uint64(self.shift)) | keys
-        at = np.searchsorted(self.codes, codes)
+        at = _search(self.codes, codes)
         np.minimum(at, len(self.codes) - 1, out=at)
         hit = known & (self.codes[at] == codes)
         return np.where(hit, self.counts[at], 0).astype(np.float64)
@@ -882,7 +899,11 @@ def _read_table(
     np.add.at(sums, entry * N_FIELDS + fields.astype(np.int64), counts)
     if np.any(sums.reshape(-1, N_FIELDS) != totals[:, None]):
         raise ValueError("per-field counts do not sum to the entry total")
-    return CountTable.build(contexts, totals, codes, counts, shift), offset
+    # The codes ascend with their entry above shift (checked above), so
+    # each entry's pairs start where the pairs of the entries before end.
+    offsets = np.zeros(len(heads) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return CountTable(contexts, totals, offsets, codes, counts, shift), offset
 
 
 def load_model(data: bytes) -> ContextModel:

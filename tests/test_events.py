@@ -229,6 +229,36 @@ def test_encode_matches_reference(case):
 
 
 @st.composite
+def voice_pairs(draw):
+    """Two non-empty tracks on one grid, rows in any order, programs from one
+    small pool (127 included, which split_shared_programs wraps to 0)."""
+    grid = draw(grids)
+    programs = draw(st.lists(st.integers(0, 127), min_size=1, max_size=3)) + [127]
+    note = st.builds(
+        QuantNote,
+        st.integers(0, min(grid.max_beat, 50) - 1),
+        st.integers(0, grid.resolution - 1),
+        st.integers(0, 127),
+        st.integers(1, grid.max_duration),
+        st.sampled_from(programs),
+    )
+    x, y = (draw(st.lists(note, min_size=1, max_size=15)) for _ in range(2))
+    return x, y, grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(voice_pairs(), st.booleans())
+def test_sequences_from_notes_returns_valid_views(case, split):
+    # information_flows scores these views without validating them again.
+    x, y, grid = case
+    views = sequences_from_notes(x, y, grid, split_shared_programs=split)
+    for seq in views:
+        validate_sequence(seq)
+        reference_validate(event_rows(seq), grid)
+    assert [v.note_count for v in views] == [len(x), len(y), len(x) + len(y)]
+
+
+@st.composite
 def mutated_sequences(draw):
     """A valid encoding with a few field edits, row swaps, drops and insertions."""
     grid = draw(grids)

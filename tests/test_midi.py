@@ -140,6 +140,56 @@ def test_unmatched_note_on_closes_at_track_end() -> None:
     assert RawNote(100, 50, 64, 0, 0) in parsed.notes
 
 
+def test_notes_open_at_track_end_close_in_channel_then_pitch_order() -> None:
+    track = midibuild.Track()
+    track.program(0, 7, channel=2).program(0, 9, channel=1)
+    track.note_on(0, 10, channel=2)   # opened first, on the higher channel
+    track.note_on(5, 100, channel=1)
+    track.note_on(5, 10, channel=1)
+    track.note_on(0, 60, channel=0).note_off(20, 60, channel=0)
+    track.end(30)
+    data = midibuild.build([track], fmt=0)
+    parsed = parse_midi(data)
+    assert parsed.unclosed_notes == 3
+    assert parsed.notes == (
+        RawNote(10, 20, 60, 0, 0),    # closed by its note-off
+        RawNote(10, 50, 10, 9, 0),    # channel 1, pitch 10
+        RawNote(5, 55, 100, 9, 0),    # channel 1, pitch 100
+        RawNote(0, 60, 10, 7, 0),     # channel 2, pitch 10
+    )
+    assert all(type(n) is RawNote for n in parsed.notes)
+    assert reference_parse_midi(data) == parsed
+
+
+def test_deltas_of_one_byte_and_more_parse() -> None:
+    track = midibuild.Track()
+    onsets, tick = [], 0
+    for delta in (0, 0x7F, 0x80, 0x3FFF, 0x4000, 0x0FFFFFFF):  # 1 to 4 bytes
+        track.note_on(delta, 60).note_off(1, 60)
+        onsets.append(tick + delta)
+        tick += delta + 1
+    track.end()
+    data = midibuild.build([track], fmt=0)
+    parsed = parse_midi(data)
+    assert parsed.notes == tuple(RawNote(t, 1, 60, 0, 0) for t in onsets)
+    assert reference_parse_midi(data) == parsed
+
+
+def test_delta_cut_off_at_its_chunk_end_is_truncated() -> None:
+    # A two-byte delta whose second byte would be the next chunk's first.
+    first = midibuild.note_track([(0, 480, 60)])
+    body = first.data()[8:-4] + bytes([0x81])  # no end-of-track, a cut delta
+    short = b"MTrk" + len(body).to_bytes(4, "big") + body
+    second = midibuild.note_track([(0, 480, 48)])
+    data = midibuild.build([first, second])[:14] + short + second.data()
+    track_end = 14 + len(short)
+    with pytest.raises(MidiParseError) as err:
+        parse_midi(data)
+    assert str(err.value) == f"truncated variable-length quantity (at byte {track_end})"
+    assert err.value.offset == track_end
+    assert _parse_outcome(reference_parse_midi, data, False) == (str(err.value), track_end)
+
+
 def test_drum_channel_excluded_by_default() -> None:
     track = midibuild.Track()
     track.note_on(0, 36, channel=9).note_off(100, 36, channel=9)

@@ -28,6 +28,7 @@ from duetflow.midi import QuantNote
 import duetflow.model as model_module
 from duetflow.model import (
     ContextModel,
+    CountTable,
     GenerationResult,
     empty_model,
     event_hash,
@@ -43,6 +44,7 @@ from duetflow.model import (
     _cdfs,
     _draw,
     _event_hashes,
+    _search,
     _validate_prime,
 )
 from reference_events import event_rows
@@ -260,6 +262,58 @@ def test_nll_of_values_outside_the_vocabulary_has_count_zero():
         for f, size in enumerate(vocab):
             want = -math.log((1 / size) * lam / (total + lam))
             assert row[f] == pytest.approx(want, rel=1e-12)
+
+
+_U64 = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_search_equals_plain_searchsorted(data):
+    hay = np.array(sorted(data.draw(st.sets(_U64, max_size=20))), dtype=np.uint64)
+    needle = st.one_of(st.sampled_from(hay.tolist()), _U64) if len(hay) else _U64
+    flat = data.draw(st.lists(needle, max_size=30))
+    rows = data.draw(st.sampled_from([1, 2, 3, 6]))
+    needles = np.array(flat[: len(flat) // rows * rows], dtype=np.uint64).reshape(-1, rows)
+    for shape in (needles, needles.ravel(), needles.T):
+        got = _search(hay, shape)
+        want = np.searchsorted(hay, shape)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_find_and_point_counts_equal_plain_searchsorted(monkeypatch):
+    rng = np.random.default_rng(29)
+    model = train([random_piece(rng, 30, programs=(0, 40)) for _ in range(4)], k=3)
+    vocab = np.array(model.vocab)
+    shift = model.tables[0].shift
+
+    def outcomes():
+        out = []
+        for table in model.tables + [CountTable.empty(shift)]:
+            # Every context once, some twice, and hashes absent from the table,
+            # shuffled; then a single needle.
+            absent = rng.integers(0, 2**63, 8, dtype=np.int64).astype(np.uint64)
+            hashes = rng.permutation(np.concatenate([table.contexts, table.contexts[:3], absent]))
+            for n in (len(hashes), 1):
+                out.append(table.find(hashes[:n], np.arange(n) + 100))
+            if not len(table):
+                continue
+            entries = rng.integers(0, len(table), 40)
+            values = rng.integers(-2, vocab + 3, (40, N_FIELDS))
+            for n in (40, 1, 0):
+                out.append((table.point_counts(entries[:n], values[:n], vocab),))
+        return out
+
+    state = rng.bit_generator.state
+    sorted_search = outcomes()
+    rng.bit_generator.state = state
+    monkeypatch.setattr(model_module, "_search", np.searchsorted)
+    plain = outcomes()
+    assert len(sorted_search) == len(plain) == 2 * 5 + 3 * 4
+    for got, want in zip(sorted_search, plain):
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @settings(max_examples=20, deadline=None)
@@ -637,6 +691,21 @@ def test_load_accepts_only_canonical_tables():
     rejected("table 0 is empty", lambda t: t[0].clear(), events=0)
     rejected("table 0 total", lambda t: None, events=trained + 1)
     rejected("too small", lambda t: None, lam=1e-300)
+
+
+@pytest.mark.parametrize("trained", [True, False])
+def test_loaded_offsets_equal_a_search_of_the_entry_bounds(trained):
+    rng = np.random.default_rng(31)
+    corpus = [random_piece(rng, 20, programs=(0, 40)) for _ in range(3)]
+    model = train(corpus, k=3) if trained else empty_model(GRID, k=3)
+    back = load_model(save_model(model))
+    assert len(back.tables) == 4
+    for table, saved in zip(back.tables, model.tables):
+        bounds = np.arange(len(table) + 1, dtype=np.uint64) << np.uint64(table.shift)
+        want = np.searchsorted(table.codes, bounds)
+        assert table.offsets.dtype == want.dtype == np.int64
+        assert np.array_equal(table.offsets, want)
+        assert np.array_equal(table.offsets, saved.offsets)
 
 
 def test_empty_model_round_trips():
