@@ -20,8 +20,7 @@ Canonical note order is the order of one int64 key per note, its five
 fields packed by the grid's spans. Validation decides with a few
 whole-sequence checks, the key's order among them, and walks the rows only
 to name the first bad event; encoding sorts by the key, and not at all
-when the notes are in order already. A grid whose spans multiply to 2**63
-or more has no such key, and its notes take the row-by-row path throughout.
+when the notes are in order already.
 """
 from __future__ import annotations
 
@@ -32,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import GridSpec, vocab_sizes
 from .midi import as_track, sort_notes
 
 TYPE_START = 0
@@ -110,15 +109,6 @@ class EventSequence:
         return int(np.count_nonzero(self.events[:, 0] == TYPE_NOTE))
 
 
-def vocab_sizes(grid: GridSpec) -> tuple[int, ...]:
-    """Per-field vocabulary sizes for models over this grid.
-
-    Duration needs max_duration + 1 slots: notes use 1..max_duration and
-    structural events carry 0.
-    """
-    return (5, grid.max_beat, grid.resolution, 128, grid.max_duration + 1, 128)
-
-
 def _check_note_fields(note: Sequence[int], grid: GridSpec) -> str | None:
     """What is wrong with a note's (beat, position, pitch, duration, program)."""
     beat, position, pitch, duration, program = map(int, note)
@@ -145,15 +135,12 @@ def _off_grid(notes: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _key_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray] | None:
+def _key_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The spans of a note's five fields on this grid, and their key weights.
 
-    None when the spans multiply to 2**63 or more, where a key or a weight
-    may not fit int64.
+    The grid bound keeps the spans' product, and so every key, below 2**58.
     """
     spans = vocab_sizes(grid)[1:]
-    if math.prod(spans) >= 1 << 63:
-        return None
     weights = [math.prod(spans[f + 1 :]) for f in range(5)]
     layout = np.array([spans, weights], dtype=np.int64)
     layout.flags.writeable = False  # shared by every caller
@@ -164,13 +151,12 @@ def _note_keys(notes: np.ndarray, grid: GridSpec) -> np.ndarray | None:
     """One int64 per note of an (n, 5) array that orders as the rows do.
 
     Each field is a digit below its span, so comparing keys compares rows
-    field by field. None when the notes are not int64, a note is off the
-    grid, or the grid has no key layout.
+    field by field. None when the notes are not int64 or a note is off the
+    grid.
     """
-    layout = _key_layout(grid)
-    if layout is None or notes.dtype != np.int64:
+    if notes.dtype != np.int64:
         return None
-    spans, weights = layout
+    spans, weights = _key_layout(grid)
     if not ((notes >= _NOTE_LOW).all() and (notes < spans).all()):
         return None
     return notes @ weights
@@ -204,15 +190,11 @@ def encode(
         raise ValueError("cannot encode an empty note list")
     keys = _note_keys(notes, grid)
     if keys is None:
-        # A note off the grid or beyond int64, or a grid without keys: sort
-        # the rows themselves, and name the first bad note in that order.
+        # A note off the grid, as one beyond int64 is too: sort the rows
+        # themselves, and name the first bad note in that order.
         notes = sort_notes(notes)
-        bad = _off_grid(notes, grid)
-        if bad.any():
-            raise ValueError(_check_note_fields(notes[bad.argmax()], grid))
-        if notes.dtype != np.int64:
-            raise ValueError("note fields must fit in int64")
-    elif (keys[1:] < keys[:-1]).any():
+        raise ValueError(_check_note_fields(notes[_off_grid(notes, grid).argmax()], grid))
+    if (keys[1:] < keys[:-1]).any():
         # Equal keys are equal notes, so any order of them is canonical;
         # the stable sort merges the runs of two ordered tracks fastest.
         notes = notes[keys.argsort(kind="stable")]
@@ -241,11 +223,7 @@ def _run_end(types: np.ndarray, start: int, event_type: int) -> int:
 
 
 def _is_valid(events: np.ndarray, grid: GridSpec) -> bool:
-    """Whether an (n, 6) event array is a valid encoding, by whole-array checks.
-
-    False as well on a grid without a note key layout, where only the
-    row-by-row checks decide.
-    """
+    """Whether an (n, 6) event array is a valid encoding, by whole-array checks."""
     types = events[:, 0]
     p = int(np.count_nonzero(types == TYPE_INSTRUMENT))
     m = len(events) - p - 3

@@ -244,30 +244,25 @@ def information_flows(
     streams: list[np.ndarray] = []
 
     def score_pending() -> None:
-        try:
-            scores = score_sequences(model, streams, params.context_len, params.mode)
-        except ValueError as exc:
-            for i, _ in pending:
-                results[i] = exc
-        else:
-            for n, (i, keeps) in enumerate(pending):
-                h_x, h_y, h_xy = (
-                    tuple(float(v) for v in s[keep].mean(axis=0))
-                    for s, keep in zip(scores[3 * n : 3 * n + 3], keeps)
-                )
-                if params.xy_norm == XY_NORM_PER_PAIR:
-                    h_xy = tuple(2.0 * v for v in h_xy)
-                results[i] = FlowReport(
-                    piece_id=ids[i],
-                    model_id=model.fingerprint(),
-                    mode=params.mode,
-                    context_len=params.context_len,
-                    burn_in=params.burn_in,
-                    xy_norm=params.xy_norm,
-                    h_first=h_x,
-                    h_second=h_y,
-                    h_merged=h_xy,
-                )
+        scores = score_sequences(model, streams, params.context_len, params.mode)
+        for n, (i, keeps) in enumerate(pending):
+            h_x, h_y, h_xy = (
+                tuple(float(v) for v in s[keep].mean(axis=0))
+                for s, keep in zip(scores[3 * n : 3 * n + 3], keeps)
+            )
+            if params.xy_norm == XY_NORM_PER_PAIR:
+                h_xy = tuple(2.0 * v for v in h_xy)
+            results[i] = FlowReport(
+                piece_id=ids[i],
+                model_id=model.fingerprint(),
+                mode=params.mode,
+                context_len=params.context_len,
+                burn_in=params.burn_in,
+                xy_norm=params.xy_norm,
+                h_first=h_x,
+                h_second=h_y,
+                h_merged=h_xy,
+            )
         pending.clear()
         streams.clear()
 

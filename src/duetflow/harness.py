@@ -417,6 +417,8 @@ def self_enhancement(
             f"steps {steps} must exceed burn_in {params.burn_in}, "
             "or no continuation has an event to score"
         )
+    if seed < 0:
+        raise ValueError(f"seed {seed} must be >= 0")
     models = {"a": model_a, "b": model_b}
     sums = {s: {g: 0.0 for g in models} for s in models}
     counts = {s: {g: 0 for g in models} for s in models}
@@ -426,15 +428,12 @@ def self_enhancement(
     pieces: list[tuple] = []
     makers: list[str] = []  # the generator of each piece
     for g_index, (g_name, g_model) in enumerate(models.items()):
-        try:
-            results = generate_many(
-                g_model,
-                [prime for _, prime, _ in kept],
-                steps,
-                [seed * 7919 + i * 2 + g_index for i, _, _ in kept],
-            )
-        except ValueError as exc:
-            results = [exc] * len(kept)
+        results = generate_many(
+            g_model,
+            [prime for _, prime, _ in kept],
+            steps,
+            [seed * 7919 + i * 2 + g_index for i, _, _ in kept],
+        )
         for (_, _, notes), r in zip(kept, results):
             if isinstance(r, ValueError):
                 skipped += 1

@@ -56,9 +56,8 @@ from .events import (
     SequenceStructureError,
     encode,
     validate_sequence,
-    vocab_sizes,
 )
-from .grid import GridSpec
+from .grid import GridSpec, vocab_sizes
 from .midi import QuantNote
 
 _MASK64 = (1 << 64) - 1
@@ -83,9 +82,6 @@ _PAIR_WORDS = _PAIR.itemsize // 4
 
 _HASH_CHUNK = 1 << 14  # events hashed per numpy pass
 _DENSE_ROWS = 256  # whole distributions built per pass
-# Most values one row of whole distributions may hold, all fields together;
-# the default grid needs 1,394. Wider grids are refused before allocating.
-_DENSE_WIDTH = 1 << 16
 # Most bytes of sampling rows one generate_many call keeps for reuse. A row
 # is the cumulative sums of fields 1..5: 1,389 float64 on the default grid,
 # about 11 KB, so about 1,500 rows. The rows are dropped all at once when
@@ -148,7 +144,7 @@ class _Layout(NamedTuple):
     vocab: np.ndarray  # int64, the size of each field
     starts: np.ndarray  # int64, the first column of each field
     width: int  # columns in all
-    uniform: np.ndarray | None  # 1 / the size of each column's field; None past _DENSE_WIDTH
+    uniform: np.ndarray  # 1 / the size of each column's field
 
 
 @lru_cache(maxsize=64)
@@ -156,12 +152,10 @@ def _layout(vocab: tuple[int, ...]) -> _Layout:
     """The row layout of a vocabulary, shared by every caller: read-only."""
     sizes = np.array(vocab, dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
-    width = int(sizes.sum())
-    uniform = 1.0 / np.repeat(sizes, sizes) if width <= _DENSE_WIDTH else None
+    uniform = 1.0 / np.repeat(sizes, sizes)
     for a in (sizes, starts, uniform):
-        if a is not None:
-            a.flags.writeable = False
-    return _Layout(sizes, starts, width, uniform)
+        a.flags.writeable = False
+    return _Layout(sizes, starts, int(sizes.sum()), uniform)
 
 
 def _key_shift(grid: GridSpec) -> int:
@@ -416,23 +410,24 @@ def _match(model: ContextModel, hashes: np.ndarray, avail: np.ndarray) -> np.nda
     return chains
 
 
-def _root_row(model: ContextModel) -> np.ndarray | None:
-    """The length-0 step from the uniform distribution, as one row, or None.
+def _root_row(model: ContextModel) -> np.ndarray:
+    """The length-0 step from the uniform distribution, as one row.
 
     Every field's values side by side, then one slot per field with count
     0, the probability of a value outside the vocabulary. The expression
-    is the one _interpolate applies at every length. None when table 0 is
-    empty, so that no chain reaches length 0, or when the grid is too wide
-    for whole rows, where length 0 is looked up like any other length.
+    is the one _interpolate applies at every length. With table 0 empty it
+    is the uniform distribution itself: x * (lam / lam) + 0 / lam == x.
     """
     lay = _layout(model.vocab)
     table = model.tables[0]
-    if lay.uniform is None or not len(table):
-        return None
     counts = np.zeros(lay.width + N_FIELDS)
-    counts[: lay.width] = table.dense_counts(np.zeros(1, dtype=np.int64), lay.starts, lay.width)[0]
+    total = 0.0
+    if len(table):
+        entry = np.zeros(1, dtype=np.int64)
+        counts[: lay.width] = table.dense_counts(entry, lay.starts, lay.width)[0]
+        total = float(table.totals[0])
     lam = model.lam
-    denom = float(table.totals[0]) + lam
+    denom = total + lam
     return np.concatenate([lay.uniform, 1.0 / lay.vocab]) * (lam / denom) + counts / denom
 
 
@@ -449,41 +444,24 @@ def _interpolate(
     scales by lambda / (total + lambda) and adds counts / (total + lambda).
     With values, an (m, 6) array of realized events, the result is the
     probability of values[i, f], shape (m, 6); without, the whole
-    distribution of every field side by side, shape (m, sum(vocab)), which
-    a grid with more than _DENSE_WIDTH values in all may not ask for.
+    distribution of every field side by side, shape (m, sum(vocab)).
 
-    Length 0 is the same single entry for every chain, so where the grid
-    allows whole rows it is read or broadcast from root, the _root_row of
-    the model, built here unless the caller, which interpolates many
-    times, has built it once; point lookups on a wider grid take length 0
-    in the loop as well.
+    Length 0 is the same single entry for every chain, so it is read or
+    broadcast from root, the _root_row of the model, built here unless the
+    caller, which interpolates many times, has built it once; the loop
+    starts at length 1.
     """
     lay = _layout(model.vocab)
-    if values is None:
-        if lay.uniform is None:
-            raise ValueError(
-                f"grid {model.grid} has {lay.width} values per distribution, "
-                f"more than the {_DENSE_WIDTH} whole distributions may hold"
-            )
-        uniform = lay.uniform
-    else:
-        uniform = 1.0 / lay.vocab
     if root is None:
         root = _root_row(model)
-    if root is None:
-        probs = np.tile(uniform, (len(chains), 1))
-        first = 0
+    if values is None:
+        probs = np.tile(root[: lay.width], (len(chains), 1))
     else:
-        if values is None:
-            at_root = root[: lay.width]
-        else:
-            known = (values >= 0) & (values < lay.vocab)
-            at_root = root[np.where(known, values + lay.starts, lay.width + np.arange(N_FIELDS))]
-        probs = np.where(chains[:, :1] >= 0, at_root, uniform)
-        first = 1
+        known = (values >= 0) & (values < lay.vocab)
+        probs = root[np.where(known, values + lay.starts, lay.width + np.arange(N_FIELDS))]
     lam = model.lam
     rows = np.arange(len(chains))
-    for j in range(first, chains.shape[1]):
+    for j in range(1, chains.shape[1]):
         rows = rows[chains[rows, j] >= 0]
         if not len(rows):
             break
@@ -568,8 +546,7 @@ def train(corpus: Sequence[EventSequence], k: int, lam: float = 1.0) -> ContextM
     events = np.concatenate([seq.events for seq in corpus])
     if np.any((events < 0) | (events >= np.array(vocab))):
         raise ValueError(f"corpus has event values outside the vocabulary of {grid}")
-    if max(vocab) <= np.iinfo(np.int16).max:
-        events = events.astype(np.int16)
+    events = events.astype(np.uint16)  # the grid bound keeps every value below 2**16
     starts = np.cumsum(lengths) - lengths
     usable = np.ones(n, dtype=bool)
     shift = _key_shift(grid)
@@ -698,7 +675,7 @@ def _draw(cdfs: np.ndarray, vocab: Sequence[int], draws: np.ndarray) -> np.ndarr
 def _cdf_rows(
     model: ContextModel,
     chains: np.ndarray,
-    root: np.ndarray | None,
+    root: np.ndarray,
     slots: dict[bytes, int],
     table: np.ndarray,
 ) -> list[int]:
@@ -741,8 +718,7 @@ def generate_many(
     _validate_prime, and one that is not a valid sequence without its end
     event (off the grid, out of order, with an undeclared instrument, or
     malformed) gets validate_sequence's SequenceStructureError in place of
-    a result; an error that concerns every prime (steps < 0, a grid too
-    wide for whole distributions) is raised.
+    a result; an error that concerns every prime (steps < 0) is raised.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -870,8 +846,6 @@ def _read_table(
         raise struct.error(f"table needs {offset} bytes, file has {len(data)}")
     if not heads:
         return CountTable.empty(shift), offset
-    if len(heads) >= 1 << (64 - shift):
-        raise ValueError("more entries than keys can be coded for this grid")
     words = np.frombuffer(data, dtype="<u4", count=at, offset=start)
     is_head = _head_mask(at, np.frombuffer(heads, dtype=np.int64))
     head = words[is_head].view(_ENTRY)

@@ -378,6 +378,21 @@ def test_selfbias_needs_more_steps_than_the_burn_in(tmp_path, trained, capsys, s
         assert "primes: 1 (skipped 0), steps: 17" in out.out
 
 
+def test_selfbias_refuses_a_negative_seed(tmp_path, trained, capsys):
+    tok, model = trained
+    primes = tmp_path / "primes"
+    primes.mkdir()
+    (primes / "piece0.x.events").write_text((tok / "piece0.x.events").read_text())
+    rc = main(
+        ["--seed", "-1", "selfbias", "--model-a", str(model), "--model-b", str(model),
+         "--primes", str(primes), "--steps", "24"]
+    )
+    out = capsys.readouterr()
+    assert rc == 1
+    assert out.err == "error: seed -1 must be >= 0\n"
+    assert not out.out
+
+
 def test_oracle_exact_command(capsys, tmp_path):
     assert main(["oracle", "exact", "--chain", "copy", "--alphabet", "2"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -722,6 +737,7 @@ def test_model_grid_must_match_config_grid(tmp_path, midi_dir, trained, capsys, 
         {"resolution": 0},
         {"k": -1},
         {"lam": 0},
+        {"max_beat": 70000},
     ],
     ids=lambda entry: "-".join(f"{k}={v}" for k, v in entry.items()),
 )

@@ -18,7 +18,7 @@ from duetflow.events import (
     validate_sequence,
     vocab_sizes,
 )
-from duetflow.grid import GridSpec
+from duetflow.grid import MAX_VALUES, GridSpec
 from duetflow.midi import QuantNote, merge_tracks
 from reference_events import (
     event_rows,
@@ -169,14 +169,15 @@ def test_sequences_from_notes_shapes() -> None:
 INT64_EDGES = (2**63 - 1, -(2**63))
 WIDE = (2**63, -(2**63) - 1, 2**64, 2**70, -(2**70))
 
-# Grids at the edge of the int64 note key: the five note field spans of the
-# first multiply to just under 2**63, those of the others to 2**63 or more,
-# where encoding and validation take their row-by-row paths.
+# The widest legal grids: 262 + max_beat + resolution + max_duration is
+# exactly 2**16. One grid spends the room on each axis; the balanced one
+# has the largest note key, its five spans multiplying to just below 2**58.
+_ROOM = MAX_VALUES - sum(vocab_sizes(GridSpec(1, 1, 1))) + 3
 KEY_EDGE_GRIDS = [
-    GridSpec(resolution=2**14, max_beat=2**20, max_duration=2**14),
-    GridSpec(resolution=2**24, max_beat=1, max_duration=2**25 - 1),
-    GridSpec(resolution=2**14, max_beat=2**20, max_duration=2**15),
-    GridSpec(resolution=2**20, max_beat=2**40, max_duration=2**20),
+    GridSpec(resolution=1, max_beat=_ROOM - 2, max_duration=1),
+    GridSpec(resolution=_ROOM - 2, max_beat=1, max_duration=1),
+    GridSpec(resolution=1, max_beat=1, max_duration=_ROOM - 2),
+    GridSpec(resolution=_ROOM // 3, max_beat=_ROOM // 3, max_duration=_ROOM - 2 * (_ROOM // 3)),
 ]
 grids = st.one_of(
     st.builds(

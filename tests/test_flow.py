@@ -11,7 +11,6 @@ from duetflow.flow import (
     LN2,
     EntropyTrace,
     FlowParams,
-    FlowReport,
     TooShortError,
     conditional_entropy,
     information_flow,
@@ -275,20 +274,6 @@ def test_information_flows_equals_per_piece_scoring(indep_model, batch):
         assert result.model_id == indep_model.fingerprint()
         assert other == result and other.to_dict() == result.to_dict()
         assert information_flow(indep_model, x, y, params, piece_id=piece_id) == result
-
-
-def test_information_flows_gives_every_piece_a_batch_refusal():
-    # 70,370 values per distribution: more than predictive scoring may build.
-    model = empty_model(GridSpec(max_beat=70000), k=2)
-    pieces = [(voice([0, 1] * 12), voice([1, 0] * 12, base=72)) for _ in range(3)]
-    results = information_flows(model, pieces, FlowParams(mode="predictive", burn_in=4))
-    assert len(results) == 3
-    for result in results:
-        assert isinstance(result, ValueError)
-        assert "70370 values per distribution" in str(result)
-    # nll scores the realized values only, so the same batch is scored.
-    nll = information_flows(model, pieces, FlowParams(burn_in=4))
-    assert all(isinstance(result, FlowReport) for result in nll)
 
 
 # --- voice order --------------------------------------------------------------

@@ -317,6 +317,16 @@ def test_self_enhancement_refuses_steps_within_the_burn_in(two_models):
     assert report.skipped == 0
 
 
+def test_self_enhancement_refuses_a_negative_seed(two_models):
+    # Each generator's seed is derived from this one and must not be negative.
+    model_a, model_b = two_models
+    prime = encode([tuple(QuantNote(t // 12, t % 12, 36, 1, 0) for t in range(24))], GRID)
+    with pytest.raises(ValueError, match="^seed -1 must be >= 0$"):
+        self_enhancement(model_a, model_b, [prime], 24, FlowParams(burn_in=4), seed=-1)
+    report = self_enhancement(model_a, model_b, [prime], 24, FlowParams(burn_in=4), seed=0)
+    assert report.skipped == 0
+
+
 def test_self_enhancement_skips_empty_primes(two_models):
     model_a, model_b = two_models
     no_notes = EventSequence((Event(0, 0, 0, 0, 0, 0), Event(4, 0, 0, 0, 0, 0)), GRID)

@@ -404,8 +404,9 @@ ticks = st.one_of(st.integers(0, 5000), st.integers(0, 2**62), st.integers(0, 2*
     st.builds(
         GridSpec,
         resolution=st.integers(1, 48),
-        max_beat=st.one_of(st.integers(1, 2000), st.integers(1, 2**56)),
-        max_duration=st.one_of(st.integers(1, 200), st.integers(1, 2**56)),
+        # Up to the widest grids: 262 + 60000 + 48 + 5000 values is below 2**16.
+        max_beat=st.one_of(st.integers(1, 2000), st.integers(1, 60000)),
+        max_duration=st.one_of(st.integers(1, 200), st.integers(1, 5000)),
     ),
 )
 def test_quantize_matches_per_note_reference(notes, ticks_per_beat, grid) -> None:

@@ -23,10 +23,11 @@ from duetflow.events import (
     validate_sequence,
     vocab_sizes,
 )
-from duetflow.grid import GridSpec
+from duetflow.grid import MAX_VALUES, GridSpec
 from duetflow.midi import QuantNote
 import duetflow.model as model_module
 from duetflow.model import (
+    MODES,
     ContextModel,
     CountTable,
     GenerationResult,
@@ -217,33 +218,6 @@ def test_score_sequences_of_no_streams_is_empty():
             assert score_sequences(model, [], 64, mode) == []
 
 
-def test_nll_on_a_grid_too_wide_for_whole_rows_matches_reference():
-    # Length 0 is interpolated with the longer lengths on this grid, not
-    # built as one whole row first; the scores must not tell the two apart.
-    wide = GridSpec(max_beat=70000)
-    assert sum(vocab_sizes(wide)) > model_module._DENSE_WIDTH
-    rng = np.random.default_rng(3)
-    tracks = [
-        np.column_stack([
-            rng.integers(0, 70000, 10),
-            rng.integers(0, 12, 10),
-            rng.integers(0, 128, 10),
-            rng.integers(1, 97, 10),
-            rng.choice([0, 9], 10),
-        ])
-        for _ in range(3)
-    ]
-    corpus = [encode([track], wide) for track in tracks]
-    model = train(corpus, k=2, lam=0.5)
-    tables, _ = reference_train(corpus, 2)
-    # A piece the model has not seen, mixing contexts of two it has.
-    probe = encode([tracks[0][:4], tracks[1][5:]], wide).events
-    for stream in [seq.events for seq in corpus] + [probe]:
-        got = score_sequence(model, stream, 64)
-        want = reference_scores(tables, 2, model.lam, model.vocab, stream, 64, "nll")
-        assert np.array_equal(got, want)
-
-
 def test_nll_of_values_outside_the_vocabulary_has_count_zero():
     seq = simple_piece([60, 64, 67, 60])
     lam = 0.5
@@ -345,22 +319,25 @@ def test_sampler_draws_what_rng_choice_draws(seed):
         assert got[row].tolist() == want
 
 
-def test_wide_grids_refuse_whole_distributions():
-    wide = GridSpec(max_beat=(1 << 16))
-    model = empty_model(wide, k=1)
-    seq = encode([[QuantNote(70, 0, 60, 4, 0)]], wide)
-    with pytest.raises(ValueError, match="more than the 65536"):
-        model.predict_next([])
-    with pytest.raises(ValueError, match="values per distribution"):
-        score_sequence(model, seq.events, 4, mode="predictive")
-    with pytest.raises(ValueError, match="values per distribution"):
-        generate(model, seq, 1, seed=0)
-    nll = score_sequence(model, seq.events, 4)
-    assert np.all(np.isfinite(nll))
-    # The widest grid below the bound still gets whole distributions.
-    fits = GridSpec(max_beat=(1 << 16) - sum(vocab_sizes(GridSpec(max_beat=1))) + 1)
-    assert sum(vocab_sizes(fits)) == 1 << 16
-    empty_model(fits, k=1).predict_next([]).validate()
+def test_grids_hold_at_most_one_distribution_row():
+    # 262 + max_beat + resolution + max_duration values may reach 2**16: that
+    # grid builds, predicts, scores and generates; one value more is refused.
+    widest = GridSpec(max_beat=MAX_VALUES - sum(vocab_sizes(GridSpec(max_beat=1))) + 1)
+    assert sum(vocab_sizes(widest)) == MAX_VALUES
+    model = empty_model(widest, k=1)
+    model.predict_next([]).validate()
+    seq = encode([[QuantNote(widest.max_beat - 1, 0, 60, 4, 0)] * 20], widest)
+    for mode in MODES:
+        assert np.all(np.isfinite(score_sequence(model, seq.events, 4, mode)))
+    assert len(generate(model, seq, 2, seed=0).sampled_notes) == 2
+    for over in (
+        dict(max_beat=widest.max_beat + 1),
+        dict(max_beat=widest.max_beat, resolution=widest.resolution + 1),
+        dict(max_beat=widest.max_beat, max_duration=widest.max_duration + 1),
+    ):
+        refusal = f"has {MAX_VALUES + 1} values per distribution, more than {MAX_VALUES}$"
+        with pytest.raises(ValueError, match=refusal):
+            GridSpec(**over)
 
 
 def test_train_rejects_events_outside_the_vocabulary():
@@ -595,6 +572,17 @@ def test_load_rejects_corrupted_input():
         load_model(blob[:18] + struct.pack("<I", 0) + blob[22:])
 
 
+def test_load_refuses_a_header_grid_past_the_bound():
+    blob = save_model(train([simple_piece([60, 64])], k=1))
+    at = 4 + struct.calcsize("<HIdI")  # where the header's max_beat is
+    widest = MAX_VALUES - sum(vocab_sizes(GRID)) + GRID.max_beat
+    model = load_model(blob[:at] + struct.pack("<I", widest) + blob[at + 4 :])
+    assert sum(model.vocab) == MAX_VALUES
+    refusal = f"^invalid grid in model header: .* more than {MAX_VALUES}$"
+    with pytest.raises(ValueError, match=refusal):
+        load_model(blob[:at] + struct.pack("<I", widest + 1) + blob[at + 4 :])
+
+
 def _table_layout(model):
     """Where each table of save_model(model) starts, and its entry heads."""
     offset = 4 + struct.calcsize("<HIdIIIQ")
@@ -774,16 +762,9 @@ def test_corrupted_blob_is_refused_or_loads_canonically(flips):
         return
     assert save_model(model) == data
     assert model.fingerprint() == hashlib.blake2b(data, digest_size=8).hexdigest()
-    if sum(model.vocab) > 1 << 16:
-        # A flipped byte in the grid header can enlarge the grid, up to 2^32
-        # values per field; the format has no checksum to notice. Whole
-        # distributions over such a grid are refused before they allocate.
-        for context in SMALL_CONTEXTS:
-            with pytest.raises(ValueError, match="values per distribution"):
-                model.predict_next(context)
-        with pytest.raises(ValueError, match="values per distribution"):
-            score_sequence(model, SMALL_CORPUS[1].events, 64, mode="predictive")
-        return
+    # A flipped byte in the grid header can enlarge the grid; the format has
+    # no checksum to notice, but a grid past the bound does not load.
+    assert sum(model.vocab) <= MAX_VALUES
     for context in SMALL_CONTEXTS:
         model.predict_next(context).validate()
     scores = score_sequence(model, SMALL_CORPUS[1].events, 64, mode="predictive")
