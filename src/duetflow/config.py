@@ -48,6 +48,8 @@ class Config:
             # bool is an int to Python, but true is no k and no seed.
             if not isinstance(value, kinds) or (f.type != "bool" and isinstance(value, bool)):
                 raise ValueError(f"config key {f.name!r} must be {noun}, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"config key 'seed' must be >= 0, got {self.seed}")
         object.__setattr__(self, "lam", float(self.lam))
         _check_params(self.k, self.lam)
         grid = GridSpec(self.resolution, self.max_beat, self.max_duration)

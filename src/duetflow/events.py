@@ -335,11 +335,47 @@ def decode(seq: EventSequence) -> np.ndarray:
     return sequence_notes(seq)
 
 
+# Every value of a legal grid is below 2**16, so it has at most this many digits.
+_TABLE_DIGITS = 5
+# 1 for the last field of a row, which a newline follows instead of a space.
+_LAST_FIELD = np.array([0] * (N_FIELDS - 1) + [1])
+
+
+@lru_cache(maxsize=_TABLE_DIGITS)
+def _digit_table(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The text of every value below 10**width, followed by a space or a newline.
+
+    Row 2v holds the digits of v, zero-padded to width, and a space; row
+    2v + 1 the same digits and a newline. The mask of the same shape keeps
+    every byte but the leading zeros, and always the last digit. Both are
+    shared by every caller: read-only.
+    """
+    places = 10 ** np.arange(width - 1, -1, -1)
+    digits = np.arange(10**width)[:, None] // places % 10
+    table = np.empty((2 * 10**width, width + 1), dtype=np.uint8)
+    table[:, :width] = np.repeat(digits + ord("0"), 2, axis=0)
+    table[0::2, width] = ord(" ")
+    table[1::2, width] = ord("\n")
+    keep = np.ones(table.shape, dtype=bool)
+    leading = np.logical_or.accumulate(digits[:, :-1] != 0, axis=1)
+    keep[:, : width - 1] = np.repeat(leading, 2, axis=0)
+    table.flags.writeable = False
+    keep.flags.writeable = False
+    return table, keep
+
+
 def seq_to_text(seq: EventSequence) -> str:
     """One line of six space-separated integers per event."""
-    if not len(seq.events):
+    events = seq.events
+    if not len(events):
         return "\n"
-    return (_ROW_FORMAT * len(seq.events)) % tuple(seq.events.ravel().tolist())
+    low, high = int(events.min()), int(events.max())
+    if low < 0 or high >= 10**_TABLE_DIGITS:
+        # Never a valid sequence: a value off every grid.
+        return (_ROW_FORMAT * len(events)) % tuple(events.ravel().tolist())
+    table, keep = _digit_table(len(str(high)))
+    at = (events * 2 + _LAST_FIELD).ravel()
+    return table.take(at, axis=0)[keep.take(at, axis=0)].tobytes().decode("ascii")
 
 
 def _read_lines(lines: list[list[str]], grid: GridSpec, validate: bool) -> np.ndarray:

@@ -274,9 +274,12 @@ class CountTable:
 
 
 def _count_table(
-    contexts: np.ndarray, rows: np.ndarray, events: np.ndarray, shift: int
+    contexts: np.ndarray, rows: np.ndarray, columns: np.ndarray, shift: int
 ) -> CountTable:
-    """Count events[rows] under contexts[rows], one field at a time.
+    """Count the events at rows under contexts[rows], one field at a time.
+
+    columns is the events field-major, shape (6, n): columns[f] holds field
+    f of every event.
 
     Per-event arrays are dropped as soon as they are used up, so training
     holds only a few of them at once.
@@ -297,7 +300,7 @@ def _count_table(
     entry <<= np.uint64(shift)
     codes, counts = [], []
     for f in range(N_FIELDS):
-        code = events[rows, f].astype(np.uint64)
+        code = columns[f].take(rows).astype(np.uint64)
         code <<= np.uint64(3)
         code |= entry
         code |= np.uint64(f)
@@ -546,16 +549,19 @@ def train(corpus: Sequence[EventSequence], k: int, lam: float = 1.0) -> ContextM
     events = np.concatenate([seq.events for seq in corpus])
     if np.any((events < 0) | (events >= np.array(vocab))):
         raise ValueError(f"corpus has event values outside the vocabulary of {grid}")
-    events = events.astype(np.uint16)  # the grid bound keeps every value below 2**16
+    # One field a row, so that counting reads each field contiguously; the
+    # grid bound keeps every value below 2**16.
+    columns = events.T.astype(np.uint16, order="C")
+    del events
     starts = np.cumsum(lengths) - lengths
     usable = np.ones(n, dtype=bool)
     shift = _key_shift(grid)
     tables = []
-    for j, contexts in enumerate(_rolling_hashes(_event_hashes(events), k)):
+    for j, contexts in enumerate(_rolling_hashes(_event_hashes(columns.T), k)):
         if j:
             # Event j - 1 of a sequence has fewer than j events before it.
             usable[(starts + j - 1)[lengths >= j]] = False
-        tables.append(_count_table(contexts, np.flatnonzero(usable), events, shift))
+        tables.append(_count_table(contexts, np.flatnonzero(usable), columns, shift))
     model = ContextModel(k, lam, grid, tables, n)
     _check_underflow(model)
     return model

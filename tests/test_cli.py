@@ -389,8 +389,28 @@ def test_selfbias_refuses_a_negative_seed(tmp_path, trained, capsys):
     )
     out = capsys.readouterr()
     assert rc == 1
-    assert out.err == "error: seed -1 must be >= 0\n"
+    assert out.err == "error: config key 'seed' must be >= 0, got -1\n"
     assert not out.out
+
+
+@pytest.mark.parametrize("command", ["oracle", "generate", "pairs"])
+def test_negative_seed_exits_1_naming_the_config_key(tmp_path, midi_dir, trained, capsys, command):
+    tok, model = trained
+    out_path = tmp_path / "out"
+    args = {
+        "oracle": ["--seed", "-1", "oracle", "sample", "--length", "400", "--piece-len", "64",
+                   "--out-dir", str(out_path)],
+        "generate": ["--seed", "-3", "generate", "--model", str(model), "--prime",
+                     str(tok / "piece0.x.events"), "--steps", "4", "--out", str(out_path)],
+        "pairs": ["--seed", "-1", "pairs", "--corpus", str(midi_dir), "--out", str(out_path)],
+    }[command]
+    rc = main(args)
+    out = capsys.readouterr()
+    assert rc == 1
+    seed = args[1]
+    assert out.err == f"error: config key 'seed' must be >= 0, got {seed}\n"
+    assert not out.out
+    assert not out_path.exists()
 
 
 def test_oracle_exact_command(capsys, tmp_path):

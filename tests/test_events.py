@@ -382,6 +382,45 @@ def test_to_text_matches_reference_on_any_int64_rows(grid, rows):
     assert seq_to_text(EventSequence(events, grid)) == reference_to_text(events)
 
 
+# The writer's digit tables hold 0..99999: values at each digit-width edge,
+# and values outside the tables, which take the %-formatting path.
+TABLE_EDGES = (0, 9, 10, 99, 100, 9999, 10000, 65535, 99999)
+OFF_TABLE = (100000, -1, -10, *INT64_EDGES)
+
+
+@st.composite
+def text_rows(draw):
+    inside = st.one_of(st.sampled_from(TABLE_EDGES), st.integers(0, 10**5 - 1))
+    value = inside if draw(st.booleans()) else st.one_of(inside, st.sampled_from(OFF_TABLE))
+    n = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 60)))
+    return draw(st.lists(st.tuples(*[value] * N_FIELDS), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_rows())
+def test_to_text_matches_reference_at_digit_width_edges(rows):
+    events = [Event(*r) for r in rows]
+    assert seq_to_text(EventSequence(events, GRID)) == reference_to_text(events)
+
+
+def test_to_text_golden_bytes():
+    notes = [
+        QuantNote(7, 11, 60, 96, 33),
+        QuantNote(305, 0, 9, 10, 33),
+        QuantNote(1023, 5, 127, 1, 0),
+    ]
+    assert seq_to_text(encode([notes], GRID)) == (
+        "0 0 0 0 0 0\n"
+        "1 0 0 0 0 0\n"
+        "1 0 0 0 0 33\n"
+        "2 0 0 0 0 0\n"
+        "3 7 11 60 96 33\n"
+        "3 305 0 9 10 33\n"
+        "3 1023 5 127 1 0\n"
+        "4 0 0 0 0 0\n"
+    )
+
+
 TEXT_EDITS = ["drop", "extra", "blank", "crlf", "tab", "plus", "word", "float", "wide", "spaces"]
 
 

@@ -43,6 +43,7 @@ from duetflow.model import (
     score_sequences,
     train,
     _cdfs,
+    _HASH_CHUNK,
     _draw,
     _event_hashes,
     _search,
@@ -109,6 +110,15 @@ def test_vectorized_event_hashes_match_scalar(rows):
     got = _event_hashes(np.array(rows, dtype=np.int64).reshape(-1, 6))
     assert got.dtype == np.uint64
     assert [int(h) for h in got] == [event_hash(Event(*r)) for r in rows]
+
+
+def test_event_hashes_of_a_field_major_view_match_a_row_major_copy():
+    # train hashes its (6, n) field columns through their transpose.
+    rng = np.random.default_rng(3)
+    columns = rng.integers(0, 2**16, size=(N_FIELDS, 3 * _HASH_CHUNK + 7)).astype(np.uint16)
+    view = columns.T
+    assert not view.flags.c_contiguous
+    np.testing.assert_array_equal(_event_hashes(view), _event_hashes(np.ascontiguousarray(view)))
 
 
 def test_fingerprint_pinned():
