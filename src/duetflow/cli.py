@@ -69,11 +69,19 @@ def _load_model(path: str, cfg: Config) -> ContextModel:
     return model
 
 
+def _read_file(path: Path, read, *args):
+    """read(the text of path, *args), with path named in its ValueError."""
+    try:
+        return read(path.read_text(), *args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_corpus_dir(root: Path, cfg: Config):
     files = sorted(root.glob("*.events"))
     if not files:
         raise ValueError(f"no .events files in {root}")
-    return [seq_from_text(p.read_text(), cfg.grid) for p in files]
+    return [_read_file(p, seq_from_text, cfg.grid) for p in files]
 
 
 def _views(x, y, cfg: Config) -> dict[str, EventSequence]:
@@ -146,8 +154,8 @@ def _piece_tracks(args: argparse.Namespace, cfg: Config):
         piece = _read_piece(Path(args.piece), cfg)
         return (*split_tracks(piece), piece.source_id)
     return (
-        track_from_text(Path(args.x_text).read_text()),
-        track_from_text(Path(args.y_text).read_text()),
+        _read_file(Path(args.x_text), track_from_text),
+        _read_file(Path(args.y_text), track_from_text),
         Path(args.x_text).stem,
     )
 

@@ -151,11 +151,8 @@ def _note_keys(notes: np.ndarray, grid: GridSpec) -> np.ndarray | None:
     """One int64 per note of an (n, 5) array that orders as the rows do.
 
     Each field is a digit below its span, so comparing keys compares rows
-    field by field. None when the notes are not int64 or a note is off the
-    grid.
+    field by field. None when a note is off the grid.
     """
-    if notes.dtype != np.int64:
-        return None
     spans, weights = _key_layout(grid)
     if not ((notes >= _NOTE_LOW).all() and (notes < spans).all()):
         return None
@@ -178,9 +175,8 @@ def encode(
     """
     if not 1 <= len(tracks) <= 2:
         raise ValueError(f"expected 1 or 2 tracks, got {len(tracks)}")
-    parts = [as_track(t, wide=True) for t in tracks]
-    # A copy, of Python integers if a part holds integers beyond int64.
-    notes = np.concatenate(parts)
+    parts = [as_track(t) for t in tracks]
+    notes = np.concatenate(parts)  # a copy, so the split may change it
     if split_shared_programs and len(parts) == 2:
         programs = notes[len(parts[0]) :, 4]
         shared = np.isin(programs, parts[0][:, 4])
@@ -190,8 +186,8 @@ def encode(
         raise ValueError("cannot encode an empty note list")
     keys = _note_keys(notes, grid)
     if keys is None:
-        # A note off the grid, as one beyond int64 is too: sort the rows
-        # themselves, and name the first bad note in that order.
+        # A note off the grid: sort the rows themselves, and name the
+        # first bad note in that order.
         notes = sort_notes(notes)
         raise ValueError(_check_note_fields(notes[_off_grid(notes, grid).argmax()], grid))
     if (keys[1:] < keys[:-1]).any():
@@ -249,19 +245,7 @@ def _is_valid(events: np.ndarray, grid: GridSpec) -> bool:
     return bool(declared[notes[:, 4]].all()) and not (keys[1:] < keys[:-1]).any()
 
 
-def _check_events(
-    events: np.ndarray, grid: GridSpec, shown: Sequence[Sequence[int]] | None = None
-) -> None:
-    """Raise SequenceStructureError at the first event that breaks the encoding.
-
-    Messages quote values from shown (the events themselves by default),
-    for callers whose events stand in for integers beyond int64.
-    """
-    if not _is_valid(events, grid):
-        _name_error(events, grid, events if shown is None else shown)
-
-
-def _name_error(events: np.ndarray, grid: GridSpec, shown: Sequence[Sequence[int]]) -> None:
+def _name_error(events: np.ndarray, grid: GridSpec) -> None:
     """Walk the encoding row by row and raise at its first bad event, if any."""
     n = len(events)
     if not n or events[0].any():
@@ -279,7 +263,7 @@ def _name_error(events: np.ndarray, grid: GridSpec, shown: Sequence[Sequence[int
         if stray[j]:
             raise SequenceStructureError("instrument event with stray fields", 1 + j)
         if outside[j]:
-            raise SequenceStructureError(f"instrument {shown[1 + j][5]} out of range", 1 + j)
+            raise SequenceStructureError(f"instrument {events[1 + j, 5]} out of range", 1 + j)
         raise SequenceStructureError("instruments not strictly ascending", 1 + j)
     if not len(instruments):
         raise SequenceStructureError("expected at least one instrument event", end)
@@ -307,10 +291,10 @@ def _name_error(events: np.ndarray, grid: GridSpec, shown: Sequence[Sequence[int
     if bad.any():
         i = start + int(bad.argmax())
         if outside[i - start]:
-            raise SequenceStructureError(_check_note_fields(shown[i][1:], grid), i)
+            raise SequenceStructureError(_check_note_fields(events[i, 1:], grid), i)
         if undeclared[i - start]:
             raise SequenceStructureError(
-                f"note instrument {shown[i][5]} not declared in header", i
+                f"note instrument {events[i, 5]} not declared in header", i
             )
         raise SequenceStructureError("notes out of canonical order", i)
     if end >= n or not _is_marker(events[end], TYPE_END):
@@ -321,7 +305,8 @@ def _name_error(events: np.ndarray, grid: GridSpec, shown: Sequence[Sequence[int
 
 def validate_sequence(seq: EventSequence) -> None:
     """Raise SequenceStructureError at the first offending event."""
-    _check_events(seq.events, seq.grid)
+    if not _is_valid(seq.events, seq.grid):
+        _name_error(seq.events, seq.grid)
 
 
 def sequence_notes(seq: EventSequence) -> np.ndarray:
@@ -378,12 +363,11 @@ def seq_to_text(seq: EventSequence) -> str:
     return table.take(at, axis=0)[keep.take(at, axis=0)].tobytes().decode("ascii")
 
 
-def _read_lines(lines: list[list[str]], grid: GridSpec, validate: bool) -> np.ndarray:
+def _read_lines(lines: list[list[str]]) -> np.ndarray:
     """Line by line with int(), for text that is not canonical.
 
-    Raises the first malformed line's error. Integers beyond int64 raise
-    what validation reports for them (they are outside every field's
-    range), or, without validation, an error naming their line.
+    Raises the first malformed line's error, or else names the line of the
+    first value beyond int64.
     """
     rows, linenos = [], []
     for lineno, parts in enumerate(lines, start=1):
@@ -396,16 +380,13 @@ def _read_lines(lines: list[list[str]], grid: GridSpec, validate: bool) -> np.nd
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         linenos.append(lineno)
-    wide = [
-        (i, v) for i, row in enumerate(rows) for v in row if not _INT64.min <= v <= _INT64.max
-    ]
-    if not wide:
+    try:
         return np.array(rows, dtype=np.int64).reshape(-1, N_FIELDS)
-    if validate:
-        clipped = [[min(max(v, _INT64.min), _INT64.max) for v in row] for row in rows]
-        _check_events(np.array(clipped, dtype=np.int64), grid, shown=rows)
-    i, value = wide[0]
-    raise ValueError(f"line {linenos[i]}: {value} does not fit in int64")
+    except OverflowError:
+        i, value = next(
+            (i, v) for i, row in enumerate(rows) for v in row if not _INT64.min <= v <= _INT64.max
+        )
+        raise ValueError(f"line {linenos[i]}: {value} does not fit in int64") from None
 
 
 # What each byte of canonical event text is: 1 a digit, 2 a space, 3 a
@@ -458,7 +439,7 @@ def seq_from_text(text: str, grid: GridSpec, *, validate: bool = True) -> EventS
     """Read seq_to_text output: blank lines are skipped, tokens parse as int()."""
     events = _canonical_events(text)
     if events is None:
-        events = _read_lines(list(map(str.split, text.splitlines())), grid, validate)
+        events = _read_lines(list(map(str.split, text.splitlines())))
     seq = EventSequence(events, grid)
     if validate:
         validate_sequence(seq)

@@ -57,15 +57,13 @@ class QuantNote(NamedTuple):
     program: int
 
 
-def as_track(track, *, wide: bool = False) -> np.ndarray:
+def as_track(track) -> np.ndarray:
     """A track as a read-only (n, 5) int64 array.
 
     Takes any (n, 5) array-like of integers, such as a list of QuantNote: a
     track already in that form as it is, anything else copied. ValueError
     for a note without 5 fields, a field that is not an integer, or one
-    beyond int64. With ``wide``, a track with fields beyond int64 comes
-    back as an object array of Python integers instead, so that encoding
-    can name the note that is off the grid.
+    beyond int64.
     """
     frozen = isinstance(track, np.ndarray) and not track.flags.writeable
     if frozen and track.dtype == np.int64 and track.shape[1:] == (5,):
@@ -89,9 +87,7 @@ def as_track(track, *, wide: bool = False) -> np.ndarray:
         try:
             notes = notes.astype(np.int64)
         except OverflowError:
-            if not wide:
-                raise ValueError("note fields must fit in int64") from None
-            return np.frompyfunc(int, 1, 1)(notes)
+            raise ValueError("note fields must fit in int64") from None
     notes = notes.astype(np.int64, copy=False)  # np.array above made the copy
     notes.flags.writeable = False
     return notes
@@ -337,12 +333,11 @@ def _parse_track(
 
 
 def _raw_array(notes) -> np.ndarray:
-    """RawNotes as an (n, 5) array: int64, or Python integers where one
-    is beyond int64."""
+    """RawNotes as an (n, 5) int64 array; ValueError for a field beyond int64."""
     try:
         return np.fromiter(chain.from_iterable(notes), np.int64).reshape(-1, 5)
     except OverflowError:
-        return np.array(notes, dtype=object).reshape(-1, 5)
+        raise ValueError("note fields must fit in int64") from None
 
 
 def quantize(
@@ -353,10 +348,10 @@ def quantize(
     Returns the (n, 5) note array, in input order, and the counts of notes
     dropped and of durations clipped. Onsets and durations round half away
     from zero in exact integer arithmetic: int64 while 2 * ticks *
-    resolution + ticks_per_beat fits in it, Python integers beyond; negative
-    ticks raise ValueError. Durations clamp to [1, max_duration], and those
-    above it count as clipped; notes whose beat lands at or beyond max_beat
-    are dropped and counted.
+    resolution + ticks_per_beat fits in it, Python integers beyond; ticks
+    that are negative or beyond int64 raise ValueError. Durations clamp to
+    [1, max_duration], and those above it count as clipped; notes whose beat
+    lands at or beyond max_beat are dropped and counted.
     """
     if ticks_per_beat <= 0:
         raise ValueError("ticks_per_beat must be positive")
@@ -445,5 +440,8 @@ def track_from_text(text: str) -> np.ndarray:
             raise ValueError(f"line {lineno}: {exc}") from None
         if any(v < 0 for v in values):
             raise ValueError(f"line {lineno}: negative field")
+        wide = [v for v in values if v > _INT64.max]
+        if wide:
+            raise ValueError(f"line {lineno}: {wide[0]} does not fit in int64")
         notes.append(values)
     return as_track(notes)

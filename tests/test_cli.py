@@ -190,11 +190,17 @@ def test_batch_reports_a_zero_standard_error_as_null(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad_note",
-    [["0", "0", "60", "4", "0"], [0, 0, 60, 4], [0, 0, 60.5, 4, 0]],
-    ids=["string-fields", "four-fields", "float-pitch"],
+    "bad_note, message",
+    [
+        (["0", "0", "60", "4", "0"], "note {note!r} is not 5 integers"),
+        ([0, 0, 60, 4], "note {note!r} is not 5 integers"),
+        ([0, 0, 60.5, 4, 0], "note {note!r} is not 5 integers"),
+        ([0, 0, 60, 4, 2**64], "note fields must fit in int64"),
+    ],
+    ids=["string-fields", "four-fields", "float-pitch", "beyond-int64"],
 )
-def test_batch_rejects_malformed_manifest_notes(tmp_path, midi_dir, trained, capsys, bad_note):
+def test_batch_rejects_malformed_manifest_notes(tmp_path, midi_dir, trained, capsys, bad_note,
+                                                message):
     _, model = trained
     manifest = tmp_path / "pairs.json"
     csv_out = tmp_path / "flows.csv"
@@ -206,8 +212,8 @@ def test_batch_rejects_malformed_manifest_notes(tmp_path, midi_dir, trained, cap
     rc = main(["batch", "--model", str(model), "--pairs", str(manifest), "--out", str(csv_out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: pair {raw['pairs'][1]['pair_id']!r}: note ")
-    assert "is not 5 integers" in err
+    pair_id = raw["pairs"][1]["pair_id"]
+    assert err == f"error: pair {pair_id!r}: {message.format(note=bad_note)}\n"
     assert not csv_out.exists()
 
 
@@ -328,6 +334,80 @@ def test_generate_refuses_a_prime_out_of_order(tmp_path, trained, capsys):
     assert rc == 1
     assert captured.err == f"error: event {first + 1}: notes out of canonical order\n"
     assert not captured.out and not out.exists()
+
+
+def _corrupt_first_note(path, field, value):
+    """Rewrite one field of the first note event of an event file; its line number."""
+    rows = path.read_text().splitlines()
+    first = next(i for i, row in enumerate(rows) if row.startswith("3 "))
+    tokens = rows[first].split(" ")
+    tokens[field] = value
+    rows[first] = " ".join(tokens)
+    path.write_text("\n".join(rows) + "\n")
+    return first + 1
+
+
+# A field the grid refuses, and a token beyond int64.
+BAD_TOKENS = [
+    (1, "99999", "event {index}: beat 99999 outside [0, 1024)"),
+    (3, "99999999999999999999", "line {line}: 99999999999999999999 does not fit in int64"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", BAD_TOKENS, ids=["off-grid", "beyond-int64"])
+def test_train_names_the_corpus_file_it_cannot_read(tmp_path, trained, capsys, field, value,
+                                                    message):
+    tok, _ = trained
+    bad = tok / "piece2.xy.events"
+    line = _corrupt_first_note(bad, field, value)
+    out = tmp_path / "bad.dfm"
+    rc = main(["train", "--corpus", str(tok), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: {bad}: {message.format(index=line - 1, line=line)}\n"
+    assert not captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("field, value, message", BAD_TOKENS, ids=["off-grid", "beyond-int64"])
+def test_selfbias_names_the_prime_file_it_cannot_read(tmp_path, trained, capsys, field, value,
+                                                      message):
+    tok, model = trained
+    primes = tmp_path / "primes"
+    primes.mkdir()
+    for name in ("piece0.x.events", "piece1.x.events"):
+        (primes / name).write_text((tok / name).read_text())
+    bad = primes / "piece1.x.events"
+    line = _corrupt_first_note(bad, field, value)
+    rc = main(["selfbias", "--model-a", str(model), "--model-b", str(model),
+               "--primes", str(primes), "--steps", "24"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: {bad}: {message.format(index=line - 1, line=line)}\n"
+    assert not captured.out
+
+
+@pytest.mark.parametrize("voice", ["--x-text", "--y-text"])
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1 0 60 4 -5", "line 2: negative field"),
+        ("1 0 60 4 18446744073709551616", "line 2: 18446744073709551616 does not fit in int64"),
+    ],
+    ids=["negative", "beyond-int64"],
+)
+def test_score_names_the_voice_file_it_cannot_read(tmp_path, trained, capsys, voice, line,
+                                                   message):
+    _, model = trained
+    good = tmp_path / "good.notes"
+    bad = tmp_path / "bad.notes"
+    good.write_text(track_to_text([QuantNote(i, 0, 60, 4, 0) for i in range(8)]))
+    bad.write_text(f"0 0 60 4 0\n{line}\n")
+    texts = {"--x-text": str(good), "--y-text": str(good), voice: str(bad)}
+    rc = main(["score", "--model", str(model), *(a for kv in texts.items() for a in kv)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: {bad}: {message}\n"
+    assert not captured.out
 
 
 def test_selfbias_command(tmp_path, midi_dir, trained, capsys):

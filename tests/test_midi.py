@@ -391,7 +391,7 @@ def test_quantize_idempotent_on_aligned_input(triples) -> None:
 
 
 
-ticks = st.one_of(st.integers(0, 5000), st.integers(0, 2**62), st.integers(0, 2**70))
+ticks = st.one_of(st.integers(0, 5000), st.integers(0, 2**62))
 
 
 @settings(max_examples=300, deadline=None)
@@ -411,12 +411,16 @@ ticks = st.one_of(st.integers(0, 5000), st.integers(0, 2**62), st.integers(0, 2*
 )
 def test_quantize_matches_per_note_reference(notes, ticks_per_beat, grid) -> None:
     # Ticks up to 2**62 fit int64 but their products with the resolution do
-    # not; ticks up to 2**70 do not fit at all. Both take the exact path.
+    # not: they take the exact path. Ticks of 2**63 and above do not fit.
     quant, dropped, clipped = quantize(notes, ticks_per_beat, grid)
     want, want_dropped, want_clipped = reference_quantize(notes, ticks_per_beat, grid)
     assert quant.dtype == np.int64
     assert quant.tolist() == [list(n) for n in want]
     assert (dropped, clipped) == (want_dropped, want_clipped)
+    if notes:
+        wide = [notes[0]._replace(onset_ticks=2**63 + notes[0].onset_ticks), *notes[1:]]
+        with pytest.raises(ValueError, match="fit in int64"):
+            quantize(wide, ticks_per_beat, grid)
 
 
 def test_as_track_takes_any_integer_rows_once() -> None:
@@ -435,8 +439,6 @@ def test_as_track_takes_any_integer_rows_once() -> None:
         as_track([(0, 0, 60.0, 1, 0)])
     with pytest.raises(ValueError, match="fit in int64"):
         as_track([(0, 0, 60, 1, 2**63)])
-    wide = as_track([(0, 0, 60, 1, 2**63)], wide=True)
-    assert wide.dtype == object and wide[0, 4] == 2**63
 
 
 def test_pieces_compare_by_value(grid: GridSpec) -> None:
@@ -516,6 +518,12 @@ def test_track_text_rejects_bad_lines() -> None:
         track_from_text("1 2 3\n")
     with pytest.raises(ValueError, match="line 2"):
         track_from_text("0 0 60 4 0\n0 0 -3 4 0\n")
+
+
+def test_track_text_names_the_line_of_a_value_beyond_int64() -> None:
+    with pytest.raises(ValueError, match=rf"^line 2: {2**64} does not fit in int64$"):
+        track_from_text(f"0 0 60 4 0\n0 0 60 {2**64} {2**70}\n")
+    assert track_from_text(f"0 0 60 4 {2**63 - 1}\n").tolist() == [[0, 0, 60, 4, 2**63 - 1]]
 
 
 def test_grid_spec_rejects_non_positive_bounds() -> None:
