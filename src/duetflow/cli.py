@@ -14,7 +14,14 @@ from pathlib import Path
 
 from . import harness, oracle
 from .config import Config, load_config
-from .events import EventSequence, encode, seq_from_text, seq_to_text, sequences_from_notes
+from .events import (
+    EventSequence,
+    SequenceStructureError,
+    encode,
+    seq_from_text,
+    seq_to_text,
+    sequences_from_notes,
+)
 from .flow import XY_NORMS, information_flow
 from .midi import (
     IneligiblePieceError,
@@ -69,10 +76,10 @@ def _load_model(path: str, cfg: Config) -> ContextModel:
     return model
 
 
-def _read_file(path: Path, read, *args):
-    """read(the text of path, *args), with path named in its ValueError."""
+def _read_file(path: Path, read, *args, **kwargs):
+    """read(the text of path, *args, **kwargs), with path named in its ValueError."""
     try:
-        return read(path.read_text(), *args)
+        return read(path.read_text(), *args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -238,8 +245,13 @@ def cmd_selfbias(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_generate(args: argparse.Namespace, cfg: Config) -> int:
     model = _load_model(args.model, cfg)
-    prime = seq_from_text(Path(args.prime).read_text(), cfg.grid, validate=False)
-    result = generate(model, prime, args.steps, cfg.seed)
+    path = Path(args.prime)
+    # A prime may lack its end event, so generate, not the reader, checks it.
+    prime = _read_file(path, seq_from_text, cfg.grid, validate=False)
+    try:
+        result = generate(model, prime, args.steps, cfg.seed)
+    except SequenceStructureError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     _write_text(Path(args.out), seq_to_text(result.sequence))
     print(f"sampled {args.steps} events -> {args.out}")
     depths = " ".join(f"{j}={n}" for j, n in enumerate(result.context_depths))
@@ -251,7 +263,7 @@ def _oracle_spec(args: argparse.Namespace) -> oracle.JointMarkovSpec:
     if args.alphabet != 2 and (args.spec or args.chain == "independent"):
         raise ValueError("--alphabet sizes only the copy and instantaneous chains")
     if args.spec:
-        return oracle.spec_from_text(Path(args.spec).read_text())
+        return _read_file(Path(args.spec), oracle.spec_from_text)
     builders = {
         "independent": lambda m: oracle.independent_spec(),
         "copy": oracle.copy_spec,

@@ -17,10 +17,10 @@ arrays; ``Event`` is the type of a single row where code handles one event
 at a time.
 
 Canonical note order is the order of one int64 key per note, its five
-fields packed by the grid's spans. Validation decides with a few
-whole-sequence checks, the key's order among them, and walks the rows only
-to name the first bad event; encoding sorts by the key, and not at all
-when the notes are in order already.
+fields packed by the grid's spans. Validation is one pass over the
+sequence's parts, each checked whole, that decides and names the first bad
+event at once; encoding sorts by the key, and not at all when the notes
+are in order already.
 """
 from __future__ import annotations
 
@@ -129,16 +129,13 @@ def _check_note_fields(note: Sequence[int], grid: GridSpec) -> str | None:
 _NOTE_LOW = np.array([0, 0, 0, 1, 0])
 
 
-def _off_grid(notes: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Which rows of an (n, 5) note array fail _check_note_fields."""
-    return ((notes < _NOTE_LOW) | (notes >= vocab_sizes(grid)[1:])).any(axis=1)
-
-
 @lru_cache(maxsize=64)
 def _key_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The spans of a note's five fields on this grid, and their key weights.
 
-    The grid bound keeps the spans' product, and so every key, below 2**58.
+    On the grid each field is a digit below its span, so comparing keys,
+    the notes times the weights, compares rows field by field. The grid
+    bound keeps the spans' product, and so every such key, below 2**58.
     """
     spans = vocab_sizes(grid)[1:]
     weights = [math.prod(spans[f + 1 :]) for f in range(5)]
@@ -147,16 +144,9 @@ def _key_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return layout[0], layout[1]
 
 
-def _note_keys(notes: np.ndarray, grid: GridSpec) -> np.ndarray | None:
-    """One int64 per note of an (n, 5) array that orders as the rows do.
-
-    Each field is a digit below its span, so comparing keys compares rows
-    field by field. None when a note is off the grid.
-    """
-    spans, weights = _key_layout(grid)
-    if not ((notes >= _NOTE_LOW).all() and (notes < spans).all()):
-        return None
-    return notes @ weights
+def _off_grid(notes: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Which rows of an (n, 5) note array fail _check_note_fields."""
+    return ((notes < _NOTE_LOW) | (notes >= _key_layout(grid)[0])).any(axis=1)
 
 
 def encode(
@@ -184,12 +174,12 @@ def encode(
         programs[shared] = (programs[shared] + 1) % 128
     if not len(notes):
         raise ValueError("cannot encode an empty note list")
-    keys = _note_keys(notes, grid)
-    if keys is None:
-        # A note off the grid: sort the rows themselves, and name the
-        # first bad note in that order.
+    if _off_grid(notes, grid).any():
+        # A note off the grid has no key that orders it: sort the rows
+        # themselves, and name the first bad note in that order.
         notes = sort_notes(notes)
         raise ValueError(_check_note_fields(notes[_off_grid(notes, grid).argmax()], grid))
+    keys = notes @ _key_layout(grid)[1]
     if (keys[1:] < keys[:-1]).any():
         # Equal keys are equal notes, so any order of them is canonical;
         # the stable sort merges the runs of two ordered tracks fastest.
@@ -218,35 +208,14 @@ def _run_end(types: np.ndarray, start: int, event_type: int) -> int:
     return start + int(other.argmax()) if other.any() else len(types)
 
 
-def _is_valid(events: np.ndarray, grid: GridSpec) -> bool:
-    """Whether an (n, 6) event array is a valid encoding, by whole-array checks."""
-    types = events[:, 0]
-    p = int(np.count_nonzero(types == TYPE_INSTRUMENT))
-    m = len(events) - p - 3
-    if p < 1 or m < 0:
-        return False
-    layout = np.repeat(np.arange(TYPE_END + 1), (1, p, 1, m, 1))
-    if not (types == layout).all():
-        return False
-    head = events[: p + 2]  # the start, the instruments, the start of notes
-    if head[:, 1:5].any() or head[0, 5] or head[-1, 5] or events[-1, 1:].any():
-        return False
-    instruments = head[1:-1, 5]
-    if not 0 <= instruments[0] <= instruments[-1] < 128:
-        return False
-    if (instruments[1:] <= instruments[:-1]).any():
-        return False
-    notes = events[p + 2 : -1, 1:]
-    keys = _note_keys(notes, grid)
-    if keys is None:
-        return False
-    declared = np.zeros(128, dtype=bool)
-    declared[instruments] = True
-    return bool(declared[notes[:, 4]].all()) and not (keys[1:] < keys[:-1]).any()
+def validate_sequence(seq: EventSequence) -> None:
+    """Raise SequenceStructureError at the first offending event.
 
-
-def _name_error(events: np.ndarray, grid: GridSpec) -> None:
-    """Walk the encoding row by row and raise at its first bad event, if any."""
+    Each part of the encoding (start, instruments, start-of-notes, notes,
+    end) is checked whole, in order, and the first bad row of the first bad
+    part is named.
+    """
+    events, grid = seq.events, seq.grid
     n = len(events)
     if not n or events[0].any():
         raise SequenceStructureError("expected the start event", 0)
@@ -279,14 +248,12 @@ def _name_error(events: np.ndarray, grid: GridSpec) -> None:
     declared = np.zeros(128, dtype=bool)
     declared[instruments] = True
     undeclared = ~declared[notes[:, 4] & 127]
-    # A note is out of order when it is lexicographically below the one
-    # before it: smaller at the first field where the two differ.
-    prev, cur = notes[:-1], notes[1:]
-    differ = prev != cur
-    first = differ.argmax(axis=1)
-    rows = np.arange(len(cur))
+    # A note is out of order when its key is below the one before it. An
+    # off-grid note's key may be anything (the product wraps), but outside
+    # names that note first.
+    keys = notes @ _key_layout(grid)[1]
     falling = np.zeros(len(notes), dtype=bool)
-    falling[1:] = differ.any(axis=1) & (cur[rows, first] < prev[rows, first])
+    falling[1:] = keys[1:] < keys[:-1]
     bad = outside | undeclared | falling
     if bad.any():
         i = start + int(bad.argmax())
@@ -301,12 +268,6 @@ def _name_error(events: np.ndarray, grid: GridSpec) -> None:
         raise SequenceStructureError("expected the end event", end)
     if end != n - 1:
         raise SequenceStructureError("content after the end event", end + 1)
-
-
-def validate_sequence(seq: EventSequence) -> None:
-    """Raise SequenceStructureError at the first offending event."""
-    if not _is_valid(seq.events, seq.grid):
-        _name_error(seq.events, seq.grid)
 
 
 def sequence_notes(seq: EventSequence) -> np.ndarray:

@@ -346,16 +346,17 @@ def quantize(
     """Snap RawNotes, or an (n, 5) array of their fields, to the grid.
 
     Returns the (n, 5) note array, in input order, and the counts of notes
-    dropped and of durations clipped. Onsets and durations round half away
-    from zero in exact integer arithmetic: int64 while 2 * ticks *
-    resolution + ticks_per_beat fits in it, Python integers beyond; ticks
-    that are negative or beyond int64 raise ValueError. Durations clamp to
-    [1, max_duration], and those above it count as clipped; notes whose beat
-    lands at or beyond max_beat are dropped and counted.
+    dropped and of durations clipped. A field beyond int64, or one of an
+    array that is not an integer (see ``as_track``), raises ValueError.
+    Onsets and durations round half away from zero in exact integer
+    arithmetic: int64 while 2 * ticks * resolution + ticks_per_beat fits in
+    it, Python integers beyond; negative ticks raise ValueError. Durations
+    clamp to [1, max_duration], and those above it count as clipped; notes
+    whose beat lands at or beyond max_beat are dropped and counted.
     """
     if ticks_per_beat <= 0:
         raise ValueError("ticks_per_beat must be positive")
-    raw = notes if isinstance(notes, np.ndarray) else _raw_array(notes)
+    raw = as_track(notes) if isinstance(notes, np.ndarray) else _raw_array(notes)
     res = grid.resolution
     ticks = raw[:, :2]
     widest = max(int(ticks.max()), -int(ticks.min())) if len(raw) else 0
@@ -386,7 +387,9 @@ def build_piece(
     tracks: list[np.ndarray] = []
     dropped = clipped = 0
     for index in np.unique(raw[:, 4]):
-        quant, n_drop, n_clip = quantize(raw[raw[:, 4] == index], parsed.ticks_per_beat, grid)
+        track = raw[raw[:, 4] == index]
+        track.flags.writeable = False  # checked already: quantize takes it without a copy
+        quant, n_drop, n_clip = quantize(track, parsed.ticks_per_beat, grid)
         dropped += n_drop
         clipped += n_clip
         if len(quant):

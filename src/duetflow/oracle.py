@@ -337,6 +337,7 @@ def spec_from_text(text: str) -> JointMarkovSpec:
     if len(rows[0]) != 2:
         raise ValueError("first line must be the two alphabet sizes")
     ax, ay = int(rows[0][0]), int(rows[0][1])
+    _check_alphabets(ax, ay)
     n = ax * ay
     if len(rows) != 1 + n + 1:
         raise ValueError(f"expected {n} transition rows plus an initial row")

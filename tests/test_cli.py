@@ -332,7 +332,7 @@ def test_generate_refuses_a_prime_out_of_order(tmp_path, trained, capsys):
                "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 1
-    assert captured.err == f"error: event {first + 1}: notes out of canonical order\n"
+    assert captured.err == f"error: {prime}: event {first + 1}: notes out of canonical order\n"
     assert not captured.out and not out.exists()
 
 
@@ -384,6 +384,24 @@ def test_selfbias_names_the_prime_file_it_cannot_read(tmp_path, trained, capsys,
     assert rc == 1
     assert captured.err == f"error: {bad}: {message.format(index=line - 1, line=line)}\n"
     assert not captured.out
+
+
+@pytest.mark.parametrize("field, value, message", BAD_TOKENS, ids=["off-grid", "beyond-int64"])
+def test_generate_names_the_prime_file_it_cannot_read(tmp_path, trained, capsys, field, value,
+                                                      message):
+    # The off-grid beat is refused by generate's prime check, the wide token
+    # by the reader: both errors start with the prime's path.
+    tok, model = trained
+    prime = tmp_path / "bad.events"
+    prime.write_text((tok / "piece0.x.events").read_text())
+    line = _corrupt_first_note(prime, field, value)
+    out = tmp_path / "continued.events"
+    rc = main(["generate", "--model", str(model), "--prime", str(prime), "--steps", "5",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: {prime}: {message.format(index=line - 1, line=line)}\n"
+    assert not captured.out and not out.exists()
 
 
 @pytest.mark.parametrize("voice", ["--x-text", "--y-text"])
@@ -649,8 +667,28 @@ def test_oracle_rejects_nan_spec(tmp_path, capsys, command, line):
     extra = {"exact": [], "sample": ["--length", "100", "--out-dir", str(out_dir)]}[command]
     rc = main(["oracle", command, "--spec", str(spec_path), *extra])
     assert rc == 1
-    assert capsys.readouterr().err == "error: probabilities must be finite\n"
+    assert capsys.readouterr().err == f"error: {spec_path}: probabilities must be finite\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("nonsense\n", "first line must be the two alphabet sizes"),
+        ("-2 -2\n" + spec_to_text(copy_spec(2)).split("\n", 1)[1],
+         "alphabet sizes must be in [1, 8]"),
+        ("3 0\n", "alphabet sizes must be in [1, 8]"),
+    ],
+    ids=["no-sizes", "negative-sizes", "zero-size"],
+)
+def test_oracle_names_the_spec_file_it_cannot_read(tmp_path, capsys, text, message):
+    spec_path = tmp_path / "bad.spec"
+    spec_path.write_text(text)
+    rc = main(["oracle", "exact", "--spec", str(spec_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: {spec_path}: {message}\n"
+    assert not captured.out
 
 
 # --- exit codes -----------------------------------------------------------------

@@ -423,6 +423,20 @@ def test_quantize_matches_per_note_reference(notes, ticks_per_beat, grid) -> Non
             quantize(wide, ticks_per_beat, grid)
 
 
+def test_quantize_checks_an_array_as_it_checks_rawnotes(grid: GridSpec) -> None:
+    notes = [RawNote(0, 480, 60, 0, 0), RawNote(240, 120, 62, 1, 0)]
+    want = quantize(notes, 480, grid)
+    got = quantize(np.array(notes), 480, grid)
+    assert got[0].tolist() == want[0].tolist() and got[1:] == want[1:]
+    for wide in ([[2**70, 1, 60, 0, 0]], [[0, 1, 2**70, 0, 0]]):
+        with pytest.raises(ValueError, match="^note fields must fit in int64$"):
+            quantize([RawNote(*wide[0])], 480, grid)
+        with pytest.raises(ValueError, match="^note fields must fit in int64$"):
+            quantize(np.array(wide, dtype=object), 480, grid)
+    with pytest.raises(ValueError, match="^note field 0.5 is not an integer$"):
+        quantize(np.array([[0.5, 480.0, 60, 0, 0]]), 480, grid)
+
+
 def test_as_track_takes_any_integer_rows_once() -> None:
     track = as_track([QuantNote(0, 1, 60, 2, 3), (1, 0, 62, 1, 3)])
     assert track.dtype == np.int64 and track.shape == (2, 5)

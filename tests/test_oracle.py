@@ -393,3 +393,11 @@ def test_spec_text_accepts_comments_and_rejects_malformed():
         spec_from_text("2 2\n" + "0.25 0.25 0.25 0.25\n")
     with pytest.raises(ValueError, match="entries"):
         spec_from_text("1 2\n1.0 0.0\n0.0 1.0\n0.5\n")
+
+
+@pytest.mark.parametrize("sizes", ["-2 -2", "3 0", "0 0", "9 1"])
+def test_spec_text_refuses_alphabet_sizes_out_of_range(sizes):
+    # The body is a valid 2x2 chain, so only the sizes can be refused.
+    body = spec_to_text(copy_spec(2)).split("\n", 1)[1]
+    with pytest.raises(ValueError, match=r"^alphabet sizes must be in \[1, 8\]$"):
+        spec_from_text(f"{sizes}\n{body}")
