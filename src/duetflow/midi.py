@@ -10,6 +10,7 @@ array-like of integers; every layer after it takes the array as it is.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -333,9 +334,18 @@ def _parse_track(
 
 
 def _raw_array(notes) -> np.ndarray:
-    """RawNotes as an (n, 5) int64 array; ValueError for a field beyond int64."""
+    """A sequence of RawNotes as an (n, 5) int64 array.
+
+    ValueError for a field that is not an integer, as ``as_track`` names
+    it, or one beyond int64. operator.index refuses what np.fromiter
+    would truncate, such as a float.
+    """
     try:
-        return np.fromiter(chain.from_iterable(notes), np.int64).reshape(-1, 5)
+        fields = map(operator.index, chain.from_iterable(notes))
+        return np.fromiter(fields, np.int64).reshape(-1, 5)
+    except TypeError:
+        bad = next(v for v in chain.from_iterable(notes) if not isinstance(v, (int, np.integer)))
+        raise ValueError(f"note field {bad!r} is not an integer") from None
     except OverflowError:
         raise ValueError("note fields must fit in int64") from None
 

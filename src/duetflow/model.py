@@ -23,12 +23,16 @@ one binary search per length from 1 on, and ``_interpolate`` turns chains
 into probabilities. Table 0 holds only the empty context, which every
 position matches, so its step from the uniform distribution is built once
 per call as one row. Scoring runs both steps over whole batches of streams
-(predictive scoring builds each distinct chain's distributions once), and
-generation over all primes in lockstep (each call draws every uniform and
-builds the length-0 row up front, and a chain's sampling rows once, kept
-up to a fixed size). The file format writes the same arrays entry by
-entry, and ``load_model`` accepts only files that ``save_model`` could
-have written.
+(predictive scoring sorts the chains and builds each distinct one's
+distributions once). Generation steps all primes in lockstep on Python
+scalars: each call draws every uniform and builds the length-0 row up
+front; at each step a prime's chain is found with one bisect per context
+length, each field is drawn with one bisect of its chain's cumulative
+sums, and the prime's context hashes move on by the drawn event. Only a
+step's new chains go through ``_interpolate``, together, and their
+sampling rows are kept up to a fixed size. The file format writes the
+same arrays entry by entry, and ``load_model`` accepts only files that
+``save_model`` could have written.
 """
 from __future__ import annotations
 
@@ -38,6 +42,7 @@ import math
 import os
 import struct
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -90,17 +95,25 @@ _SAMPLE_CACHE_BYTES = 16 << 20
 _LOG_SMALLEST = math.log(sys.float_info.min)
 
 
-def event_hash(e: Event) -> int:
-    """Each field in turn xored into the hash, then mixed; inline, as
-    generation hashes one event per prime at every step."""
-    h = _FIELD_SEED
-    for v in e:
-        # int() guards against numpy integers, which overflow the xor below.
-        x = (h ^ (int(v) + _FIELD_SEED)) & _MASK64
+def _fold(h: int, values: Iterable[int]) -> int:
+    """Each of values, Python ints, in turn xored into the hash h, then mixed;
+    inline, as generation hashes one event per prime at every step."""
+    for v in values:
+        x = (h ^ (v + _FIELD_SEED)) & _MASK64
         x = ((x ^ (x >> 30)) * _MIX_1) & _MASK64
         x = ((x ^ (x >> 27)) * _MIX_2) & _MASK64
         h = x ^ (x >> 31)
     return h
+
+
+def event_hash(e: Event) -> int:
+    """The hash of an event: its fields folded into _FIELD_SEED in order."""
+    # int() guards against numpy integers, which overflow the xor in _fold.
+    return _fold(_FIELD_SEED, map(int, e))
+
+
+# The hash after a note's type field: generation folds in the other five.
+_NOTE_STATE = _fold(_FIELD_SEED, [TYPE_NOTE])
 
 
 def _event_hashes(events: np.ndarray) -> np.ndarray:
@@ -145,6 +158,7 @@ class _Layout(NamedTuple):
     starts: np.ndarray  # int64, the first column of each field
     width: int  # columns in all
     uniform: np.ndarray  # 1 / the size of each column's field
+    spans: tuple[tuple[int, int], ...]  # (start, stop) of fields 1..5 in a _cdfs row
 
 
 @lru_cache(maxsize=64)
@@ -155,7 +169,9 @@ def _layout(vocab: tuple[int, ...]) -> _Layout:
     uniform = 1.0 / np.repeat(sizes, sizes)
     for a in (sizes, starts, uniform):
         a.flags.writeable = False
-    return _Layout(sizes, starts, int(sizes.sum()), uniform)
+    firsts = (starts[1:] - vocab[0]).tolist()
+    spans = tuple((lo, lo + n) for lo, n in zip(firsts, vocab[1:]))
+    return _Layout(sizes, starts, int(sizes.sum()), uniform, spans)
 
 
 def _key_shift(grid: GridSpec) -> int:
@@ -170,8 +186,8 @@ def _search(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
     a large table stay close together; the results go back to the order
     of the needles.
     """
-    # Array methods, not np.argsort and np.searchsorted: generation calls
-    # this with one or two needles per step, where their wrappers cost as
+    # Array methods, not np.argsort and np.searchsorted: predict_next calls
+    # this with one needle per context length, where their wrappers cost as
     # much as the search.
     flat = needles.ravel()
     order = flat.argsort()
@@ -379,15 +395,6 @@ def _context_hashes(k: int, contexts: Sequence[np.ndarray]) -> tuple[np.ndarray,
     return np.stack([h[ends] for h in rolling]), avail
 
 
-def _push(hashes: np.ndarray, new: np.ndarray) -> None:
-    """Move hashes from _context_hashes on by one event per context, in place.
-
-    new holds the event hash of each context's next event; this is the
-    step of _rolling_hashes, taken across contexts.
-    """
-    hashes[1:] = hashes[:-1] * np.uint64(_CTX_MULT) + new
-
-
 def _match(model: ContextModel, hashes: np.ndarray, avail: np.ndarray) -> np.ndarray:
     """The entry each position matches at every context length, the back-off chain.
 
@@ -490,15 +497,23 @@ def _dense_blocks(model: ContextModel, chains: np.ndarray) -> Iterable[tuple[sli
 def _entropies(model: ContextModel, chains: np.ndarray) -> np.ndarray:
     """Per-field entropy of the distribution along each chain, shape (m, 6).
 
-    Each distinct chain is built and summed once, then scattered back.
+    Each distinct chain is built and summed once, then scattered back. The
+    chains are sorted row by row, last column least significant, so equal
+    chains are neighbours; a chain's row depends on the chain alone.
     """
-    distinct, inverse = np.unique(chains, axis=0, return_inverse=True)
+    order = np.lexsort(chains.T[::-1])
+    chains = chains[order]
+    first = np.ones(len(chains), dtype=bool)
+    first[1:] = (chains[1:] != chains[:-1]).any(axis=1)
+    inverse = np.empty(len(chains), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    distinct = chains[first]
     out = np.empty((len(distinct), N_FIELDS))
     bounds = _layout(model.vocab).starts[1:]
     for block, probs in _dense_blocks(model, distinct):
         for f, vecs in enumerate(np.split(probs, bounds, axis=1)):
             out[block, f] = -(vecs * np.log(vecs)).sum(axis=1)
-    return out[inverse.reshape(-1)]
+    return out[inverse]
 
 
 def _check_params(k: int, lam: float) -> None:
@@ -648,62 +663,38 @@ def _cdfs(probs: np.ndarray, vocab: Sequence[int]) -> np.ndarray:
 
     probs holds each row's whole distributions side by side. Fields 1..5
     are normalised, duration 0 zeroed first, summed cumulatively and
-    divided by their last sum, then laid side by side again: shape
-    (len(probs), sum(vocab[1:])).
+    divided by their last sum, then laid side by side again at the layout's
+    spans: shape (len(probs), sum(vocab[1:])). Each field's sums never decrease:
+    the terms are not negative, the last sum is positive and rounding is
+    monotone.
     """
     lay = _layout(tuple(vocab))
-    skip = int(lay.starts[1])
-    cdfs = np.empty((len(probs), lay.width - skip))
-    for f in range(1, N_FIELDS):
+    cdfs = np.empty((len(probs), lay.spans[-1][1]))
+    for f, (lo, hi) in enumerate(lay.spans, start=1):
         first = int(lay.starts[f])
         vecs = probs[:, first : first + vocab[f]]
         if f == 4:
             vecs = vecs.copy()
             vecs[:, 0] = 0.0  # a note cannot have duration zero
-        cdf = cdfs[:, first - skip : first - skip + vocab[f]]
+        cdf = cdfs[:, lo:hi]
         np.cumsum(vecs / vecs.sum(axis=1, keepdims=True), axis=1, out=cdf)
         cdf /= cdf[:, -1:]
     return cdfs
 
 
-def _draw(cdfs: np.ndarray, vocab: Sequence[int], draws: np.ndarray) -> np.ndarray:
-    """A note's fields 1..5 from _cdfs rows, with draws[i, f - 1] for field f.
+def _draw(
+    cdfs: Sequence[float], first: int, spans: Sequence[tuple[int, int]], draws: Sequence[float]
+) -> list[int]:
+    """A note's fields 1..5 from the _cdfs row at cdfs[first:], with draws[f - 1].
 
     Each value is found the way numpy's Generator.choice(n, p=vec) finds it
     from the same draw: the number of normalised cumulative sums that do
-    not exceed the draw.
+    not exceed the draw, which bisect_right counts, as they never decrease.
     """
-    lay = _layout(tuple(vocab))
-    below = cdfs <= np.repeat(draws, lay.vocab[1:], axis=1)
-    return np.add.reduceat(below, lay.starts[1:] - lay.starts[1], axis=1, dtype=np.int64)
-
-
-def _cdf_rows(
-    model: ContextModel,
-    chains: np.ndarray,
-    root: np.ndarray,
-    slots: dict[bytes, int],
-    table: np.ndarray,
-) -> list[int]:
-    """The row of table that holds each chain's _cdfs row.
-
-    A row depends on its chain alone, so a kept row equals a rebuilt one.
-    slots maps a chain's bytes to its row; only chains not in slots are
-    built, in one _interpolate call. When their rows would take the kept
-    ones past _SAMPLE_CACHE_BYTES, every row is dropped, and every distinct
-    chain here is rebuilt and kept from row 0 on; table has room for them.
-    """
-    keys = [row.tobytes() for row in chains]
-    new = {key: i for i, key in enumerate(keys) if key not in slots}
-    if len(slots) + len(new) > max(1, _SAMPLE_CACHE_BYTES // table[0].nbytes):
-        slots.clear()
-        new = {key: i for i, key in enumerate(keys)}
-    if new:
-        first = len(slots)
-        probs = _interpolate(model, chains[list(new.values())], root=root)
-        table[first : first + len(new)] = _cdfs(probs, model.vocab)
-        slots.update(zip(new, range(first, first + len(new))))
-    return [slots[key] for key in keys]
+    return [
+        bisect_right(cdfs, u, first + lo, first + hi) - first - lo
+        for (lo, hi), u in zip(spans, draws)
+    ]
 
 
 def generate_many(
@@ -716,15 +707,21 @@ def generate_many(
 
     Each prime's uniforms, one per field and step, are drawn from its own
     generator up front, in the order generate draws them, so each result
-    equals generate(model, primes[i], steps, seeds[i]). Each step hashes
-    only the events sampled in the step before and matches every prime's
-    context in one call. The length-0 row is built once per call, and
-    sampling rows only for back-off chains not yet seen in this call, kept
-    up to _SAMPLE_CACHE_BYTES. Each prime is checked on the model's grid by
-    _validate_prime, and one that is not a valid sequence without its end
-    event (off the grid, out of order, with an undeclared instrument, or
-    malformed) gets validate_sequence's SequenceStructureError in place of
-    a result; an error that concerns every prime (steps < 0) is raised.
+    equals generate(model, primes[i], steps, seeds[i]). A step's state is
+    Python scalars: each prime's context hashes, moved on by the event it
+    sampled, and its back-off chain, found with one bisect per context
+    length from 1 on, stopping at the first miss. A chain's sampling row
+    depends on the chain alone; the rows of the chains a step meets first
+    are built together, in one _interpolate call per _DENSE_ROWS primes
+    (the length-0 row is built once per call), and kept up to
+    _SAMPLE_CACHE_BYTES: when new rows would pass it, every kept row is
+    dropped and the block's chains are built from row 0 on. Each field is
+    drawn with one bisect of its row. Each prime is checked on the model's
+    grid by _validate_prime, and one that is not a valid sequence without
+    its end event (off the grid, out of order, with an undeclared
+    instrument, or malformed) gets validate_sequence's
+    SequenceStructureError in place of a result; an error that concerns
+    every prime (steps < 0) is raised.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -737,49 +734,73 @@ def generate_many(
         except SequenceStructureError as exc:
             prefixes.append(exc)
     live = [i for i, p in enumerate(prefixes) if isinstance(p, np.ndarray)]
-    sampled = np.zeros((len(live), steps, N_FIELDS), dtype=np.int64)
-    sampled[:, :, 0] = TYPE_NOTE
-    # matched[t, b, j]: whether prime b's context of length j was found at step t.
-    matched = np.zeros((steps, len(live), model.k + 1), dtype=bool)
+    k = model.k
+    sampled: list[list[list[int]]] = [[] for _ in live]
+    # depths[b][j]: prime b's steps whose chain found lengths 1..j and no more.
+    depths = [[0] * (k + 1) for _ in live]
     if live and steps:
         root = _root_row(model)
-        uniforms = np.stack(
-            [np.random.default_rng(seeds[i]).random((steps, N_FIELDS - 1)) for i in live], axis=1
-        )
-        hashes, avail = _context_hashes(model.k, [prefixes[i] for i in live])
-        width = sum(model.vocab[1:])
+        draws = [
+            np.random.default_rng(seeds[i]).random((steps, N_FIELDS - 1)).tolist() for i in live
+        ]
+        # ctx[b]: the hashes of prime b's last 1..min(k, t) events, ints.
+        hashes, avail = _context_hashes(k, [prefixes[i] for i in live])
+        ctx = [row[1 : n + 1] for row, n in zip(hashes.T.tolist(), avail.tolist())]
+        # views[j - 1] reads table j's context hashes as ints, which takes
+        # native byte order; as in _match, without table 0 no length matches.
+        views = [memoryview(t.contexts.astype(np.uint64, copy=False)) for t in model.tables[1:]]
+        if not len(model.tables[0]):
+            views = []
+        spans = _layout(model.vocab).spans
+        width = spans[-1][1]
         # Room for the rows kept and for one block's rows after dropping
         # them all, but for no more chains than the call has steps.
         room = max(_SAMPLE_CACHE_BYTES // (8 * width), _DENSE_ROWS)
         table = np.empty((min(room, len(live) * steps), width))
-        slots: dict[bytes, int] = {}
+        cdfs = memoryview(table.reshape(-1))
+        limit = max(1, _SAMPLE_CACHE_BYTES // table[0].nbytes)
+        # A chain is its entries at lengths 1.. up to its first miss.
+        slots: dict[tuple[int, ...], int] = {}
+        missing = (-1,) * k
         for step in range(steps):
-            chains = _match(model, hashes, avail)
-            np.greater_equal(chains, 0, out=matched[step])
+            chains = []
+            for b, h in enumerate(ctx):
+                found = []
+                for view, x in zip(views, h):
+                    at = bisect_left(view, x)
+                    if at == len(view) or view[at] != x:
+                        break
+                    found.append(at)
+                chains.append(tuple(found))
+                depths[b][len(found)] += 1
             for start in range(0, len(chains), _DENSE_ROWS):
-                block = slice(start, start + _DENSE_ROWS)
-                rows = _cdf_rows(model, chains[block], root, slots, table)
-                sampled[block, step, 1:] = _draw(table[rows], model.vocab, uniforms[step, block])
-            if model.k:
-                # One event per prime: the scalar event_hash beats a numpy pass.
-                new = [event_hash(e) for e in sampled[:, step].tolist()]
-                _push(hashes, np.array(new, dtype=np.uint64))
-                np.minimum(avail + 1, model.k, out=avail)
-    # Steps that found lengths 0..j, less those that found j + 1 too; the
-    # empty context counts as found at every step.
-    reached = matched.sum(axis=0)
-    reached[:, 0] = steps
-    depths = (-np.diff(reached, axis=1, append=0)).tolist()
+                block = chains[start : start + _DENSE_ROWS]
+                new = dict.fromkeys(c for c in block if c not in slots)
+                if len(slots) + len(new) > limit:
+                    slots.clear()
+                    new = dict.fromkeys(block)
+                if new:
+                    first = len(slots)
+                    padded = np.array([(0, *c, *missing[len(c) :]) for c in new], dtype=np.int64)
+                    probs = _interpolate(model, padded, root=root)
+                    table[first : first + len(new)] = _cdfs(probs, model.vocab)
+                    slots.update(zip(new, range(first, first + len(new))))
+                for b, c in enumerate(block, start=start):
+                    values = _draw(cdfs, slots[c] * width, spans, draws[b][step])
+                    sampled[b].append(values)
+                    if k:  # the step of _rolling_hashes
+                        e = _fold(_NOTE_STATE, values)
+                        ctx[b] = [e] + [(x * _CTX_MULT + e) & _MASK64 for x in ctx[b][: k - 1]]
     results: list[GenerationResult | SequenceStructureError] = list(prefixes)
     for b, i in enumerate(live):
         if not steps:
             end = np.vstack([prefixes[i], [TYPE_END, 0, 0, 0, 0, 0]])
             results[i] = GenerationResult(EventSequence(end, model.grid), (), tuple(depths[b]))
             continue
-        rows = np.vstack([prefixes[i], sampled[b]])
-        notes = rows[rows[:, 0] == TYPE_NOTE, 1:]
+        rows = prefixes[i]
+        notes = np.vstack([rows[rows[:, 0] == TYPE_NOTE, 1:], sampled[b]])
         # Python integers, not numpy ones, in the notes callers print.
-        new = tuple(sorted(map(QuantNote._make, sampled[b, :, 1:].tolist())))
+        new = tuple(sorted(map(QuantNote._make, sampled[b])))
         results[i] = GenerationResult(encode([notes], model.grid), new, tuple(depths[b]))
     return results
 

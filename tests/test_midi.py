@@ -435,6 +435,10 @@ def test_quantize_checks_an_array_as_it_checks_rawnotes(grid: GridSpec) -> None:
             quantize(np.array(wide, dtype=object), 480, grid)
     with pytest.raises(ValueError, match="^note field 0.5 is not an integer$"):
         quantize(np.array([[0.5, 480.0, 60, 0, 0]]), 480, grid)
+    # A RawNote field that is not an integer is refused, not truncated.
+    for note, bad in ((RawNote(0.5, 480.7, 60, 0, 0), "0.5"), (RawNote(0, 480, 60.9, 0, 0), "60.9")):
+        with pytest.raises(ValueError, match=f"^note field {bad} is not an integer$"):
+            quantize([notes[0], note], 480, grid)
 
 
 def test_as_track_takes_any_integer_rows_once() -> None:

@@ -221,6 +221,28 @@ def test_score_sequences_equals_per_stream_reference(case, mode):
         assert np.array_equal(got, solo) and np.array_equal(got, want)
 
 
+def test_entropies_equal_row_by_row_entropies():
+    # Distinct chains are found by sorting; each must get the bits it gets
+    # alone: repeated rows, chains ending in -1 tails, one column, none.
+    rng = np.random.default_rng(5)
+    model = train([random_piece(rng, 30) for _ in range(20)], k=3)
+    sizes = np.array([len(t) for t in model.tables])
+    pool = rng.integers(0, sizes, (40, len(sizes)))
+    pool[np.arange(len(sizes)) >= rng.integers(1, len(sizes) + 1, (40, 1))] = -1
+    chains = pool[rng.integers(0, len(pool), 300)]
+    bounds = model_module._layout(model.vocab).starts[1:]
+
+    def alone(chain):
+        probs = model_module._interpolate(model, chain[None])[0]
+        return [-(v * np.log(v)).sum() for v in np.split(probs, bounds)]
+
+    for case in (chains, chains[:, :1], chains[:0]):
+        got = model_module._entropies(model, case)
+        assert got.shape == (len(case), N_FIELDS)
+        for row, chain in zip(got, case):
+            assert row.tolist() == alone(chain)
+
+
 def test_score_sequences_of_no_streams_is_empty():
     trained = train([simple_piece([60, 64, 67])], k=2)
     for model in (empty_model(GRID), trained):
@@ -315,9 +337,12 @@ def test_sampler_draws_what_rng_choice_draws(seed):
     for f in range(1, 6):
         probs[:, ends[f] - 1] += 1e-3  # every field keeps some mass past duration 0
     seeds = rng.integers(0, 2**63, rows)
-    draws = np.array([np.random.default_rng(s).random(5) for s in seeds])
-    got = _draw(_cdfs(probs, vocab), vocab, draws)
+    draws = [np.random.default_rng(s).random(5).tolist() for s in seeds]
+    cdfs = _cdfs(probs, vocab)
+    flat = memoryview(cdfs.reshape(-1))
+    spans = model_module._layout(vocab).spans
     for row, s in enumerate(seeds):
+        got = _draw(flat, row * cdfs.shape[1], spans, draws[row])
         chooser = np.random.default_rng(s)
         want = []
         for f in range(1, 6):
@@ -326,7 +351,13 @@ def test_sampler_draws_what_rng_choice_draws(seed):
                 vec[0] = 0.0
             vec = vec / vec.sum()
             want.append(int(chooser.choice(len(vec), p=vec)))
-        assert got[row].tolist() == want
+        assert got == want
+        # Draws equal to a cumulative sum, 0 among them: choice counts the
+        # sums that do not exceed the draw, as searchsorted side="right" does.
+        fields = [cdfs[row, lo:hi] for lo, hi in spans]
+        for edges in ([0.0] * 5, [f[0] for f in fields], [f[rng.integers(len(f))] for f in fields]):
+            want = [int(np.searchsorted(f, u, side="right")) for f, u in zip(fields, edges)]
+            assert _draw(flat, row * cdfs.shape[1], spans, edges) == want
 
 
 def test_grids_hold_at_most_one_distribution_row():
@@ -1004,6 +1035,36 @@ def test_generate_many_builds_the_length_zero_row_once(
     assert roots == [alternating_model]
     monkeypatch.undo()
     assert results == [generate(alternating_model, p, 60, s) for p, s in zip(primes, [5, 6, 7])]
+
+
+def test_generate_many_past_one_block_without_a_cache(monkeypatch):
+    # More primes than one block, each meeting chains of its own: with a
+    # limit of 1 byte every step drops the kept rows, and the table must
+    # still hold a whole block's rows from row 0 on.
+    rng = np.random.default_rng(17)
+    corpus = [random_piece(rng, 24, programs=(0, 5)) for _ in range(40)]
+    model = train(corpus, k=3)
+    n = model_module._DENSE_ROWS + 9
+    # Prefixes of the training pieces, whose contexts the model has seen.
+    primes = [EventSequence(corpus[i % 40].events[: 3 + i // 40], GRID) for i in range(n)]
+    seeds = list(range(100, 100 + n))
+    monkeypatch.setattr(model_module, "_SAMPLE_CACHE_BYTES", 1)
+    results = generate_many(model, primes, 6, seeds)
+    assert results == [generate(model, p, 6, s) for p, s in zip(primes, seeds)]
+    assert sum(r.context_depths[-1] for r in results) > n
+
+
+def test_generation_on_a_loaded_model_equals_the_trained_one():
+    # The step reads the loaded arrays, not the trained ones, through memoryviews.
+    rng = np.random.default_rng(23)
+    corpus = [random_piece(rng, 30, programs=(0, 5)) for _ in range(3)]
+    model = train(corpus, k=4)
+    loaded = load_model(save_model(model))
+    primes = [EventSequence(c.events[:n], GRID) for c, n in zip(corpus, (3, 8, 20))]
+    seeds = [1, 2, 3]
+    results = generate_many(model, primes, 40, seeds)
+    assert generate_many(loaded, primes, 40, seeds) == results
+    assert sum(r.context_depths[-1] for r in results) > 0
 
 
 @settings(max_examples=25, deadline=None)
