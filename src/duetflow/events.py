@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .grid import GridSpec, vocab_sizes
-from .midi import as_track, sort_notes
+from .midi import _read_lines, as_track, sort_notes
 
 TYPE_START = 0
 TYPE_INSTRUMENT = 1
@@ -324,32 +324,6 @@ def seq_to_text(seq: EventSequence) -> str:
     return table.take(at, axis=0)[keep.take(at, axis=0)].tobytes().decode("ascii")
 
 
-def _read_lines(lines: list[list[str]]) -> np.ndarray:
-    """Line by line with int(), for text that is not canonical.
-
-    Raises the first malformed line's error, or else names the line of the
-    first value beyond int64.
-    """
-    rows, linenos = [], []
-    for lineno, parts in enumerate(lines, start=1):
-        if not parts:
-            continue
-        if len(parts) != N_FIELDS:
-            raise ValueError(f"line {lineno}: expected 6 integers, got {len(parts)}")
-        try:
-            rows.append([int(p) for p in parts])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        linenos.append(lineno)
-    try:
-        return np.array(rows, dtype=np.int64).reshape(-1, N_FIELDS)
-    except OverflowError:
-        i, value = next(
-            (i, v) for i, row in enumerate(rows) for v in row if not _INT64.min <= v <= _INT64.max
-        )
-        raise ValueError(f"line {linenos[i]}: {value} does not fit in int64") from None
-
-
 # What each byte of canonical event text is: 1 a digit, 2 a space, 3 a
 # newline, 0 anything else.
 _BYTE_KIND = np.zeros(256, dtype=np.uint8)
@@ -400,7 +374,7 @@ def seq_from_text(text: str, grid: GridSpec, *, validate: bool = True) -> EventS
     """Read seq_to_text output: blank lines are skipped, tokens parse as int()."""
     events = _canonical_events(text)
     if events is None:
-        events = _read_lines(list(map(str.split, text.splitlines())))
+        events, _ = _read_lines(text, N_FIELDS)
     seq = EventSequence(events, grid)
     if validate:
         validate_sequence(seq)

@@ -55,8 +55,8 @@ def round_half_away(numerator, denominator: int):
     """Integer division rounded half away from zero for non-negative inputs.
 
     Exact in integer arithmetic, so every platform agrees bit for bit. The
-    numerator may be an integer array, element by element; the caller keeps
-    2 * numerator + denominator inside its dtype.
+    numerator may be an int64 array, element by element, as long as the
+    caller keeps 2 * numerator + denominator below 2**63.
     """
     if np.any(numerator < 0) or denominator <= 0:
         raise ValueError("round_half_away expects numerator >= 0 and denominator > 0")

@@ -11,8 +11,8 @@ array-like of integers; every layer after it takes the array as it is.
 from __future__ import annotations
 
 import operator
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -20,8 +20,6 @@ import numpy as np
 from .grid import GridSpec, round_half_away
 
 DRUM_CHANNEL = 9  # channel 10 in MIDI UI terms, 0-indexed here
-
-_INT64 = np.iinfo(np.int64)
 
 
 class MidiParseError(ValueError):
@@ -41,6 +39,8 @@ class IneligiblePieceError(ValueError):
 
 
 class RawNote(NamedTuple):
+    """One parsed note, by field name: the field order of ``ParsedMidi.notes``."""
+
     onset_ticks: int
     duration_ticks: int
     pitch: int
@@ -100,17 +100,39 @@ def sort_notes(notes: np.ndarray) -> np.ndarray:
     return notes[np.lexsort(notes.T[::-1])]
 
 
-@dataclass(frozen=True, slots=True)
-class ParsedMidi:
-    notes: tuple[RawNote, ...]
+class _ByValue:
+    """Equality and hash by ``_key``, which holds note arrays as their bytes."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, type(self)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ParsedMidi(_ByValue):
+    """A file's notes as a read-only (n, 5) int64 array in RawNote field
+    order, and its counts. Notes go through ``as_track`` once, here."""
+
+    notes: np.ndarray
     ticks_per_beat: int
     format_type: int
     unclosed_notes: int
     drum_notes: int  # channel-10 notes left out
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "notes", as_track(self.notes))
+
+    def _key(self) -> tuple:
+        counts = (self.ticks_per_beat, self.format_type, self.unclosed_notes, self.drum_notes)
+        return self.notes.tobytes(), counts
+
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Piece:
+class Piece(_ByValue):
     """Quantized non-empty tracks of one file, in file order.
 
     Tracks go through ``as_track`` once, here.
@@ -130,12 +152,6 @@ class Piece:
     def _key(self) -> tuple:
         counts = (self.dropped_notes, self.unclosed_notes, self.drum_notes, self.clipped_notes)
         return self.source_id, self.grid, tuple(t.tobytes() for t in self.tracks), counts
-
-    def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if isinstance(other, Piece) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 def _need(data: bytes, pos: int, size: int, what: str) -> None:
@@ -192,7 +208,7 @@ def parse_midi(data: bytes, *, include_drums: bool = False) -> ParsedMidi:
     _need(data, 14, header_len - 6, "header padding")
     pos = 14 + header_len - 6
 
-    notes: list[RawNote] = []
+    notes = array("q")
     unclosed = drums = 0
     track_index = 0
     while pos < len(data):
@@ -220,7 +236,9 @@ def parse_midi(data: bytes, *, include_drums: bool = False) -> ParsedMidi:
         raise MidiParseError(
             f"header declared {declared_tracks} tracks, found {track_index}", pos
         )
-    return ParsedMidi(tuple(notes), division, fmt, unclosed, drums)
+    table = np.frombuffer(notes, dtype=np.int64).reshape(-1, 5)
+    table.flags.writeable = False
+    return ParsedMidi(table, division, fmt, unclosed, drums)
 
 
 def _parse_track(
@@ -229,9 +247,10 @@ def _parse_track(
     end: int,
     track_index: int,
     include_drums: bool,
-    notes: list[RawNote],
+    notes: array,
 ) -> tuple[int, int]:
-    """Append the notes of the track chunk data[pos:end] to notes.
+    """Append the notes of the track chunk data[pos:end] to notes, five
+    fields a note in the order of ``RawNote``.
 
     Returns the counts of notes kept but left open at the end of the track
     and of drum notes left out. The chunk's end bounds every read: an event
@@ -240,7 +259,6 @@ def _parse_track(
     # FIFO queues of (onset_tick, program) keyed by channel << 7 | pitch,
     # which sorts like (channel, pitch).
     open_notes: dict[int, list[tuple[int, int]]] = {}
-    make = RawNote._make
     programs = [0] * 16
     tick = 0
     running_status = 0
@@ -320,34 +338,15 @@ def _parse_track(
             queue = open_notes.get(channel << 7 | a)
             if queue:
                 onset, program = queue.pop(0)
-                notes.append(make((onset, max(1, tick - onset), a, program, track_index)))
+                notes.extend((onset, max(1, tick - onset), a, program, track_index))
 
     n_open = 0
     for key, queue in sorted(open_notes.items()):
         n_open += len(queue)
         pitch = key & 0x7F
-        notes += [
-            make((onset, max(1, tick - onset), pitch, program, track_index))
-            for onset, program in queue
-        ]
+        for onset, program in queue:
+            notes.extend((onset, max(1, tick - onset), pitch, program, track_index))
     return n_open, drums
-
-
-def _raw_array(notes) -> np.ndarray:
-    """A sequence of RawNotes as an (n, 5) int64 array.
-
-    ValueError for a field that is not an integer, as ``as_track`` names
-    it, or one beyond int64. operator.index refuses what np.fromiter
-    would truncate, such as a float.
-    """
-    try:
-        fields = map(operator.index, chain.from_iterable(notes))
-        return np.fromiter(fields, np.int64).reshape(-1, 5)
-    except TypeError:
-        bad = next(v for v in chain.from_iterable(notes) if not isinstance(v, (int, np.integer)))
-        raise ValueError(f"note field {bad!r} is not an integer") from None
-    except OverflowError:
-        raise ValueError("note fields must fit in int64") from None
 
 
 def quantize(
@@ -356,23 +355,32 @@ def quantize(
     """Snap RawNotes, or an (n, 5) array of their fields, to the grid.
 
     Returns the (n, 5) note array, in input order, and the counts of notes
-    dropped and of durations clipped. A field beyond int64, or one of an
-    array that is not an integer (see ``as_track``), raises ValueError.
-    Onsets and durations round half away from zero in exact integer
-    arithmetic: int64 while 2 * ticks * resolution + ticks_per_beat fits in
-    it, Python integers beyond; negative ticks raise ValueError. Durations
-    clamp to [1, max_duration], and those above it count as clipped; notes
-    whose beat lands at or beyond max_beat are dropped and counted.
+    dropped and of durations clipped. Notes go through ``as_track``, so a
+    field that is not an integer, or one beyond int64, raises ValueError;
+    so do negative ticks, and a ticks_per_beat that is not an integer in
+    [1, 2**45). Onsets and durations round half away from zero in exact
+    int64 arithmetic: whole beats of ticks apart from the rest, each
+    product below 2**63. Durations clamp to [1, max_duration], and those
+    above it count as clipped; notes whose beat lands at or beyond max_beat
+    are dropped and counted.
     """
+    try:
+        ticks_per_beat = operator.index(ticks_per_beat)
+    except TypeError:
+        raise ValueError("ticks_per_beat must be a positive integer") from None
     if ticks_per_beat <= 0:
-        raise ValueError("ticks_per_beat must be positive")
-    raw = as_track(notes) if isinstance(notes, np.ndarray) else _raw_array(notes)
+        raise ValueError("ticks_per_beat must be a positive integer")
+    if ticks_per_beat >= 2**45:  # a rest times a resolution below 2**16 fits int64
+        raise ValueError(f"ticks_per_beat must be below 2**45, got {ticks_per_beat}")
+    raw = as_track(notes)
+    if (raw[:, :2] < 0).any():
+        raise ValueError("note ticks must not be negative")
     res = grid.resolution
-    ticks = raw[:, :2]
-    widest = max(int(ticks.max()), -int(ticks.min())) if len(raw) else 0
-    if 2 * widest * res + ticks_per_beat > _INT64.max:
-        ticks = ticks.astype(object)
-    steps = round_half_away(ticks * res, ticks_per_beat)
+    beats, rest = np.divmod(raw[:, :2], ticks_per_beat)
+    # Whole beats past these drop the note or clip its duration, whatever
+    # the rest: clipped here, they keep every product below 2**63.
+    np.minimum(beats, (grid.max_beat, grid.max_duration + 1), out=beats)
+    steps = beats * res + round_half_away(rest * res, ticks_per_beat)
     kept = steps[:, 0] < grid.steps
     steps = steps[kept]
     out = np.empty((len(steps), 5), dtype=np.int64)
@@ -393,7 +401,7 @@ def build_piece(
     Tracks that end up empty (no notes, or all notes dropped) are omitted,
     keeping file order for the rest.
     """
-    raw = _raw_array(parsed.notes)
+    raw = parsed.notes
     tracks: list[np.ndarray] = []
     dropped = clipped = 0
     for index in np.unique(raw[:, 4]):
@@ -438,23 +446,39 @@ def track_to_text(track) -> str:
     return ("%d %d %d %d %d\n" * len(notes)) % tuple(notes.ravel().tolist())
 
 
-def track_from_text(text: str) -> np.ndarray:
-    notes = []
+def _read_lines(text: str, width: int) -> tuple[np.ndarray, list[int]]:
+    """The rows of width integers on the non-blank lines of text, parsed
+    with int(), as an (n, width) int64 array, and each row's line number.
+
+    Raises the first malformed line's error, or else names the line of the
+    first value beyond int64.
+    """
+    rows, linenos = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
         parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"line {lineno}: expected 5 integers, got {len(parts)}")
+        if not parts:
+            continue
+        if len(parts) != width:
+            raise ValueError(f"line {lineno}: expected {width} integers, got {len(parts)}")
         try:
-            values = [int(p) for p in parts]
+            rows.append([int(p) for p in parts])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if any(v < 0 for v in values):
-            raise ValueError(f"line {lineno}: negative field")
-        wide = [v for v in values if v > _INT64.max]
-        if wide:
-            raise ValueError(f"line {lineno}: {wide[0]} does not fit in int64")
-        notes.append(values)
+        linenos.append(lineno)
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, width), linenos
+    except OverflowError:
+        i, value = next(
+            (i, v) for i, row in enumerate(rows) for v in row if not -(2**63) <= v < 2**63
+        )
+        raise ValueError(f"line {linenos[i]}: {value} does not fit in int64") from None
+
+
+def track_from_text(text: str) -> np.ndarray:
+    """Read track_to_text output: blank lines are skipped, tokens parse as
+    int(), and a negative field is refused by its line."""
+    notes, linenos = _read_lines(text, 5)
+    negative = (notes < 0).any(axis=1)
+    if negative.any():
+        raise ValueError(f"line {linenos[negative.argmax()]}: negative field")
     return as_track(notes)

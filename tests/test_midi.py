@@ -45,28 +45,25 @@ def test_parse_single_note() -> None:
     track = midibuild.note_track([(0, 480, 60)])
     parsed = parse_midi(midibuild.build([track]))
     assert parsed.ticks_per_beat == 480
-    assert parsed.notes == (RawNote(0, 480, 60, 0, 0),)
+    assert parsed.notes.tolist() == [[0, 480, 60, 0, 0]]
     assert parsed.unclosed_notes == 0
 
 
 def test_parse_zero_note_file() -> None:
     track = midibuild.Track().tempo(0).end()
     parsed = parse_midi(midibuild.build([track], fmt=0))
-    assert parsed.notes == ()
+    assert parsed.notes.shape == (0, 5)
     assert parsed.format_type == 0
 
 
 def test_parse_golden_two_tracks(golden_midi: bytes) -> None:
     parsed = parse_midi(golden_midi)
-    melody = [n for n in parsed.notes if n.track_index == 0]
-    accomp = [n for n in parsed.notes if n.track_index == 1]
-    assert melody == [
-        RawNote(onset, duration, pitch, 5, 0)
-        for onset, duration, pitch in MELODY_NOTES
+    track_index = parsed.notes[:, 4]
+    assert parsed.notes[track_index == 0].tolist() == [
+        [onset, duration, pitch, 5, 0] for onset, duration, pitch in MELODY_NOTES
     ]
-    assert accomp == [
-        RawNote(onset, duration, pitch, 33, 1)
-        for onset, duration, pitch in ACCOMP_NOTES
+    assert parsed.notes[track_index == 1].tolist() == [
+        [onset, duration, pitch, 33, 1] for onset, duration, pitch in ACCOMP_NOTES
     ]
 
 
@@ -89,11 +86,7 @@ def test_program_change_tracked_per_channel() -> None:
     track.note_on(0, 64, channel=0).note_off(100, 64, channel=0)
     track.end()
     parsed = parse_midi(midibuild.build([track], fmt=0))
-    assert [(n.pitch, n.program) for n in parsed.notes] == [
-        (60, 10),
-        (62, 20),
-        (64, 11),
-    ]
+    assert parsed.notes[:, 2:4].tolist() == [[60, 10], [62, 20], [64, 11]]
 
 
 def test_velocity_zero_note_on_closes() -> None:
@@ -102,7 +95,7 @@ def test_velocity_zero_note_on_closes() -> None:
     track.note_on(100, 60, velocity=0)  # acts as a note-off
     track.end()
     parsed = parse_midi(midibuild.build([track], fmt=0))
-    assert parsed.notes == (RawNote(0, 100, 60, 0, 0),)
+    assert parsed.notes.tolist() == [[0, 100, 60, 0, 0]]
 
 
 def test_running_status() -> None:
@@ -113,7 +106,7 @@ def test_running_status() -> None:
     track.raw(10, bytes([62, 0]))
     track.end()
     parsed = parse_midi(midibuild.build([track], fmt=0))
-    assert parsed.notes == (RawNote(0, 20, 60, 0, 0), RawNote(10, 20, 62, 0, 0))
+    assert parsed.notes.tolist() == [[0, 20, 60, 0, 0], [10, 20, 62, 0, 0]]
 
 
 def test_overlapping_same_pitch_fifo() -> None:
@@ -126,7 +119,7 @@ def test_overlapping_same_pitch_fifo() -> None:
     track.note_off(100, 60)  # tick 250 closes the tick-100 note
     track.end()
     parsed = parse_midi(midibuild.build([track], fmt=0))
-    assert parsed.notes == (RawNote(0, 150, 60, 0, 0), RawNote(100, 150, 60, 0, 0))
+    assert parsed.notes.tolist() == [[0, 150, 60, 0, 0], [100, 150, 60, 0, 0]]
 
 
 def test_unmatched_note_on_closes_at_track_end() -> None:
@@ -137,7 +130,7 @@ def test_unmatched_note_on_closes_at_track_end() -> None:
     track.end(50)
     parsed = parse_midi(midibuild.build([track], fmt=0))
     assert parsed.unclosed_notes == 1
-    assert RawNote(100, 50, 64, 0, 0) in parsed.notes
+    assert [100, 50, 64, 0, 0] in parsed.notes.tolist()
 
 
 def test_notes_open_at_track_end_close_in_channel_then_pitch_order() -> None:
@@ -151,13 +144,14 @@ def test_notes_open_at_track_end_close_in_channel_then_pitch_order() -> None:
     data = midibuild.build([track], fmt=0)
     parsed = parse_midi(data)
     assert parsed.unclosed_notes == 3
-    assert parsed.notes == (
-        RawNote(10, 20, 60, 0, 0),    # closed by its note-off
-        RawNote(10, 50, 10, 9, 0),    # channel 1, pitch 10
-        RawNote(5, 55, 100, 9, 0),    # channel 1, pitch 100
-        RawNote(0, 60, 10, 7, 0),     # channel 2, pitch 10
-    )
-    assert all(type(n) is RawNote for n in parsed.notes)
+    assert parsed.notes.tolist() == [
+        [10, 20, 60, 0, 0],    # closed by its note-off
+        [10, 50, 10, 9, 0],    # channel 1, pitch 10
+        [5, 55, 100, 9, 0],    # channel 1, pitch 100
+        [0, 60, 10, 7, 0],     # channel 2, pitch 10
+    ]
+    assert parsed.notes.dtype == np.int64 and parsed.notes.shape == (4, 5)
+    assert not parsed.notes.flags.writeable
     assert reference_parse_midi(data) == parsed
 
 
@@ -171,7 +165,7 @@ def test_deltas_of_one_byte_and_more_parse() -> None:
     track.end()
     data = midibuild.build([track], fmt=0)
     parsed = parse_midi(data)
-    assert parsed.notes == tuple(RawNote(t, 1, 60, 0, 0) for t in onsets)
+    assert parsed.notes.tolist() == [[t, 1, 60, 0, 0] for t in onsets]
     assert reference_parse_midi(data) == parsed
 
 
@@ -196,9 +190,9 @@ def test_drum_channel_excluded_by_default() -> None:
     track.note_on(0, 60, channel=0).note_off(100, 60, channel=0)
     track.end()
     data = midibuild.build([track], fmt=0)
-    assert [n.pitch for n in parse_midi(data).notes] == [60]
+    assert parse_midi(data).notes[:, 2].tolist() == [60]
     both = parse_midi(data, include_drums=True)
-    assert sorted(n.pitch for n in both.notes) == [36, 60]
+    assert sorted(both.notes[:, 2].tolist()) == [36, 60]
 
 
 def test_parse_errors_carry_byte_offset() -> None:
@@ -391,7 +385,7 @@ def test_quantize_idempotent_on_aligned_input(triples) -> None:
 
 
 
-ticks = st.one_of(st.integers(0, 5000), st.integers(0, 2**62))
+ticks = st.one_of(st.integers(0, 5000), st.integers(0, 2**63 - 1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -400,7 +394,7 @@ ticks = st.one_of(st.integers(0, 5000), st.integers(0, 2**62))
         st.builds(RawNote, ticks, ticks, st.integers(0, 127), st.integers(0, 127), st.just(0)),
         max_size=20,
     ),
-    st.one_of(st.just(1), st.integers(1, 2000), st.integers(1, 2**40)),
+    st.one_of(st.just(1), st.integers(1, 2000), st.integers(1, 2**45 - 1)),
     st.builds(
         GridSpec,
         resolution=st.integers(1, 48),
@@ -410,8 +404,9 @@ ticks = st.one_of(st.integers(0, 5000), st.integers(0, 2**62))
     ),
 )
 def test_quantize_matches_per_note_reference(notes, ticks_per_beat, grid) -> None:
-    # Ticks up to 2**62 fit int64 but their products with the resolution do
-    # not: they take the exact path. Ticks of 2**63 and above do not fit.
+    # Ticks up to 2**63 - 1 fit int64 but their products with the resolution
+    # do not: whole beats and the rest keep every product inside it. Ticks
+    # of 2**63 and above do not fit.
     quant, dropped, clipped = quantize(notes, ticks_per_beat, grid)
     want, want_dropped, want_clipped = reference_quantize(notes, ticks_per_beat, grid)
     assert quant.dtype == np.int64
@@ -439,6 +434,25 @@ def test_quantize_checks_an_array_as_it_checks_rawnotes(grid: GridSpec) -> None:
     for note, bad in ((RawNote(0.5, 480.7, 60, 0, 0), "0.5"), (RawNote(0, 480, 60.9, 0, 0), "60.9")):
         with pytest.raises(ValueError, match=f"^note field {bad} is not an integer$"):
             quantize([notes[0], note], 480, grid)
+
+
+def test_quantize_refuses_a_ticks_per_beat_it_cannot_use(grid: GridSpec) -> None:
+    notes = [RawNote(240, 480, 60, 0, 0)]
+    for bad in (480.5, 480.0, "480", None, 0, -480):
+        with pytest.raises(ValueError, match="^ticks_per_beat must be a positive integer$"):
+            quantize(notes, bad, grid)
+    with pytest.raises(ValueError, match=r"^ticks_per_beat must be below 2\*\*45"):
+        quantize(notes, 2**45, grid)
+    assert quantize(notes, np.int16(480), grid)[0].tolist() == quantize(notes, 480, grid)[0].tolist()
+    assert quantize(notes, 2**45 - 1, grid)[0].tolist() == [[0, 0, 60, 1, 0]]
+
+
+def test_quantize_refuses_negative_ticks(grid: GridSpec) -> None:
+    for note in (RawNote(-1, 5, 60, 0, 0), RawNote(0, -5, 60, 0, 0)):
+        with pytest.raises(ValueError, match="^note ticks must not be negative$"):
+            quantize([RawNote(0, 480, 60, 0, 0), note], 480, grid)
+        with pytest.raises(ValueError, match="^note ticks must not be negative$"):
+            quantize(np.array([note]), 480, grid)
 
 
 def test_as_track_takes_any_integer_rows_once() -> None:
@@ -536,6 +550,12 @@ def test_track_text_rejects_bad_lines() -> None:
         track_from_text("1 2 3\n")
     with pytest.raises(ValueError, match="line 2"):
         track_from_text("0 0 60 4 0\n0 0 -3 4 0\n")
+    # Every line is read before signs are checked: a malformed or wide value
+    # on a later line is named before a negative field on an earlier one.
+    with pytest.raises(ValueError, match="^line 2: expected 5 integers, got 4$"):
+        track_from_text("0 0 -3 4 0\n0 0 60 4\n")
+    with pytest.raises(ValueError, match=rf"^line 3: {2**64} does not fit in int64$"):
+        track_from_text(f"0 0 60 4 0\n0 0 -3 4 0\n0 0 60 4 {2**64}\n")
 
 
 def test_track_text_names_the_line_of_a_value_beyond_int64() -> None:
