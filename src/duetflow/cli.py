@@ -69,10 +69,14 @@ def _load_pieces(root: Path, cfg: Config) -> list[Piece]:
 
 
 def _load_model(path: str, cfg: Config) -> ContextModel:
-    """A model file, refused unless its grid is the config's."""
-    model = load_model_file(path)
-    if model.grid != cfg.grid:
-        raise ValueError(f"model grid {model.grid} does not match config {cfg.grid}")
+    """A model file, refused unless its grid is the config's, with path
+    named in its ValueError."""
+    try:
+        model = load_model_file(path)
+        if model.grid != cfg.grid:
+            raise ValueError(f"model grid {model.grid} does not match config {cfg.grid}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return model
 
 
@@ -192,7 +196,7 @@ def cmd_pairs(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_batch(args: argparse.Namespace, cfg: Config) -> int:
     model = _load_model(args.model, cfg)
-    pair_set = harness.PairSet.from_json(Path(args.pairs).read_text())
+    pair_set = _read_file(Path(args.pairs), harness.PairSet.from_json)
     report = harness.batch_score(model, pair_set, cfg.flow_params)
     _write_text(Path(args.out), report.to_csv())
     summary = {

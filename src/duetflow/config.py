@@ -70,7 +70,10 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Confi
     """Defaults, then the config file, then explicit overrides."""
     values: dict = {}
     if path is not None:
-        raw = json.loads(Path(path).read_text())
+        try:
+            raw = json.loads(Path(path).read_text())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a JSON object")
         unknown = set(raw) - _FIELD_NAMES

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .grid import GridSpec, vocab_sizes
-from .midi import _read_lines, as_track, sort_notes
+from .midi import _ByValue, _read_lines, as_rows, as_track, sort_notes
 
 TYPE_START = 0
 TYPE_INSTRUMENT = 1
@@ -43,7 +43,6 @@ TYPE_END = 4
 N_FIELDS = 6
 FIELD_NAMES = ("type", "beat", "position", "pitch", "duration", "instrument")
 
-_INT64 = np.iinfo(np.int64)
 _ROW_FORMAT = " ".join(["%d"] * N_FIELDS) + "\n"
 
 
@@ -64,45 +63,26 @@ class SequenceStructureError(ValueError):
         self.index = index
 
 
-def _int64_exact(values: np.ndarray) -> bool:
-    """Whether numpy holds these values as integers that int64 keeps exactly."""
-    kind = values.dtype.kind
-    return kind in "ib" or (kind == "u" and values.max() <= _INT64.max)
-
-
 @dataclass(frozen=True, slots=True, eq=False)
-class EventSequence:
+class EventSequence(_ByValue):
     """Events as a read-only (n, 6) int64 array, and the grid they live on.
 
-    Any (n, 6) array-like of integers is accepted and copied; anything
-    else, such as a float or an integer beyond int64, raises ValueError.
+    Events go through ``as_rows`` once, here: any (n, 6) array-like of
+    integers is accepted; anything else, such as a float or an integer
+    beyond int64, raises ValueError.
     """
 
     events: np.ndarray
     grid: GridSpec
 
     def __post_init__(self) -> None:
-        events = np.array(self.events)
-        if not events.size:
-            events = events.reshape(0, N_FIELDS)
-        elif not _int64_exact(events):
-            raise ValueError("event values must be integers that fit in int64")
-        if events.ndim != 2 or events.shape[1] != N_FIELDS:
-            raise ValueError(f"events must have shape (n, {N_FIELDS}), got {events.shape}")
-        events = events.astype(np.int64, copy=False)
-        events.flags.writeable = False
-        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "events", as_rows(self.events, N_FIELDS, "event"))
 
     def __len__(self) -> int:
         return len(self.events)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EventSequence):
-            return NotImplemented
-        return self.grid == other.grid and np.array_equal(self.events, other.events)
-
-    def __hash__(self) -> int:
-        return hash((self.events.tobytes(), self.grid))
+    def _key(self) -> tuple:
+        return self.events.tobytes(), self.grid
 
     @property
     def note_count(self) -> int:

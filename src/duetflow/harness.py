@@ -22,7 +22,7 @@ from .events import EventSequence, FIELD_NAMES, N_FIELDS, sequence_notes, sequen
 from .events import encode  # noqa: F401
 from .flow import FlowParams, FlowReport, information_flow, information_flows  # noqa: F401
 from .grid import GridSpec
-from .midi import IneligiblePieceError, Piece, as_track, split_tracks
+from .midi import IneligiblePieceError, Piece, _ByValue, as_track, split_tracks
 from .model import ContextModel, generate, generate_many  # noqa: F401
 
 POSITIVE = "positive"
@@ -33,7 +33,7 @@ _PAIR_KEYS = ("pair_id", "label", "x_source", "y_source", "x", "y")
 
 
 @dataclass(frozen=True, eq=False)
-class Pair:
+class Pair(_ByValue):
     """Two tracks to score; x and y go through ``as_track`` once, here."""
 
     pair_id: str
@@ -60,12 +60,6 @@ class Pair:
     def _key(self) -> tuple:
         names = (self.pair_id, self.label, self.x_source, self.y_source)
         return (*names, self.x.tobytes(), self.y.tobytes())
-
-    def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if isinstance(other, Pair) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 def _notes_from_json(pair_id: object, raw: object) -> list:

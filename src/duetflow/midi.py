@@ -7,6 +7,7 @@ metrical (beats and positions), not wall-clock.
 A track is one read-only (n, 5) int64 array, one row per note in the
 field order of ``QuantNote``. ``as_track`` makes one from any (n, 5)
 array-like of integers; every layer after it takes the array as it is.
+``as_rows``, which it calls, does the same for event rows.
 """
 from __future__ import annotations
 
@@ -58,40 +59,48 @@ class QuantNote(NamedTuple):
     program: int
 
 
-def as_track(track) -> np.ndarray:
-    """A track as a read-only (n, 5) int64 array.
+def as_rows(rows, width: int, noun: str) -> np.ndarray:
+    """Rows of width integer fields as a read-only (n, width) int64 array.
 
-    Takes any (n, 5) array-like of integers, such as a list of QuantNote: a
-    track already in that form as it is, anything else copied. ValueError
-    for a note without 5 fields, a field that is not an integer, or one
+    Takes any (n, width) array-like of integers: an array already in that
+    form as it is, anything else copied. ValueError, in the words of noun,
+    for a row without width fields, a field that is not an integer, or one
     beyond int64.
     """
-    frozen = isinstance(track, np.ndarray) and not track.flags.writeable
-    if frozen and track.dtype == np.int64 and track.shape[1:] == (5,):
-        return track
+    frozen = isinstance(rows, np.ndarray) and not rows.flags.writeable
+    if frozen and rows.dtype == np.int64 and rows.shape[1:] == (width,):
+        return rows
     try:
-        notes = np.array(track)
-        if notes.dtype.kind not in "ib":
+        table = np.array(rows)
+        if table.dtype.kind not in "ib":
             # Floats, strings, objects, or integers numpy could not hold in
             # one integer dtype: the given values, field by field.
-            notes = np.array(track, dtype=object)
+            table = np.array(rows, dtype=object)
     except ValueError:
-        notes = None  # ragged
-    if notes is not None and notes.shape == (0,):
-        notes = notes.reshape(0, 5)
-    if notes is None or notes.ndim != 2 or notes.shape[1] != 5:
-        raise ValueError("every note must have 5 integer fields")
-    if notes.dtype == object:
-        for v in notes.flat:
+        table = None  # ragged
+    if table is not None and table.shape == (0,):
+        table = table.reshape(0, width)
+    if table is None or table.ndim != 2 or table.shape[1] != width:
+        raise ValueError(f"every {noun} must have {width} integer fields")
+    if table.dtype == object:
+        for v in table.flat:
             if not isinstance(v, (int, np.integer)):
-                raise ValueError(f"note field {v!r} is not an integer")
+                raise ValueError(f"{noun} field {v!r} is not an integer")
         try:
-            notes = notes.astype(np.int64)
+            table = table.astype(np.int64)
         except OverflowError:
-            raise ValueError("note fields must fit in int64") from None
-    notes = notes.astype(np.int64, copy=False)  # np.array above made the copy
-    notes.flags.writeable = False
-    return notes
+            raise ValueError(f"{noun} fields must fit in int64") from None
+    table = table.astype(np.int64, copy=False)  # np.array above made the copy
+    table.flags.writeable = False
+    return table
+
+
+def as_track(track) -> np.ndarray:
+    """A track as a read-only (n, 5) int64 array: ``as_rows`` of notes.
+
+    Takes any (n, 5) array-like of integers, such as a list of QuantNote.
+    """
+    return as_rows(track, 5, "note")
 
 
 def sort_notes(notes: np.ndarray) -> np.ndarray:
@@ -101,7 +110,7 @@ def sort_notes(notes: np.ndarray) -> np.ndarray:
 
 
 class _ByValue:
-    """Equality and hash by ``_key``, which holds note arrays as their bytes."""
+    """Equality and hash by ``_key``, which holds row arrays as their bytes."""
 
     __slots__ = ()
 

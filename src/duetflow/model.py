@@ -63,7 +63,7 @@ from .events import (
     validate_sequence,
 )
 from .grid import GridSpec, vocab_sizes
-from .midi import QuantNote
+from .midi import QuantNote, as_rows
 
 _MASK64 = (1 << 64) - 1
 _CTX_MULT = 0x100000001B3
@@ -368,12 +368,9 @@ class ContextModel:
         return self._fingerprint
 
     def predict_next(self, context: Sequence[Event] | np.ndarray) -> FieldDistributions:
-        """Distributions over the next event's fields given trailing context."""
-        try:
-            events = np.asarray(context, dtype=np.int64).reshape(len(context), N_FIELDS)
-        except OverflowError:
-            raise ValueError("context values must be integers that fit in int64") from None
-        hashes, avail = _context_hashes(self.k, [events])
+        """Distributions over the next event's fields given trailing context,
+        any (n, 6) array-like of integers (``midi.as_rows``)."""
+        hashes, avail = _context_hashes(self.k, [as_rows(context, N_FIELDS, "event")])
         probs = _interpolate(self, _match(self, hashes, avail))[0]
         return FieldDistributions(tuple(np.split(probs, _layout(self.vocab).starts[1:])))
 
@@ -590,10 +587,11 @@ def score_sequences(
 ) -> list[np.ndarray]:
     """Per-event, per-field scores in nats of every stream, each (len, 6).
 
-    Each stream is a sequence's (n, 6) event array, or anything np.asarray
-    turns into one. The streams are hashed, matched and interpolated
-    together in one pass, so callers bound how many events one call holds;
-    a context never reaches back into the stream before its own.
+    Each stream is a sequence's (n, 6) event array, taken as it is, or any
+    (n, 6) array-like of integers, which ``midi.as_rows`` checks. The
+    streams are hashed, matched and interpolated together in one pass, so
+    callers bound how many events one call holds; a context never reaches
+    back into the stream before its own.
 
     nll mode scores the realized value, -log p(value | context); predictive
     mode scores the full predicted distribution, -sum p log p. The context
@@ -604,7 +602,7 @@ def score_sequences(
     if context_len < 0:
         raise ValueError("context_len must be >= 0")
     kmax = min(model.k, context_len)
-    streams = [np.asarray(a, dtype=np.int64).reshape(len(a), N_FIELDS) for a in arrays]
+    streams = [as_rows(a, N_FIELDS, "event") for a in arrays]
     if not streams:
         return []
     lengths = np.array([len(s) for s in streams], dtype=np.int64)
@@ -683,18 +681,15 @@ def _cdfs(probs: np.ndarray, vocab: Sequence[int]) -> np.ndarray:
 
 
 def _draw(
-    cdfs: Sequence[float], first: int, spans: Sequence[tuple[int, int]], draws: Sequence[float]
+    row: Sequence[float], spans: Sequence[tuple[int, int]], draws: Sequence[float]
 ) -> list[int]:
-    """A note's fields 1..5 from the _cdfs row at cdfs[first:], with draws[f - 1].
+    """A note's fields 1..5 from one _cdfs row, with draws[f - 1].
 
     Each value is found the way numpy's Generator.choice(n, p=vec) finds it
     from the same draw: the number of normalised cumulative sums that do
     not exceed the draw, which bisect_right counts, as they never decrease.
     """
-    return [
-        bisect_right(cdfs, u, first + lo, first + hi) - first - lo
-        for (lo, hi), u in zip(spans, draws)
-    ]
+    return [bisect_right(row, u, lo, hi) - lo for (lo, hi), u in zip(spans, draws)]
 
 
 def generate_many(
@@ -715,8 +710,8 @@ def generate_many(
     are built together, in one _interpolate call per _DENSE_ROWS primes
     (the length-0 row is built once per call), and kept up to
     _SAMPLE_CACHE_BYTES: when new rows would pass it, every kept row is
-    dropped and the block's chains are built from row 0 on. Each field is
-    drawn with one bisect of its row. Each prime is checked on the model's
+    dropped and the block's chains are built anew. Each field is drawn
+    with one bisect of its row. Each prime is checked on the model's
     grid by _validate_prime, and one that is not a valid sequence without
     its end event (off the grid, out of order, with an undeclared
     instrument, or malformed) gets validate_sequence's
@@ -752,15 +747,9 @@ def generate_many(
         if not len(model.tables[0]):
             views = []
         spans = _layout(model.vocab).spans
-        width = spans[-1][1]
-        # Room for the rows kept and for one block's rows after dropping
-        # them all, but for no more chains than the call has steps.
-        room = max(_SAMPLE_CACHE_BYTES // (8 * width), _DENSE_ROWS)
-        table = np.empty((min(room, len(live) * steps), width))
-        cdfs = memoryview(table.reshape(-1))
-        limit = max(1, _SAMPLE_CACHE_BYTES // table[0].nbytes)
+        limit = max(1, _SAMPLE_CACHE_BYTES // (8 * spans[-1][1]))
         # A chain is its entries at lengths 1.. up to its first miss.
-        slots: dict[tuple[int, ...], int] = {}
+        rows: dict[tuple[int, ...], memoryview] = {}
         missing = (-1,) * k
         for step in range(steps):
             chains = []
@@ -775,18 +764,16 @@ def generate_many(
                 depths[b][len(found)] += 1
             for start in range(0, len(chains), _DENSE_ROWS):
                 block = chains[start : start + _DENSE_ROWS]
-                new = dict.fromkeys(c for c in block if c not in slots)
-                if len(slots) + len(new) > limit:
-                    slots.clear()
+                new = dict.fromkeys(c for c in block if c not in rows)
+                if len(rows) + len(new) > limit:
+                    rows.clear()
                     new = dict.fromkeys(block)
                 if new:
-                    first = len(slots)
                     padded = np.array([(0, *c, *missing[len(c) :]) for c in new], dtype=np.int64)
                     probs = _interpolate(model, padded, root=root)
-                    table[first : first + len(new)] = _cdfs(probs, model.vocab)
-                    slots.update(zip(new, range(first, first + len(new))))
+                    rows.update(zip(new, map(memoryview, _cdfs(probs, model.vocab))))
                 for b, c in enumerate(block, start=start):
-                    values = _draw(cdfs, slots[c] * width, spans, draws[b][step])
+                    values = _draw(rows[c], spans, draws[b][step])
                     sampled[b].append(values)
                     if k:  # the step of _rolling_hashes
                         e = _fold(_NOTE_STATE, values)
@@ -797,8 +784,8 @@ def generate_many(
             end = np.vstack([prefixes[i], [TYPE_END, 0, 0, 0, 0, 0]])
             results[i] = GenerationResult(EventSequence(end, model.grid), (), tuple(depths[b]))
             continue
-        rows = prefixes[i]
-        notes = np.vstack([rows[rows[:, 0] == TYPE_NOTE, 1:], sampled[b]])
+        events = prefixes[i]
+        notes = np.vstack([events[events[:, 0] == TYPE_NOTE, 1:], sampled[b]])
         # Python integers, not numpy ones, in the notes callers print.
         new = tuple(sorted(map(QuantNote._make, sampled[b])))
         results[i] = GenerationResult(encode([notes], model.grid), new, tuple(depths[b]))

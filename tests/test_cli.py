@@ -213,7 +213,7 @@ def test_batch_rejects_malformed_manifest_notes(tmp_path, midi_dir, trained, cap
     assert rc == 1
     err = capsys.readouterr().err
     pair_id = raw["pairs"][1]["pair_id"]
-    assert err == f"error: pair {pair_id!r}: {message.format(note=bad_note)}\n"
+    assert err == f"error: {manifest}: pair {pair_id!r}: {message.format(note=bad_note)}\n"
     assert not csv_out.exists()
 
 
@@ -860,7 +860,7 @@ def test_model_grid_must_match_config_grid(tmp_path, midi_dir, trained, capsys, 
     rc = main(["--resolution", "6", "--burn-in", "4", *args])
     out = capsys.readouterr()
     assert rc == 1
-    assert out.err.startswith("error: model grid ")
+    assert out.err.startswith(f"error: {model}: model grid ")
     assert "does not match config" in out.err
     assert "Traceback" not in out.err and not out.out
 
@@ -987,6 +987,20 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     rc = main(["--config", str(cfg), "oracle", "exact"])
     assert rc == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_malformed_config_and_model_files_are_named(tmp_path, trained, capsys):
+    tok, model = trained
+    cfg = tmp_path / "bad.json"
+    cfg.write_text("{")
+    assert main(["--config", str(cfg), "oracle", "exact"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: Expecting ")
+    junk = tmp_path / "junk.dfm"
+    junk.write_bytes(b"not a model")
+    rc = main(["selfbias", "--model-a", str(model), "--model-b", str(junk),
+               "--primes", str(tok), "--steps", "2"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {junk}: not a model file (bad magic)\n"
 
 
 _CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(Config)}

@@ -583,8 +583,10 @@ def test_sequence_is_one_read_only_array_with_plain_bool_equality():
     assert (EventSequence(seq.events[:-1], GRID) == seq) is False
     assert (EventSequence(seq.events, GridSpec(resolution=24)) == seq) is False
     assert hash(same) == hash(seq)
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ValueError, match="^every event must have 6 integer fields$"):
         EventSequence(np.zeros((2, 5), dtype=np.int64), GRID)
-    for wide in (2**70, 2**63, 1.5):
-        with pytest.raises(ValueError, match="integers that fit in int64"):
+    for wide in (2**70, 2**63):
+        with pytest.raises(ValueError, match="^event fields must fit in int64$"):
             EventSequence([(0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, wide)], GRID)
+    with pytest.raises(ValueError, match=r"^event field 1\.5 is not an integer$"):
+        EventSequence([(0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1.5)], GRID)

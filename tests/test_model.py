@@ -339,10 +339,9 @@ def test_sampler_draws_what_rng_choice_draws(seed):
     seeds = rng.integers(0, 2**63, rows)
     draws = [np.random.default_rng(s).random(5).tolist() for s in seeds]
     cdfs = _cdfs(probs, vocab)
-    flat = memoryview(cdfs.reshape(-1))
     spans = model_module._layout(vocab).spans
     for row, s in enumerate(seeds):
-        got = _draw(flat, row * cdfs.shape[1], spans, draws[row])
+        got = _draw(memoryview(cdfs[row]), spans, draws[row])
         chooser = np.random.default_rng(s)
         want = []
         for f in range(1, 6):
@@ -357,7 +356,7 @@ def test_sampler_draws_what_rng_choice_draws(seed):
         fields = [cdfs[row, lo:hi] for lo, hi in spans]
         for edges in ([0.0] * 5, [f[0] for f in fields], [f[rng.integers(len(f))] for f in fields]):
             want = [int(np.searchsorted(f, u, side="right")) for f, u in zip(fields, edges)]
-            assert _draw(flat, row * cdfs.shape[1], spans, edges) == want
+            assert _draw(memoryview(cdfs[row]), spans, edges) == want
 
 
 def test_grids_hold_at_most_one_distribution_row():
@@ -569,6 +568,27 @@ def test_predict_next_refuses_context_values_beyond_int64():
     model = train([simple_piece([60, 64])], k=2)
     with pytest.raises(ValueError, match="fit in int64"):
         model.predict_next([Event(TYPE_NOTE, 2**63, 0, 60, 4, 0)])
+
+
+def test_predict_next_refuses_a_float_context_field():
+    model = train([simple_piece([60, 64])], k=2)
+    with pytest.raises(ValueError, match=r"^event field 60\.5 is not an integer$"):
+        model.predict_next([Event(TYPE_NOTE, 0, 0, 60.5, 4, 0)])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(0.7, r"^event field 0\.7 is not an integer$"), (2**63, "^event fields must fit in int64$")],
+    ids=["float", "beyond-int64"],
+)
+def test_scoring_refuses_event_fields_that_are_not_int64(bad, message):
+    model = train([simple_piece([60, 64])], k=2)
+    rows = simple_piece([60, 64]).events.tolist()
+    rows[3][3] = bad
+    with pytest.raises(ValueError, match=message):
+        score_sequence(model, rows, 4)
+    with pytest.raises(ValueError, match=message):
+        score_sequences(model, [simple_piece([60]).events, rows], 4)
 
 
 # --- serialization ----------------------------------------------------------
