@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 usage or data errors, 2 MIDI parse errors,
-3 ineligible pieces or corpora, 4 oracle convergence failures.
+3 ineligible pieces or corpora, 4 oracle chains with no unique stationary law.
 """
 from __future__ import annotations
 

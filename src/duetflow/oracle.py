@@ -8,6 +8,7 @@ stationary distribution, so tolerances can be tight.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,11 +19,10 @@ from .midi import as_track
 
 MAX_ALPHABET = 8
 _PROB_TOL = 1e-12
-_SAMPLE_CHUNK = 4096  # draws per pass of sample_paths
 
 
 class ConvergenceError(RuntimeError):
-    """The chain has no unique stationary distribution to converge to."""
+    """The chain has no unique stationary distribution."""
 
 
 def _check_alphabets(*sizes: int) -> None:
@@ -92,48 +92,39 @@ class ExactFlowResult:
 def stationary(spec: JointMarkovSpec) -> np.ndarray:
     """Stationary distribution reached from the chain's initial law.
 
-    Power iteration to an L1 residual below 1e-12, at most 1e6 sweeps.
-    The states reachable from the initial support must form one strongly
-    connected class, otherwise the fixed point is not unique and the
-    chain is rejected.
+    The law is unique exactly when the states reachable from the initial
+    support hold one closed communicating class: the states that every
+    reachable state reaches. Any other chain is refused. On that class,
+    Grassmann-Taksar-Heyman state reduction (Operations Research 33:1107,
+    1985) solves pi P = pi with additions, products and quotients of
+    non-negative numbers only, so the law is exact to rounding however
+    slowly the chain mixes, periodic chains included. States outside the
+    class, transient or unreachable, get 0.
     """
     n = spec.ax * spec.ay
     P = spec.transitions.reshape(n, n)
-    v = spec.initial.reshape(n).copy()
-
-    reachable = _reachable(P, v > 0)
-    if not _one_class(P[np.ix_(reachable, reachable)]):
+    reach = (P > 0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = reach @ reach
+    live = reach[spec.initial.reshape(n) > 0].any(axis=0)
+    closed = np.flatnonzero(reach[live].all(axis=0))
+    if not len(closed):
         raise ConvergenceError(
-            "reachable states do not form a single communicating class"
+            "reachable states hold more than one closed communicating class"
         )
-
-    prev_prev = None
-    for _ in range(10**6):
-        nxt = v @ P
-        if np.abs(nxt - v).sum() < 1e-12:
-            return nxt.reshape(spec.ax, spec.ay)
-        # A period-2 chain alternates exactly; bail out instead of sweeping
-        # the full iteration budget.
-        if prev_prev is not None and np.abs(nxt - prev_prev).max() < 1e-15:
-            break
-        prev_prev = v
-        v = nxt
-    raise ConvergenceError("power iteration did not converge (periodic chain?)")
-
-
-def _reachable(P: np.ndarray, start: np.ndarray) -> np.ndarray:
-    mask = start.copy()
-    while True:
-        grown = mask | ((P[mask] > 0).any(axis=0))
-        if (grown == mask).all():
-            return np.flatnonzero(mask)
-        mask = grown
-
-
-def _one_class(P: np.ndarray) -> bool:
-    """Whether P is one communicating class: state 0 reaches all, all reach it."""
-    first = np.arange(len(P)) == 0
-    return len(_reachable(P, first)) == len(P) == len(_reachable(P.T, first))
+    # Censor the class onto its first k states, one state at a time, then
+    # build the law back up from state 0, scaled to sum 1 at each step so
+    # that no ratio of masses overflows.
+    a = P[np.ix_(closed, closed)]
+    for k in range(len(closed) - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.zeros(n)
+    pi[closed[0]] = 1.0
+    for k in range(1, len(closed)):
+        pi[closed[k]] = pi[closed[:k]] @ a[:k, k]
+        pi /= pi.sum()
+    return pi.reshape(spec.ax, spec.ay)
 
 
 def _cond_entropy(joint: np.ndarray, predicted_axes: tuple[int, ...]) -> float:
@@ -185,11 +176,8 @@ def independent_spec(
 def copy_spec(m: int = 2) -> JointMarkovSpec:
     """X is an i.i.d. uniform source and Y repeats X one step later."""
     _check_alphabets(m)
-    trans = np.zeros((m, m, m, m))
-    for x0 in range(m):
-        for y0 in range(m):
-            for x1 in range(m):
-                trans[x0, y0, x1, x0] = 1.0 / m
+    # [y1 == x0] / m
+    trans = np.zeros((m,) * 4) + np.eye(m)[:, None, None, :] / m
     initial = np.full((m, m), 1.0 / (m * m))
     return JointMarkovSpec(trans, initial)
 
@@ -201,15 +189,9 @@ def instantaneous_spec(m: int = 2) -> JointMarkovSpec:
     while the flow value stays at log m.
     """
     _check_alphabets(m)
-    trans = np.zeros((m, m, m, m))
-    for x0 in range(m):
-        for y0 in range(m):
-            for x1 in range(m):
-                trans[x0, y0, x1, x1] = 1.0 / m
-    initial = np.zeros((m, m))
-    for x in range(m):
-        initial[x, x] = 1.0 / m
-    return JointMarkovSpec(trans, initial)
+    # [y1 == x1] / m
+    trans = np.zeros((m,) * 4) + np.eye(m) / m
+    return JointMarkovSpec(trans, np.eye(m) / m)
 
 
 def random_spec(seed: int, ax: int | None = None, ay: int | None = None) -> JointMarkovSpec:
@@ -234,26 +216,20 @@ def sample_paths(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jointly sample (x_t, y_t) paths of the given length.
 
-    Step t moves from state s to the first state whose cumulative
-    transition probability from s exceeds draw t. Per chunk of draws, one
-    binary search per state row finds that next state for every draw, and
-    the chain then walks the chunk by list lookups.
+    Draw 0 picks the first state from the initial law; step t then moves
+    from state s to the first state whose cumulative transition
+    probability from s exceeds draw t.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    rng = np.random.default_rng(seed)
     n = spec.ax * spec.ay
-    cum_init = np.cumsum(spec.initial.reshape(n))
-    cum_trans = np.cumsum(spec.transitions.reshape(n, n), axis=1)
-    draws = rng.random(length)
-    state = int(np.searchsorted(cum_init, draws[0], side="right"))
+    cum_trans = np.cumsum(spec.transitions.reshape(n, n), axis=1).tolist()
+    draws = np.random.default_rng(seed).random(length).tolist()
+    state = bisect_right(np.cumsum(spec.initial.reshape(n)).tolist(), draws[0])
     states = [state]
-    for start in range(1, length, _SAMPLE_CHUNK):
-        chunk = draws[start : start + _SAMPLE_CHUNK]
-        following = [np.searchsorted(row, chunk, side="right").tolist() for row in cum_trans]
-        for t in range(len(chunk)):
-            state = following[state][t]
-            states.append(state)
+    for u in draws[1:]:
+        state = bisect_right(cum_trans[state], u)
+        states.append(state)
     path = np.array(states, dtype=np.int64)
     return path // spec.ay, path % spec.ay
 

@@ -6,6 +6,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from conftest import GOLDEN_QUANT_ACCOMP, GOLDEN_QUANT_MELODY
 
@@ -93,6 +94,38 @@ def test_criterion_2_pipeline_matches_oracle_on_canonical_chains():
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120
     _report(2, ok, "; ".join(parts) + f"; {elapsed:.1f}s (limit 120s)")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="contexts hold the absolute beat, so pieces shifted by whole beats "
+    "split their counts: the copy chain reads 0.857 against 0.693",
+)
+def test_criterion_2_copy_chain_holds_off_the_aligned_grid():
+    # Criterion 2's copy chain, with each piece, in training and held out,
+    # shifted by a seeded whole number of beats below 64 in both voices.
+    spec = oracle.copy_spec(2)
+    target = oracle.exact_flow(spec).info_flow
+    shifts = np.random.default_rng(64)
+
+    def shifted_pieces(steps, seed):
+        xs, ys = oracle.sample_paths(spec, steps, seed)
+        for tx, ty in oracle.embed_pieces(xs, ys, 128, GRID):
+            beat = np.array([shifts.integers(64), 0, 0, 0, 0])
+            yield tx + beat, ty + beat
+
+    pieces = [
+        Piece(f"copy-{i:04d}", GRID, tracks)
+        for i, tracks in enumerate(shifted_pieces(100_000, 101))
+    ]
+    model = train(training_encodings(pieces), k=4)
+    flows = [
+        information_flow(model, tx, ty).total_flow
+        for tx, ty in shifted_pieces(120 * 128, 202)
+    ]
+    measured = float(np.mean(flows))
+    tol = max(0.10 * abs(target), 0.02)
+    assert abs(measured - target) <= tol, f"{measured:+.4f} vs {target:+.4f} (tol {tol:.4f})"
 
 
 def test_criterion_3_matched_pairs_outscore_shuffled_pairs():

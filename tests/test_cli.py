@@ -786,12 +786,12 @@ def test_ineligible_exit_code(tmp_path, trained, capsys):
 
 
 def test_convergence_exit_code(tmp_path, capsys):
-    # a period-2 chain with all its mass on one state never settles
-    spec_path = tmp_path / "swap.spec"
-    spec_path.write_text("2 1\n0.0 1.0\n1.0 0.0\n1.0 0.0\n")
+    # two states that never leave, both holding initial mass: no unique law
+    spec_path = tmp_path / "stay.spec"
+    spec_path.write_text("2 1\n1.0 0.0\n0.0 1.0\n0.5 0.5\n")
     rc = main(["oracle", "exact", "--spec", str(spec_path)])
     assert rc == 4
-    assert "error:" in capsys.readouterr().err
+    assert "communicating class" in capsys.readouterr().err
 
 
 def test_value_error_exit_codes(tmp_path, midi_dir, trained, capsys):

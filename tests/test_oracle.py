@@ -1,10 +1,11 @@
 """Exact chain flow: closed forms, invariants, sampling, embedding."""
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from duetflow.grid import GridSpec
 from duetflow.oracle import (
@@ -23,7 +24,6 @@ from duetflow.oracle import (
     spec_from_text,
     spec_to_text,
     stationary,
-    _one_class,
 )
 
 LN2 = math.log(2)
@@ -168,31 +168,119 @@ def test_absorbing_state_with_point_initial_is_fine():
     assert pi[1, 0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_period_two_chain_is_rejected():
-    trans = np.zeros((2, 1, 2, 1))
-    trans[0, 0, 1, 0] = 1.0
-    trans[1, 0, 0, 0] = 1.0
-    spec = JointMarkovSpec(trans, np.array([[1.0], [0.0]]))
-    with pytest.raises(ConvergenceError, match="converge"):
-        stationary(spec)
+def cycle_spec(n):
+    """n states visited in turn, started in state 0: period n."""
+    trans = np.roll(np.eye(n), 1, axis=1).reshape(n, 1, n, 1)
+    return JointMarkovSpec(trans, np.eye(n)[:1].T)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_periodic_cycle_has_its_uniform_law(n):
+    spec = cycle_spec(n)
+    assert np.abs(stationary(spec) - 1 / n).max() <= 1e-15
+    assert exact_flow(spec).h_x == 0
+
+
+def two_state_spec(e):
+    """Two states that switch with probability e, started in state 0."""
+    trans = np.array([[1 - e, e], [e, 1 - e]]).reshape(2, 1, 2, 1)
+    return JointMarkovSpec(trans, np.array([[1.0], [0.0]]))
+
+
+def test_chain_that_almost_never_switches_has_the_uniform_law():
+    assert np.abs(stationary(two_state_spec(1e-13)) - 0.5).max() <= 1e-15
+
+
+def test_slowly_mixing_chain_is_solved_at_once():
+    e = 1e-6
+    t0 = time.perf_counter()
+    res = exact_flow(two_state_spec(e))
+    assert time.perf_counter() - t0 < 1.0
+    assert res.h_x == pytest.approx(-(1 - e) * math.log(1 - e) - e * math.log(e), rel=1e-9)
+
+
+def test_transient_start_has_all_its_mass_in_the_absorbing_state():
+    # state 0 moves to state 1, which never leaves
+    trans = np.array([[0.0, 1.0], [0.0, 1.0]]).reshape(2, 1, 2, 1)
+    pi = stationary(JointMarkovSpec(trans, np.array([[1.0], [0.0]])))
+    assert pi.ravel().tolist() == [0.0, 1.0]
+
+
+def test_masses_further_apart_than_the_float_range_do_not_overflow():
+    # pi is 1e-400 : 1e-200 : 1, so its first entry underflows to 0
+    trans = np.array([[0.0, 1.0, 0.0], [1e-200, 0.0, 1.0], [0.0, 1e-200, 1.0]])
+    pi = stationary(JointMarkovSpec(trans.reshape(3, 1, 3, 1), np.eye(3)[:1].T)).ravel()
+    assert pi[0] == 0.0
+    assert pi[1] == pytest.approx(1e-200, rel=1e-15)
+    assert pi[2] == 1.0
+
+
+def sparse_chain(ax, ay, density, cycle_len, seed):
+    """A random chain on ax * ay states and its edge set.
+
+    Random edges plus a cycle through a random subset of the states, so
+    that graphs one edge short of a single class come up often. About a
+    third of the rows are sticky: their self-loop outweighs the rest of
+    the row by up to 1e8, so such chains mix very slowly. The initial law
+    sits on one to a few states.
+    """
+    rng = np.random.default_rng(seed)
+    n = ax * ay
+    adj = rng.random((n, n)) < density
+    cycle = rng.permutation(n)[:cycle_len]
+    adj[cycle, np.roll(cycle, -1)] = True
+    adj[np.arange(n), rng.integers(0, n, n)] |= ~adj.any(axis=1)
+    weights = np.where(adj, rng.gamma(1.0, 1.0, (n, n)) + 1e-3, 0.0)
+    sticky = np.flatnonzero(rng.random(n) < 0.3)
+    adj[sticky, sticky] = True
+    weights[sticky, sticky] += weights[sticky].sum(axis=1) * 10 ** rng.uniform(0, 8, len(sticky))
+    weights /= weights.sum(axis=1, keepdims=True)
+    initial = np.where(rng.random(n) < 0.2, rng.gamma(1.0, 1.0, n), 0.0)
+    initial[rng.integers(n)] += 1.0
+    initial /= initial.sum()
+    return JointMarkovSpec(weights.reshape(ax, ay, ax, ay), initial.reshape(ax, ay)), adj
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.integers(1, 64),
-    st.floats(0.0, 0.7),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.floats(0.0, 0.5),
     st.integers(0, 64),
     st.integers(0, 2**32),
 )
-def test_one_class_matches_strongly_connected_components(n, density, cycle_len, seed):
-    # Random edges plus a cycle through a random subset of the states, so
-    # that graphs one edge short of a single class come up often.
-    rng = np.random.default_rng(seed)
-    adj = rng.random((n, n)) < density
-    cycle = rng.permutation(n)[: min(cycle_len, n)]
-    adj[cycle, np.roll(cycle, -1)] = True
-    n_comp, _ = connected_components(adj, directed=True, connection="strong")
-    assert _one_class(adj) == (n_comp == 1)
+def test_stationary_is_refused_exactly_without_a_unique_law(ax, ay, density, cycle_len, seed):
+    spec, adj = sparse_chain(ax, ay, density, cycle_len, seed)
+    n = ax * ay
+    P = spec.transitions.reshape(n, n)
+    starts = np.flatnonzero(spec.initial.reshape(n) > 0)
+    live = np.unique(np.concatenate([
+        breadth_first_order(adj, s, directed=True, return_predecessors=False) for s in starts
+    ]))
+    n_comp, labels = connected_components(adj[np.ix_(live, live)], directed=True, connection="strong")
+    src, dst = np.nonzero(adj[np.ix_(live, live)])
+    leaving = labels[src][labels[src] != labels[dst]]
+    closed = np.setdiff1d(np.arange(n_comp), leaving)
+    if len(closed) > 1:
+        with pytest.raises(ConvergenceError, match="communicating class"):
+            stationary(spec)
+        return
+    pi = stationary(spec).reshape(n)
+    assert np.abs(pi @ P - pi).max() <= 1e-15
+    cls = live[labels == closed[0]]
+    assert not np.delete(pi, cls).any()
+    # Each state's inflow equals its outflow to rounding, relative to
+    # each: this pins the small entries of pi that the residual above
+    # cannot see on a chain that mixes slowly.
+    Q = P[np.ix_(cls, cls)]
+    moves = Q - np.diag(Q.diagonal())
+    inflow, outflow = pi[cls] @ moves, pi[cls] * moves.sum(axis=1)
+    assert (np.abs(inflow - outflow) <= 1e-13 * np.maximum(inflow, outflow)).all()
+    # The SVD null vector of Q.T - I is itself good only to rounding over
+    # the gap to the next singular value, about 1e-8 on the stickiest chains.
+    _, sv, vt = np.linalg.svd(Q.T - np.eye(len(cls)))
+    gap = sv[-2] if len(cls) > 1 else 1.0
+    assert np.abs(pi[cls] - vt[-1] / vt[-1].sum()).max() <= 1e-12 + 1e-14 / gap
 
 
 def test_spec_validation_errors():
@@ -303,6 +391,21 @@ def test_sampler_matches_per_step_reference(spec, length):
 )
 def test_sampler_matches_per_step_reference_on_random_chains(spec_seed, ax, ay, length, seed):
     _assert_same_paths(random_spec(spec_seed, ax, ay), length, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.floats(0.0, 0.5),
+    st.integers(1, 5000),
+    st.integers(0, 2**32),
+)
+def test_bisect_walk_matches_per_step_reference_up_to_64_states(ax, ay, density, length, seed):
+    # A sparse row repeats its cumulative sum over each zero-probability
+    # state, which the walk must never step into.
+    spec, _ = sparse_chain(ax, ay, density, ax * ay, seed)
+    _assert_same_paths(spec, length, seed)
 
 
 # --- embedding into the note pipeline ------------------------------------------
