@@ -6,9 +6,11 @@ The flow of a piece with voices X and Y is, per field,
 
 with every term a conditional-entropy mean produced by the same model
 under the same parameters, and XY the merged encoding of both voices.
-Independent voices score near zero, a voice pair assembled from two
-unrelated pieces typically scores at or below zero, and flow is positive
-when one voice is predictable from the other's past.
+Independent voices with equal note counts score near zero (with unequal
+counts, per_pair normalization leaves a remainder; see FlowReport), a
+voice pair assembled from two unrelated pieces typically scores at or
+below zero, and flow is positive when one voice is predictable from the
+other's past.
 """
 from __future__ import annotations
 
@@ -66,28 +68,6 @@ class FlowParams:
             raise ValueError(f"unknown xy_norm {self.xy_norm!r}")
 
 
-@dataclass(frozen=True)
-class EntropyTrace:
-    """Per-scored-event, per-field conditional entropies in nats."""
-
-    values: np.ndarray  # shape (scored_steps, 6)
-    mode: str
-    context_len: int
-    burn_in: int
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def field_means(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.values.mean(axis=0))
-
-    @property
-    def mean_total(self) -> float:
-        """Mean per-event entropy summed across the six fields."""
-        return float(self.values.sum(axis=1).mean())
-
-
 def _scored_rows(seq: EventSequence, burn_in: int, label: str) -> np.ndarray:
     """The rows of a valid sequence that are scored: its notes after burn_in.
 
@@ -108,18 +88,19 @@ def conditional_entropy(
     mode: str = "nll",
     *,
     label: str = "sequence",
-) -> EntropyTrace:
-    """Score the note events of a valid sequence.
+) -> np.ndarray:
+    """Per-field conditional entropies in nats of the scored note events of
+    a valid sequence, shape (scored notes, 6).
 
-    The first burn_in notes and all structural events are excluded from
-    the trace, but every event still extends the model's context window.
+    The first burn_in notes and all structural events are not scored, but
+    every event still extends the model's context window.
     """
     if burn_in < 1:
         raise ValueError("burn_in must be >= 1")
     validate_sequence(seq)
     keep = _scored_rows(seq, burn_in, label)
     scores = score_sequence(model, seq.events, context_len, mode)
-    return EntropyTrace(scores[keep], mode, context_len, burn_in)
+    return scores[keep]
 
 
 @dataclass(frozen=True)
@@ -130,7 +111,10 @@ class FlowReport:
     their note content, never by argument order, so swapping the inputs
     reproduces the report bit for bit. h_merged already carries the
     normalization named in xy_norm: per_pair scales the merged per-event
-    mean by the voice count so independent voices cancel to zero flow.
+    mean by the voice count, 2. For independent voices with sums S_x and
+    S_y over n_x and n_y scored notes, S_xy = S_x + S_y over n_xy, so the
+    flow is (1/n_x - 2/n_xy) S_x + (1/n_y - 2/n_xy) S_y: zero when
+    n_x = n_y = n_xy / 2, not in general.
     """
 
     piece_id: str

@@ -21,15 +21,16 @@ is two steps over many positions at once: ``_match`` finds each
 position's back-off chain, its matched entry at every context length, with
 one binary search per length from 1 on, and ``_interpolate`` turns chains
 into probabilities. Table 0 holds only the empty context, which every
-position matches, so its step from the uniform distribution is built once
-per call as one row. Scoring runs both steps over whole batches of streams
-(predictive scoring sorts the chains and builds each distinct one's
-distributions once). Generation steps all primes in lockstep on Python
-scalars: each call draws every uniform and builds the length-0 row up
-front; at each step a prime's chain is found with one bisect per context
-length, each field is drawn with one bisect of its chain's cumulative
-sums, and the prime's context hashes move on by the drawn event. Only a
-step's new chains go through ``_interpolate``, together, and their
+position matches, so its step from the uniform distribution is one row,
+built on first use and kept by the model. Scoring runs both steps over
+whole batches of streams (predictive scoring sorts the chains and builds
+each distinct one's distributions once, through ``_dense_blocks``).
+Generation steps all primes in lockstep on Python scalars: each call draws
+every uniform up front; at each step a prime's chain is found with one
+bisect per context length, each field is drawn with one bisect of its
+chain's cumulative sums, and the prime's context hashes move on by the
+drawn event with ``_push``, the scalar step of ``_rolling_hashes``. Only a
+step's new chains go through ``_dense_blocks``, together, and their
 sampling rows are kept up to a fixed size. The file format writes the
 same arrays entry by entry, and ``load_model`` accepts only files that
 ``save_model`` could have written.
@@ -44,7 +45,7 @@ import struct
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -89,8 +90,8 @@ _HASH_CHUNK = 1 << 14  # events hashed per numpy pass
 _DENSE_ROWS = 256  # whole distributions built per pass
 # Most bytes of sampling rows one generate_many call keeps for reuse. A row
 # is the cumulative sums of fields 1..5: 1,389 float64 on the default grid,
-# about 11 KB, so about 1,500 rows. The rows are dropped all at once when
-# the next ones would pass the limit.
+# about 11 KB, so about 1,500 rows. The rows are dropped all at once when a
+# step's new ones would pass the limit.
 _SAMPLE_CACHE_BYTES = 16 << 20
 _LOG_SMALLEST = math.log(sys.float_info.min)
 
@@ -133,6 +134,18 @@ def _event_hashes(events: np.ndarray) -> np.ndarray:
             h ^= h >> np.uint64(31)
         out[start : start + len(rows)] = h
     return out
+
+
+def _push(ctx: list[int], e: int, k: int) -> list[int]:
+    """The hashes of the last 1..k events once the event of hash e follows
+    those of ctx: the step of _rolling_hashes, on Python ints."""
+    return [e, *[(x * _CTX_MULT + e) & _MASK64 for x in ctx[: k - 1]]] if k else []
+
+
+def _last_hashes(events: np.ndarray, k: int) -> list[int]:
+    """The hashes of the last 1..min(k, t) of t events, as _push leaves them."""
+    rows = events[len(events) - min(k, len(events)) :].tolist()
+    return reduce(lambda ctx, e: _push(ctx, event_hash(e), k), rows, [])
 
 
 def _rolling_hashes(event_hashes: np.ndarray, kmax: int) -> Iterable[np.ndarray]:
@@ -367,29 +380,35 @@ class ContextModel:
             self._fingerprint = hashlib.blake2b(save_model(self), digest_size=8).hexdigest()
         return self._fingerprint
 
+    @cached_property
+    def _root_row(self) -> np.ndarray:
+        """The length-0 step from the uniform distribution, as one row.
+
+        Every field's values side by side, then one slot per field with
+        count 0, the probability of a value outside the vocabulary. The
+        expression is the one _interpolate applies at every length. With
+        table 0 empty it is the uniform distribution itself:
+        x * (lam / lam) + 0 / lam == x.
+        """
+        lay = _layout(self.vocab)
+        table = self.tables[0]
+        counts = np.zeros(lay.width + N_FIELDS)
+        total = 0.0
+        if len(table):
+            entry = np.zeros(1, dtype=np.int64)
+            counts[: lay.width] = table.dense_counts(entry, lay.starts, lay.width)[0]
+            total = float(table.totals[0])
+        lam = self.lam
+        denom = total + lam
+        return np.concatenate([lay.uniform, 1.0 / lay.vocab]) * (lam / denom) + counts / denom
+
     def predict_next(self, context: Sequence[Event] | np.ndarray) -> FieldDistributions:
         """Distributions over the next event's fields given trailing context,
         any (n, 6) array-like of integers (``midi.as_rows``)."""
-        hashes, avail = _context_hashes(self.k, [as_rows(context, N_FIELDS, "event")])
-        probs = _interpolate(self, _match(self, hashes, avail))[0]
+        ctx = _last_hashes(as_rows(context, N_FIELDS, "event"), self.k)
+        hashes = np.array([0, *ctx], dtype=np.uint64)[:, None]
+        probs = _interpolate(self, _match(self, hashes, np.array([len(ctx)])))[0]
         return FieldDistributions(tuple(np.split(probs, _layout(self.vocab).starts[1:])))
-
-
-def _context_hashes(k: int, contexts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Hashes of lengths 0..k after each context, shape (k + 1, B), and avail.
-
-    avail[b] = min(k, len(contexts[b])) says which lengths are usable for
-    context b. Its last avail[b] events and one placeholder row are laid
-    end to end with the other contexts'; the _rolling_hashes at each
-    placeholder are the hashes after the context. A length beyond avail[b]
-    reaches into the context before and must not be used.
-    """
-    avail = np.array([min(k, len(c)) for c in contexts], dtype=np.int64)
-    placeholder = np.zeros((1, N_FIELDS), dtype=np.int64)
-    rows = [part for c, n in zip(contexts, avail) for part in (c[len(c) - n :], placeholder)]
-    ends = np.cumsum(avail + 1) - 1
-    rolling = _rolling_hashes(_event_hashes(np.concatenate(rows)), k)
-    return np.stack([h[ends] for h in rolling]), avail
 
 
 def _match(model: ContextModel, hashes: np.ndarray, avail: np.ndarray) -> np.ndarray:
@@ -417,33 +436,8 @@ def _match(model: ContextModel, hashes: np.ndarray, avail: np.ndarray) -> np.nda
     return chains
 
 
-def _root_row(model: ContextModel) -> np.ndarray:
-    """The length-0 step from the uniform distribution, as one row.
-
-    Every field's values side by side, then one slot per field with count
-    0, the probability of a value outside the vocabulary. The expression
-    is the one _interpolate applies at every length. With table 0 empty it
-    is the uniform distribution itself: x * (lam / lam) + 0 / lam == x.
-    """
-    lay = _layout(model.vocab)
-    table = model.tables[0]
-    counts = np.zeros(lay.width + N_FIELDS)
-    total = 0.0
-    if len(table):
-        entry = np.zeros(1, dtype=np.int64)
-        counts[: lay.width] = table.dense_counts(entry, lay.starts, lay.width)[0]
-        total = float(table.totals[0])
-    lam = model.lam
-    denom = total + lam
-    return np.concatenate([lay.uniform, 1.0 / lay.vocab]) * (lam / denom) + counts / denom
-
-
 def _interpolate(
-    model: ContextModel,
-    chains: np.ndarray,
-    values: np.ndarray | None = None,
-    *,
-    root: np.ndarray | None = None,
+    model: ContextModel, chains: np.ndarray, values: np.ndarray | None = None
 ) -> np.ndarray:
     """Interpolated probabilities along back-off chains, from _match.
 
@@ -454,13 +448,10 @@ def _interpolate(
     distribution of every field side by side, shape (m, sum(vocab)).
 
     Length 0 is the same single entry for every chain, so it is read or
-    broadcast from root, the _root_row of the model, built here unless the
-    caller, which interpolates many times, has built it once; the loop
-    starts at length 1.
+    broadcast from the model's _root_row; the loop starts at length 1.
     """
     lay = _layout(model.vocab)
-    if root is None:
-        root = _root_row(model)
+    root = model._root_row
     if values is None:
         probs = np.tile(root[: lay.width], (len(chains), 1))
     else:
@@ -485,10 +476,9 @@ def _interpolate(
 
 def _dense_blocks(model: ContextModel, chains: np.ndarray) -> Iterable[tuple[slice, np.ndarray]]:
     """Whole distributions along chains, _DENSE_ROWS rows at a time."""
-    root = _root_row(model)
     for start in range(0, len(chains), _DENSE_ROWS):
         block = slice(start, start + _DENSE_ROWS)
-        yield block, _interpolate(model, chains[block], root=root)
+        yield block, _interpolate(model, chains[block])
 
 
 def _entropies(model: ContextModel, chains: np.ndarray) -> np.ndarray:
@@ -704,17 +694,16 @@ def generate_many(
     generator up front, in the order generate draws them, so each result
     equals generate(model, primes[i], steps, seeds[i]). A step's state is
     Python scalars: each prime's context hashes, moved on by the event it
-    sampled, and its back-off chain, found with one bisect per context
-    length from 1 on, stopping at the first miss. A chain's sampling row
-    depends on the chain alone; the rows of the chains a step meets first
-    are built together, in one _interpolate call per _DENSE_ROWS primes
-    (the length-0 row is built once per call), and kept up to
-    _SAMPLE_CACHE_BYTES: when new rows would pass it, every kept row is
-    dropped and the block's chains are built anew. Each field is drawn
-    with one bisect of its row. Each prime is checked on the model's
-    grid by _validate_prime, and one that is not a valid sequence without
-    its end event (off the grid, out of order, with an undeclared
-    instrument, or malformed) gets validate_sequence's
+    sampled with _push, and its back-off chain, found with one bisect per
+    context length from 1 on, stopping at the first miss. A chain's
+    sampling row depends on the chain alone; the rows of the chains a step
+    meets first are built together through _dense_blocks and kept up to
+    _SAMPLE_CACHE_BYTES: when the kept rows and the step's new ones would
+    pass it, every kept row is dropped and the step's chains are built
+    anew. Each field is drawn with one bisect of its row. Each prime is
+    checked on the model's grid by _validate_prime, and one that is not a
+    valid sequence without its end event (off the grid, out of order, with
+    an undeclared instrument, or malformed) gets validate_sequence's
     SequenceStructureError in place of a result; an error that concerns
     every prime (steps < 0) is raised.
     """
@@ -734,13 +723,11 @@ def generate_many(
     # depths[b][j]: prime b's steps whose chain found lengths 1..j and no more.
     depths = [[0] * (k + 1) for _ in live]
     if live and steps:
-        root = _root_row(model)
         draws = [
             np.random.default_rng(seeds[i]).random((steps, N_FIELDS - 1)).tolist() for i in live
         ]
         # ctx[b]: the hashes of prime b's last 1..min(k, t) events, ints.
-        hashes, avail = _context_hashes(k, [prefixes[i] for i in live])
-        ctx = [row[1 : n + 1] for row, n in zip(hashes.T.tolist(), avail.tolist())]
+        ctx = [_last_hashes(prefixes[i], k) for i in live]
         # views[j - 1] reads table j's context hashes as ints, which takes
         # native byte order; as in _match, without table 0 no length matches.
         views = [memoryview(t.contexts.astype(np.uint64, copy=False)) for t in model.tables[1:]]
@@ -762,22 +749,17 @@ def generate_many(
                     found.append(at)
                 chains.append(tuple(found))
                 depths[b][len(found)] += 1
-            for start in range(0, len(chains), _DENSE_ROWS):
-                block = chains[start : start + _DENSE_ROWS]
-                new = dict.fromkeys(c for c in block if c not in rows)
-                if len(rows) + len(new) > limit:
-                    rows.clear()
-                    new = dict.fromkeys(block)
-                if new:
-                    padded = np.array([(0, *c, *missing[len(c) :]) for c in new], dtype=np.int64)
-                    probs = _interpolate(model, padded, root=root)
-                    rows.update(zip(new, map(memoryview, _cdfs(probs, model.vocab))))
-                for b, c in enumerate(block, start=start):
-                    values = _draw(rows[c], spans, draws[b][step])
-                    sampled[b].append(values)
-                    if k:  # the step of _rolling_hashes
-                        e = _fold(_NOTE_STATE, values)
-                        ctx[b] = [e] + [(x * _CTX_MULT + e) & _MASK64 for x in ctx[b][: k - 1]]
+            new = list(dict.fromkeys(c for c in chains if c not in rows))
+            if len(rows) + len(new) > limit:
+                rows.clear()
+                new = list(dict.fromkeys(chains))
+            padded = np.array([(0, *c, *missing[len(c) :]) for c in new], dtype=np.int64)
+            for block, probs in _dense_blocks(model, padded):
+                rows.update(zip(new[block], map(memoryview, _cdfs(probs, model.vocab))))
+            for b, c in enumerate(chains):
+                values = _draw(rows[c], spans, draws[b][step])
+                sampled[b].append(values)
+                ctx[b] = _push(ctx[b], _fold(_NOTE_STATE, values), k)
     results: list[GenerationResult | SequenceStructureError] = list(prefixes)
     for b, i in enumerate(live):
         if not steps:

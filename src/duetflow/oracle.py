@@ -132,7 +132,8 @@ def _cond_entropy(joint: np.ndarray, predicted_axes: tuple[int, ...]) -> float:
     cond = joint.sum(axis=predicted_axes, keepdims=True)
     mask = joint > 0
     ratio = joint[mask] / np.broadcast_to(cond, joint.shape)[mask]
-    return float(-(joint[mask] * np.log(ratio)).sum())
+    # 0.0 - s, not -s, so that an entropy of exactly 0 is 0.0, not -0.0.
+    return 0.0 - float((joint[mask] * np.log(ratio)).sum())
 
 
 def exact_flow(spec: JointMarkovSpec) -> ExactFlowResult:

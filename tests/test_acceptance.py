@@ -215,7 +215,7 @@ def test_criterion_6_entropy_estimator_sanity():
     periodic = encode([[QuantNote(i, 0, cycle[i % 4], 12, 0) for i in range(96)]], GRID)
     model_a = train([periodic] * 100, k=4)
     assert model_a.trained_events == 10_000
-    periodic_nll = conditional_entropy(model_a, periodic).mean_total
+    periodic_nll = conditional_entropy(model_a, periodic).sum(axis=1).mean()
 
     # (b) i.i.d. uniform pitches over 4 values must cost about ln 4 each.
     # k=1 keeps every context densely counted at this corpus size.
@@ -229,13 +229,13 @@ def test_criterion_6_entropy_estimator_sanity():
     model_b = train([piece(rng) for _ in range(1000)], k=1)
     eval_rng = np.random.default_rng(62)
     uniform_pitch = float(
-        np.mean([conditional_entropy(model_b, piece(eval_rng)).field_means[3] for _ in range(30)])
+        np.mean([conditional_entropy(model_b, piece(eval_rng)).mean(axis=0)[3] for _ in range(30)])
     )
 
     # (c) an untrained model in predictive mode knows nothing but the vocab
     untrained_pitch = conditional_entropy(
         empty_model(GRID, k=4), periodic, mode="predictive"
-    ).field_means[3]
+    ).mean(axis=0)[3]
 
     elapsed = time.perf_counter() - t0
     ok_a = periodic_nll < 0.02

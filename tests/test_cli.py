@@ -22,7 +22,15 @@ from duetflow.grid import GridSpec
 from duetflow.harness import training_encodings
 from duetflow.midi import QuantNote, piece_from_bytes, track_to_text
 from duetflow.model import save_model, train
-from duetflow.oracle import copy_spec, embed_pieces, independent_spec, sample_paths, spec_to_text
+from duetflow.oracle import (
+    copy_spec,
+    embed_pieces,
+    exact_flow,
+    independent_spec,
+    sample_paths,
+    spec_from_text,
+    spec_to_text,
+)
 
 from midibuild import Track, build, note_track
 
@@ -522,6 +530,18 @@ def test_oracle_exact_command(capsys, tmp_path):
     assert main(["oracle", "exact", "--spec", str(spec_path)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["info_flow"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_oracle_exact_entropies_of_a_period_two_chain_are_positive_zero(capsys, tmp_path):
+    # X switches at every step and Y has one symbol: nothing is uncertain.
+    spec_path = tmp_path / "swap.spec"
+    spec_path.write_text("2 1\n0.0 1.0\n1.0 0.0\n1.0 0.0\n")
+    values = exact_flow(spec_from_text(spec_path.read_text())).to_dict().values()
+    assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
+    assert main(["oracle", "exact", "--spec", str(spec_path)]) == 0
+    out = capsys.readouterr().out
+    assert "-0.0" not in out
+    assert all(math.copysign(1.0, v) == 1.0 for v in json.loads(out).values())
 
 
 @pytest.mark.parametrize("alphabet", ["0", "-1", "9", "1000"])

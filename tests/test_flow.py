@@ -9,7 +9,6 @@ import duetflow.flow
 from duetflow.events import TYPE_NOTE, sequences_from_notes, vocab_sizes
 from duetflow.flow import (
     LN2,
-    EntropyTrace,
     FlowParams,
     TooShortError,
     conditional_entropy,
@@ -78,7 +77,7 @@ def test_pitch_field_of_untrained_model_is_log_128():
         model, sequences_from_notes(voice([0, 1] * 10), voice([1] * 20, base=72), GRID)[0],
         burn_in=4, mode="predictive",
     )
-    assert trace.field_means[3] == pytest.approx(math.log(128), abs=1e-12)
+    assert trace.mean(axis=0)[3] == pytest.approx(math.log(128), abs=1e-12)
 
 
 # --- trace mechanics ---------------------------------------------------------
@@ -90,9 +89,7 @@ def test_trace_skips_burn_in_notes_but_keeps_context():
     note_rows = [i for i, e in enumerate(event_rows(seq)) if e.type == TYPE_NOTE]
     assert len(trace) == len(note_rows) - 16 == 48 - 16
     full = score_sequence(model, seq.events, 64, "nll")
-    assert np.array_equal(trace.values, full[note_rows[16:]])
-    assert trace.mean_total == pytest.approx(float(trace.values.sum(axis=1).mean()))
-    assert trace.field_means == pytest.approx(tuple(trace.values.mean(axis=0)))
+    assert np.array_equal(trace, full[note_rows[16:]])
 
 
 def test_too_short_error_names_the_sequence():
@@ -143,9 +140,9 @@ def test_report_combines_traces_exactly(indep_model):
     tx = conditional_entropy(indep_model, seq_x)
     ty = conditional_entropy(indep_model, seq_y)
     txy = conditional_entropy(indep_model, seq_xy)
-    assert report.h_first == tx.field_means
-    assert report.h_second == ty.field_means
-    assert report.h_merged == tuple(2.0 * v for v in txy.field_means)
+    assert report.h_first == tuple(tx.mean(axis=0))
+    assert report.h_second == tuple(ty.mean(axis=0))
+    assert report.h_merged == tuple(2.0 * v for v in txy.mean(axis=0))
     for f in range(6):
         assert report.field_flows[f] == pytest.approx(
             report.h_first[f] + report.h_second[f] - report.h_merged[f], abs=1e-15
@@ -202,7 +199,7 @@ def test_longer_context_does_not_hurt_on_trained_data(indep_model):
     seq_xy = sequences_from_notes(*make_pair(np.random.default_rng(23), 64, echo=False), GRID)[2]
     short = conditional_entropy(indep_model, seq_xy, context_len=0)
     full = conditional_entropy(indep_model, seq_xy, context_len=64)
-    assert full.mean_total <= short.mean_total + 1e-9
+    assert full.sum(axis=1).mean() <= short.sum(axis=1).mean() + 1e-9
 
 
 # --- batched flows -------------------------------------------------------------
@@ -214,9 +211,9 @@ def per_stream_flow(model, x, y, params):
         first, second, model.grid, split_shared_programs=params.split_shared_programs
     )
     h = [
-        conditional_entropy(
+        tuple(conditional_entropy(
             model, seq, params.context_len, params.burn_in, params.mode, label=label
-        ).field_means
+        ).mean(axis=0))
         for seq, label in zip(seqs, ("X", "Y", "XY"))
     ]
     if params.xy_norm == "per_pair":

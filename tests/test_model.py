@@ -1032,35 +1032,44 @@ def test_generate_many_reuses_chains_and_matches_reference(
         assert result.sampled_notes == tuple(sorted(QuantNote(*v) for v in sampled))
 
 
-def test_generate_many_builds_the_length_zero_row_once(
-    alternating_model, alternating_prime, monkeypatch
-):
+def test_the_length_zero_row_is_built_once_per_model(alternating_prime, monkeypatch):
     roots, built = [], []
-    root_row, interpolate = model_module._root_row, model_module._interpolate
+    root_row = ContextModel.__dict__["_root_row"]
+    build_root, interpolate = root_row.func, model_module._interpolate
 
     def counting_roots(model):
         roots.append(model)
-        return root_row(model)
+        return build_root(model)
 
-    def counting_builds(model, chains, values=None, **kwargs):
+    def counting_builds(model, chains, values=None):
         built.append(len(chains))
-        return interpolate(model, chains, values, **kwargs)
+        return interpolate(model, chains, values)
 
-    monkeypatch.setattr(model_module, "_root_row", counting_roots)
+    monkeypatch.setattr(root_row, "func", counting_roots)
     monkeypatch.setattr(model_module, "_interpolate", counting_builds)
+    corpus = [alternating_prime, simple_piece([64, 60, 64, 62]), simple_piece([70, 72] * 5)]
+    model, fresh = train(corpus, k=2), train(corpus, k=2)
     primes = [alternating_prime, simple_piece([64, 60, 64]), simple_piece([70])]
-    results = generate_many(alternating_model, primes, 60, [5, 6, 7])
-    # Many builds of sampling rows, one length-0 row for all of them.
-    assert len(built) > 1
-    assert roots == [alternating_model]
+    results = generate_many(model, primes, 60, [5, 6, 7])
+    generate_many(model, primes[1:], 30, [8, 9])
+    for mode in MODES:
+        score_sequences(model, [p.events for p in primes], 4, mode)
+    model.predict_next(alternating_prime.events)
+    # Many builds of whole distributions, one length-0 row for all of them.
+    assert len(built) > 4
+    assert roots == [model]
+    # A fresh model builds its own row, once.
+    generate_many(fresh, primes, 10, [1, 2, 3])
+    fresh.predict_next(alternating_prime.events)
+    assert roots == [model, fresh]
     monkeypatch.undo()
-    assert results == [generate(alternating_model, p, 60, s) for p, s in zip(primes, [5, 6, 7])]
+    assert results == [generate(model, p, 60, s) for p, s in zip(primes, [5, 6, 7])]
 
 
 def test_generate_many_past_one_block_without_a_cache(monkeypatch):
     # More primes than one block, each meeting chains of its own: with a
-    # limit of 1 byte every step drops the kept rows, and the table must
-    # still hold a whole block's rows from row 0 on.
+    # limit of 1 byte every step drops the kept rows and builds all of the
+    # step's chains anew, more than one block of them.
     rng = np.random.default_rng(17)
     corpus = [random_piece(rng, 24, programs=(0, 5)) for _ in range(40)]
     model = train(corpus, k=3)
