@@ -432,7 +432,9 @@ def self_enhancement(
             if isinstance(r, ValueError):
                 skipped += 1
             else:
-                pieces.append((notes, r.sampled_notes))
+                # One array per continuation, not its QuantNote tuple, which
+                # each scorer would convert again.
+                pieces.append((notes, as_track(r.sampled_notes)))
                 makers.append(g_name)
     for s_name, s_model in models.items():
         for g_name, report in zip(makers, information_flows(s_model, pieces, params)):

@@ -19,21 +19,23 @@ keys (value * 8 + field) of every context in ascending order with their
 counts. Training counts with sorts over whole-corpus arrays. Prediction
 is two steps over many positions at once: ``_match`` finds each
 position's back-off chain, its matched entry at every context length, with
-one binary search per length from 1 on, and ``_interpolate`` turns chains
-into probabilities. Table 0 holds only the empty context, which every
-position matches, so its step from the uniform distribution is one row,
-built on first use and kept by the model. Scoring runs both steps over
-whole batches of streams (predictive scoring sorts the chains and builds
-each distinct one's distributions once, through ``_dense_blocks``).
+one binary search per length from 1 on; ``_interpolate`` turns chains into
+the probabilities of realized values, and ``_backoff`` into whole
+distributions, scaling each row and adding counts only at its entries'
+pairs. Table 0 holds only the empty context, which every position
+matches, so its step from the uniform distribution is one row, built on
+first use by ``_backoff`` and kept by the model. Scoring runs both steps
+over whole batches of streams (predictive scoring sorts the chains and
+builds each distinct one's distributions once, through ``_dense_blocks``).
 Generation steps all primes in lockstep on Python scalars: each call draws
 every uniform up front; at each step a prime's chain is found with one
 bisect per context length, each field is drawn with one bisect of its
 chain's cumulative sums, and the prime's context hashes move on by the
 drawn event with ``_push``, the scalar step of ``_rolling_hashes``. Only a
-step's new chains go through ``_dense_blocks``, together, and their
-sampling rows are kept up to a fixed size. The file format writes the
-same arrays entry by entry, and ``load_model`` accepts only files that
-``save_model`` could have written.
+step's new chains go through ``_dense_blocks`` and ``_cdfs``, together,
+and their sampling rows are kept up to a fixed size. The file format
+writes the same arrays entry by entry, and ``load_model`` accepts only
+files that ``save_model`` could have written.
 """
 from __future__ import annotations
 
@@ -90,8 +92,10 @@ _HASH_CHUNK = 1 << 14  # events hashed per numpy pass
 _DENSE_ROWS = 256  # whole distributions built per pass
 # Most bytes of sampling rows one generate_many call keeps for reuse. A row
 # is the cumulative sums of fields 1..5: 1,389 float64 on the default grid,
-# about 11 KB, so about 1,500 rows. The rows are dropped all at once when a
-# step's new ones would pass the limit.
+# about 11 KB, so about 1,500 rows. A step's new rows are built together,
+# each kept as a view of its block's _cdfs array, which is freed once none
+# of its rows is kept. The rows are dropped all at once when a step's new
+# ones would pass the limit.
 _SAMPLE_CACHE_BYTES = 16 << 20
 _LOG_SMALLEST = math.log(sys.float_info.min)
 
@@ -172,6 +176,7 @@ class _Layout(NamedTuple):
     width: int  # columns in all
     uniform: np.ndarray  # 1 / the size of each column's field
     spans: tuple[tuple[int, int], ...]  # (start, stop) of fields 1..5 in a _cdfs row
+    lasts: np.ndarray  # int64, the last column of fields 1..5 in a _cdfs row
 
 
 @lru_cache(maxsize=64)
@@ -180,11 +185,12 @@ def _layout(vocab: tuple[int, ...]) -> _Layout:
     sizes = np.array(vocab, dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     uniform = 1.0 / np.repeat(sizes, sizes)
-    for a in (sizes, starts, uniform):
+    lasts = np.cumsum(sizes[1:]) - 1
+    for a in (sizes, starts, uniform, lasts):
         a.flags.writeable = False
     firsts = (starts[1:] - vocab[0]).tolist()
     spans = tuple((lo, lo + n) for lo, n in zip(firsts, vocab[1:]))
-    return _Layout(sizes, starts, int(sizes.sum()), uniform, spans)
+    return _Layout(sizes, starts, int(sizes.sum()), uniform, spans, lasts)
 
 
 def _key_shift(grid: GridSpec) -> int:
@@ -272,17 +278,21 @@ class CountTable:
         hit = known & (self.codes[at] == codes)
         return np.where(hit, self.counts[at], 0).astype(np.float64)
 
-    def dense_counts(self, entries: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-        """Counts under entries[i] as rows of all fields' values side by side."""
-        first = self.offsets[entries]
-        lengths = self.offsets[entries + 1] - first
-        owner = np.repeat(np.arange(len(entries)), lengths)
-        skip = np.repeat(first - np.cumsum(lengths) + lengths, lengths)
-        pairs = np.arange(len(owner)) + skip
-        keys = self.keys(pairs).astype(np.int64)
-        dense = np.zeros((len(entries), width))
-        dense[owner, starts[keys & 7] + (keys >> 3)] = self.counts[pairs]
-        return dense
+    def pairs(
+        self, entries: list[int], starts: np.ndarray
+    ) -> tuple[int | np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs under every entries[i] as (i, column, count), where
+        column is the key's place in a row of all fields' values side by
+        side. A lone entry's pairs are one slice of the arrays."""
+        if len(entries) == 1:
+            owner, at = 0, slice(self.offsets[entries[0]], self.offsets[entries[0] + 1])
+        else:
+            first = self.offsets[entries]
+            lengths = self.offsets[np.add(entries, 1)] - first
+            owner = np.repeat(np.arange(len(entries)), lengths)
+            at = np.arange(len(owner)) + np.repeat(first - np.cumsum(lengths) + lengths, lengths)
+        keys = self.keys(at).view(np.int64)
+        return owner, starts[keys & 7] + (keys >> 3), self.counts[at]
 
     def file_parts(self) -> tuple[bytes, np.ndarray]:
         """This table in the file layout: its size, then entry by entry."""
@@ -385,30 +395,22 @@ class ContextModel:
         """The length-0 step from the uniform distribution, as one row.
 
         Every field's values side by side, then one slot per field with
-        count 0, the probability of a value outside the vocabulary. The
-        expression is the one _interpolate applies at every length. With
-        table 0 empty it is the uniform distribution itself:
-        x * (lam / lam) + 0 / lam == x.
+        count 0, the probability of a value outside the vocabulary. It is
+        _backoff's step at length 0; with table 0 empty the row is the
+        uniform distribution itself.
         """
         lay = _layout(self.vocab)
-        table = self.tables[0]
-        counts = np.zeros(lay.width + N_FIELDS)
-        total = 0.0
-        if len(table):
-            entry = np.zeros(1, dtype=np.int64)
-            counts[: lay.width] = table.dense_counts(entry, lay.starts, lay.width)[0]
-            total = float(table.totals[0])
-        lam = self.lam
-        denom = total + lam
-        return np.concatenate([lay.uniform, 1.0 / lay.vocab]) * (lam / denom) + counts / denom
+        row = np.concatenate([lay.uniform, 1.0 / lay.vocab])[None]
+        return _backoff(self, row, [(0,) if len(self.tables[0]) else ()], 0)[0]
 
     def predict_next(self, context: Sequence[Event] | np.ndarray) -> FieldDistributions:
         """Distributions over the next event's fields given trailing context,
         any (n, 6) array-like of integers (``midi.as_rows``)."""
         ctx = _last_hashes(as_rows(context, N_FIELDS, "event"), self.k)
         hashes = np.array([0, *ctx], dtype=np.uint64)[:, None]
-        probs = _interpolate(self, _match(self, hashes, np.array([len(ctx)])))[0]
-        return FieldDistributions(tuple(np.split(probs, _layout(self.vocab).starts[1:])))
+        chains = _chain_tuples(_match(self, hashes, np.array([len(ctx)])))
+        ((_, probs),) = _dense_blocks(self, chains)
+        return FieldDistributions(tuple(np.split(probs[0], _layout(self.vocab).starts[1:])))
 
 
 def _match(model: ContextModel, hashes: np.ndarray, avail: np.ndarray) -> np.ndarray:
@@ -436,27 +438,25 @@ def _match(model: ContextModel, hashes: np.ndarray, avail: np.ndarray) -> np.nda
     return chains
 
 
-def _interpolate(
-    model: ContextModel, chains: np.ndarray, values: np.ndarray | None = None
-) -> np.ndarray:
-    """Interpolated probabilities along back-off chains, from _match.
+def _chain_tuples(chains: np.ndarray) -> list[tuple[int, ...]]:
+    """Chains from _match as generation keeps them: each chain's entries at
+    lengths 1.. up to its first miss, where its -1 tail starts, as ints."""
+    depths = (chains[:, 1:] >= 0).sum(axis=1).tolist()
+    return [tuple(c[1 : 1 + d]) for c, d in zip(chains.tolist(), depths)]
 
+
+def _interpolate(model: ContextModel, chains: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The probability of values[i, f] along back-off chains from _match.
+
+    values is an (m, 6) array of realized events; the result has its shape.
     From the uniform distribution, each matched length j in ascending order
-    scales by lambda / (total + lambda) and adds counts / (total + lambda).
-    With values, an (m, 6) array of realized events, the result is the
-    probability of values[i, f], shape (m, 6); without, the whole
-    distribution of every field side by side, shape (m, sum(vocab)).
-
-    Length 0 is the same single entry for every chain, so it is read or
-    broadcast from the model's _root_row; the loop starts at length 1.
+    scales by lambda / (total + lambda) and adds count / (total + lambda).
+    Length 0 is the same single entry for every chain, so it is read from
+    the model's _root_row; the loop starts at length 1.
     """
     lay = _layout(model.vocab)
-    root = model._root_row
-    if values is None:
-        probs = np.tile(root[: lay.width], (len(chains), 1))
-    else:
-        known = (values >= 0) & (values < lay.vocab)
-        probs = root[np.where(known, values + lay.starts, lay.width + np.arange(N_FIELDS))]
+    known = (values >= 0) & (values < lay.vocab)
+    probs = model._root_row[np.where(known, values + lay.starts, lay.width + np.arange(N_FIELDS))]
     lam = model.lam
     rows = np.arange(len(chains))
     for j in range(1, chains.shape[1]):
@@ -466,19 +466,56 @@ def _interpolate(
         table = model.tables[j]
         entries = chains[rows, j]
         denom = table.totals[entries].astype(np.float64)[:, None] + lam
-        if values is None:
-            counts = table.dense_counts(entries, lay.starts, lay.width)
-        else:
-            counts = table.point_counts(entries, values[rows], lay.vocab)
+        counts = table.point_counts(entries, values[rows], lay.vocab)
         probs[rows] = probs[rows] * (lam / denom) + counts / denom
     return probs
 
 
-def _dense_blocks(model: ContextModel, chains: np.ndarray) -> Iterable[tuple[slice, np.ndarray]]:
-    """Whole distributions along chains, _DENSE_ROWS rows at a time."""
+def _backoff(
+    model: ContextModel, probs: np.ndarray, chains: Sequence[tuple[int, ...]], first: int
+) -> np.ndarray:
+    """Rows of whole distributions moved along back-off chains, in place.
+
+    Row i of probs holds every field's values side by side; chains[i] holds
+    its entries at lengths first, first + 1, ... up to its first miss. At
+    each length every row that reaches it is scaled by lambda / (total +
+    lambda), and count / (total + lambda) is added at its entry's pairs
+    only: at a column of count 0 the step adds 0, which changes nothing.
+    An entry's columns are distinct, so one indexed add places all pairs
+    of a length. The rows that reach a length are picked in Python, as
+    generation builds few at a time; when all do, the whole array is
+    scaled in place.
+    """
+    starts = _layout(model.vocab).starts
+    lam = model.lam
+    for n, table in enumerate(model.tables[first:]):
+        rows = [i for i, c in enumerate(chains) if len(c) > n]
+        if not rows:
+            break
+        entries = [chains[i][n] for i in rows]
+        denom = table.totals[entries].astype(np.float64) + lam
+        owner, columns, counts = table.pairs(entries, starts)
+        if len(rows) == len(chains):
+            probs *= (lam / denom)[:, None]
+            at = owner
+        else:
+            rows = np.array(rows)
+            probs[rows] *= (lam / denom)[:, None]
+            at = rows[owner]
+        probs[at, columns] += counts / denom[owner]
+    return probs
+
+
+def _dense_blocks(
+    model: ContextModel, chains: Sequence[tuple[int, ...]]
+) -> Iterable[tuple[slice, np.ndarray]]:
+    """Whole distributions along chains, as _chain_tuples gives them,
+    _DENSE_ROWS rows at a time, each block from the model's _root_row."""
+    root = model._root_row[: _layout(model.vocab).width]
     for start in range(0, len(chains), _DENSE_ROWS):
         block = slice(start, start + _DENSE_ROWS)
-        yield block, _interpolate(model, chains[block])
+        part = chains[block]
+        yield block, _backoff(model, np.tile(root, (len(part), 1)), part, 1)
 
 
 def _entropies(model: ContextModel, chains: np.ndarray) -> np.ndarray:
@@ -494,7 +531,7 @@ def _entropies(model: ContextModel, chains: np.ndarray) -> np.ndarray:
     first[1:] = (chains[1:] != chains[:-1]).any(axis=1)
     inverse = np.empty(len(chains), dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
-    distinct = chains[first]
+    distinct = _chain_tuples(chains[first])
     out = np.empty((len(distinct), N_FIELDS))
     bounds = _layout(model.vocab).starts[1:]
     for block, probs in _dense_blocks(model, distinct):
@@ -650,23 +687,25 @@ def _cdfs(probs: np.ndarray, vocab: Sequence[int]) -> np.ndarray:
     """The cumulative sums _draw compares draws with, one row per distribution.
 
     probs holds each row's whole distributions side by side. Fields 1..5
-    are normalised, duration 0 zeroed first, summed cumulatively and
-    divided by their last sum, then laid side by side again at the layout's
-    spans: shape (len(probs), sum(vocab[1:])). Each field's sums never decrease:
-    the terms are not negative, the last sum is positive and rounding is
-    monotone.
+    are copied out side by side, at the layout's spans, and duration 0 is
+    zeroed; each field is divided by its sum, summed cumulatively and
+    divided by its last sum: shape (len(probs), sum(vocab[1:])). Each
+    field's sums never decrease: the terms are not negative, the last sum
+    is positive and rounding is monotone. The five sums and the five
+    cumulative sums are one numpy call per field; each division is one.
     """
     lay = _layout(tuple(vocab))
-    cdfs = np.empty((len(probs), lay.spans[-1][1]))
-    for f, (lo, hi) in enumerate(lay.spans, start=1):
-        first = int(lay.starts[f])
-        vecs = probs[:, first : first + vocab[f]]
-        if f == 4:
-            vecs = vecs.copy()
-            vecs[:, 0] = 0.0  # a note cannot have duration zero
-        cdf = cdfs[:, lo:hi]
-        np.cumsum(vecs / vecs.sum(axis=1, keepdims=True), axis=1, out=cdf)
-        cdf /= cdf[:, -1:]
+    cdfs = probs[:, vocab[0] : lay.width].copy()
+    cdfs[:, lay.spans[3][0]] = 0.0  # a note cannot have duration zero
+    sums = np.empty((len(cdfs), len(lay.spans)))
+    # The ufuncs themselves, not sum and cumsum, whose wrappers cost as
+    # much as a field's work.
+    for f, (lo, hi) in enumerate(lay.spans):
+        np.add.reduce(cdfs[:, lo:hi], axis=1, out=sums[:, f])
+    cdfs /= sums.repeat(lay.vocab[1:], axis=1)
+    for lo, hi in lay.spans:
+        np.add.accumulate(cdfs[:, lo:hi], axis=1, out=cdfs[:, lo:hi])
+    cdfs /= cdfs.take(lay.lasts, axis=1).repeat(lay.vocab[1:], axis=1)
     return cdfs
 
 
@@ -697,7 +736,8 @@ def generate_many(
     sampled with _push, and its back-off chain, found with one bisect per
     context length from 1 on, stopping at the first miss. A chain's
     sampling row depends on the chain alone; the rows of the chains a step
-    meets first are built together through _dense_blocks and kept up to
+    meets first are built together, by _dense_blocks from the chain tuples
+    as the step finds them and then _cdfs, and kept up to
     _SAMPLE_CACHE_BYTES: when the kept rows and the step's new ones would
     pass it, every kept row is dropped and the step's chains are built
     anew. Each field is drawn with one bisect of its row. Each prime is
@@ -737,7 +777,6 @@ def generate_many(
         limit = max(1, _SAMPLE_CACHE_BYTES // (8 * spans[-1][1]))
         # A chain is its entries at lengths 1.. up to its first miss.
         rows: dict[tuple[int, ...], memoryview] = {}
-        missing = (-1,) * k
         for step in range(steps):
             chains = []
             for b, h in enumerate(ctx):
@@ -753,8 +792,7 @@ def generate_many(
             if len(rows) + len(new) > limit:
                 rows.clear()
                 new = list(dict.fromkeys(chains))
-            padded = np.array([(0, *c, *missing[len(c) :]) for c in new], dtype=np.int64)
-            for block, probs in _dense_blocks(model, padded):
+            for block, probs in _dense_blocks(model, new):
                 rows.update(zip(new[block], map(memoryview, _cdfs(probs, model.vocab))))
             for b, c in enumerate(chains):
                 values = _draw(rows[c], spans, draws[b][step])

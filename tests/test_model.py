@@ -44,13 +44,18 @@ from duetflow.model import (
     train,
     _cdfs,
     _HASH_CHUNK,
+    _chain_tuples,
+    _dense_blocks,
     _draw,
     _event_hashes,
+    _last_hashes,
+    _match,
     _search,
     _validate_prime,
 )
 from reference_events import event_rows
 from reference_model import (
+    reference_cdfs,
     reference_entries,
     reference_generate,
     reference_predict,
@@ -233,14 +238,59 @@ def test_entropies_equal_row_by_row_entropies():
     bounds = model_module._layout(model.vocab).starts[1:]
 
     def alone(chain):
-        probs = model_module._interpolate(model, chain[None])[0]
-        return [-(v * np.log(v)).sum() for v in np.split(probs, bounds)]
+        ((_, probs),) = _dense_blocks(model, _chain_tuples(chain[None]))
+        return [-(v * np.log(v)).sum() for v in np.split(probs[0], bounds)]
 
     for case in (chains, chains[:, :1], chains[:0]):
         got = model_module._entropies(model, case)
         assert got.shape == (len(case), N_FIELDS)
         for row, chain in zip(got, case):
             assert row.tolist() == alone(chain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    corpora(),
+    st.integers(0, 4),
+    st.floats(1e-3, 1e3),
+    st.sampled_from([1, 2, 64]),
+    st.integers(0, 2**32 - 1),
+)
+def test_whole_rows_and_sampling_rows_equal_the_references(corpus, k, lam, per_call, seed):
+    # Contexts cut from the corpus, some with a random first event: chains
+    # of every depth, with -1 tails where a longer context was not seen.
+    # Built 1, 2 or 64 at a time, every row must be reference_predict's
+    # vectors side by side and its sampling row reference_cdfs', bit for bit.
+    grid = corpus[0].grid
+    model = train(corpus, k=k, lam=lam)
+    tables, _ = reference_train(corpus, k)
+    vocab = vocab_sizes(grid)
+    rng = np.random.default_rng(seed)
+    contexts = []
+    for _ in range(per_call if per_call == 64 else 3 * per_call):
+        events = corpus[rng.integers(len(corpus))].events
+        t = int(rng.integers(0, len(events) + 1))
+        context = events[max(0, t - int(rng.integers(0, k + 2))) : t].copy()
+        if len(context) and rng.random() < 0.4:
+            context[0] = rng.integers(0, vocab)
+        contexts.append(context)
+    hashes = np.zeros((k + 1, len(contexts)), dtype=np.uint64)
+    avail = np.zeros(len(contexts), dtype=np.int64)
+    for i, context in enumerate(contexts):
+        ctx = _last_hashes(context, k)
+        hashes[1 : len(ctx) + 1, i] = ctx
+        avail[i] = len(ctx)
+    chains = _chain_tuples(_match(model, hashes, avail))
+    starts = model_module._layout(vocab).starts[1:]
+    for at in range(0, len(chains), per_call):
+        ((_, probs),) = _dense_blocks(model, chains[at : at + per_call])
+        for row, context in zip(probs, contexts[at : at + per_call]):
+            want = reference_predict(tables, k, lam, vocab, context)
+            for got, vec in zip(np.split(row, starts), want, strict=True):
+                assert got.tobytes() == vec.tobytes()
+        before = probs.copy()
+        assert _cdfs(probs, vocab).tobytes() == reference_cdfs(probs, vocab).tobytes()
+        assert probs.tobytes() == before.tobytes()
 
 
 def test_score_sequences_of_no_streams_is_empty():
@@ -1003,13 +1053,13 @@ def test_generate_many_reuses_chains_and_matches_reference(
     alternating_model, alternating_prime, monkeypatch
 ):
     built = []  # rows of each whole-distribution build
-    interpolate = model_module._interpolate
+    backoff = model_module._backoff
 
-    def counting(model, chains, values=None, **kwargs):
+    def counting(model, probs, chains, first):
         built.append(len(chains))
-        return interpolate(model, chains, values, **kwargs)
+        return backoff(model, probs, chains, first)
 
-    monkeypatch.setattr(model_module, "_interpolate", counting)
+    monkeypatch.setattr(model_module, "_backoff", counting)
     primes = [
         alternating_prime,
         simple_piece([64, 60, 64]),
@@ -1035,18 +1085,18 @@ def test_generate_many_reuses_chains_and_matches_reference(
 def test_the_length_zero_row_is_built_once_per_model(alternating_prime, monkeypatch):
     roots, built = [], []
     root_row = ContextModel.__dict__["_root_row"]
-    build_root, interpolate = root_row.func, model_module._interpolate
+    build_root, backoff = root_row.func, model_module._backoff
 
     def counting_roots(model):
         roots.append(model)
         return build_root(model)
 
-    def counting_builds(model, chains, values=None):
+    def counting_builds(model, probs, chains, first):
         built.append(len(chains))
-        return interpolate(model, chains, values)
+        return backoff(model, probs, chains, first)
 
     monkeypatch.setattr(root_row, "func", counting_roots)
-    monkeypatch.setattr(model_module, "_interpolate", counting_builds)
+    monkeypatch.setattr(model_module, "_backoff", counting_builds)
     corpus = [alternating_prime, simple_piece([64, 60, 64, 62]), simple_piece([70, 72] * 5)]
     model, fresh = train(corpus, k=2), train(corpus, k=2)
     primes = [alternating_prime, simple_piece([64, 60, 64]), simple_piece([70])]
