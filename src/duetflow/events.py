@@ -107,6 +107,10 @@ def _check_note_fields(note: Sequence[int], grid: GridSpec) -> str | None:
 
 # The lowest value of each note field, as _check_note_fields allows.
 _NOTE_LOW = np.array([0, 0, 0, 1, 0])
+# Row reductions by matmul: a boolean (n, m) array times m Trues is each
+# row's any(), for less than .any(axis=1) costs on such short rows.
+_ALL_NOTE_FIELDS = np.ones(5, dtype=bool)
+_ALL_MIDDLE_FIELDS = np.ones(4, dtype=bool)
 
 
 @lru_cache(maxsize=64)
@@ -126,7 +130,7 @@ def _key_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _off_grid(notes: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Which rows of an (n, 5) note array fail _check_note_fields."""
-    return ((notes < _NOTE_LOW) | (notes >= _key_layout(grid)[0])).any(axis=1)
+    return ((notes < _NOTE_LOW) | (notes >= _key_layout(grid)[0])) @ _ALL_NOTE_FIELDS
 
 
 def encode(
@@ -202,7 +206,7 @@ def validate_sequence(seq: EventSequence) -> None:
     types = events[:, 0]
     end = _run_end(types, 1, TYPE_INSTRUMENT)
     instruments = events[1:end, 5]
-    stray = events[1:end, 1:5].any(axis=1)
+    stray = events[1:end, 1:5].astype(bool) @ _ALL_MIDDLE_FIELDS
     outside = (instruments < 0) | (instruments >= 128)
     falling = np.zeros(len(instruments), dtype=bool)
     falling[1:] = instruments[1:] <= instruments[:-1]
@@ -315,7 +319,8 @@ _MAX_DIGITS = 18
 
 
 def _canonical_events(text: str) -> np.ndarray | None:
-    """The (n, 6) events of canonical text, in one pass over its bytes.
+    """The read-only (n, 6) int64 events of canonical text, in one pass over
+    its bytes.
 
     Canonical text holds only ASCII digits, spaces and newlines, six tokens
     of at most 18 digits on every non-blank line. None for any other text.
@@ -331,10 +336,8 @@ def _canonical_events(text: str) -> np.ndarray | None:
     # Token edges alternate: the byte before a token, a token's last byte.
     edges = np.flatnonzero(digit[1:] != digit[:-1])
     first, last = edges[0::2] + 1, edges[1::2]
-    if not len(first):
-        return np.zeros((0, N_FIELDS), dtype=np.int64)
     size = last - first + 1
-    width = int(size.max())
+    width = int(size.max(initial=0))
     if width > _MAX_DIGITS or len(first) % N_FIELDS:
         return None
     # Six tokens a line: each group of six starts and ends on one line, and
@@ -347,6 +350,7 @@ def _canonical_events(text: str) -> np.ndarray | None:
     for place in range(1, width):  # the digits left of the last, one place a pass
         digits = np.where(place < size, buf.take(last - place), zero) - zero
         values += digits * np.int64(10**place)
+    values.flags.writeable = False  # so EventSequence keeps it without a copy
     return values.reshape(-1, N_FIELDS)
 
 

@@ -457,7 +457,8 @@ def track_to_text(track) -> str:
 
 def _read_lines(text: str, width: int) -> tuple[np.ndarray, list[int]]:
     """The rows of width integers on the non-blank lines of text, parsed
-    with int(), as an (n, width) int64 array, and each row's line number.
+    with int(), as a read-only (n, width) int64 array, which ``as_rows``
+    takes without a copy, and each row's line number.
 
     Raises the first malformed line's error, or else names the line of the
     first value beyond int64.
@@ -475,12 +476,14 @@ def _read_lines(text: str, width: int) -> tuple[np.ndarray, list[int]]:
             raise ValueError(f"line {lineno}: {exc}") from None
         linenos.append(lineno)
     try:
-        return np.array(rows, dtype=np.int64).reshape(-1, width), linenos
+        table = np.array(rows, dtype=np.int64).reshape(-1, width)
     except OverflowError:
         i, value = next(
             (i, v) for i, row in enumerate(rows) for v in row if not -(2**63) <= v < 2**63
         )
         raise ValueError(f"line {linenos[i]}: {value} does not fit in int64") from None
+    table.flags.writeable = False
+    return table, linenos
 
 
 def track_from_text(text: str) -> np.ndarray:

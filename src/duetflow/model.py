@@ -16,26 +16,28 @@ independently given the context.
 Each context length has one CountTable of sorted arrays: the context
 hashes in ascending order with their totals, and, in CSR form, the counted
 keys (value * 8 + field) of every context in ascending order with their
-counts. Training counts with sorts over whole-corpus arrays. Prediction
-is two steps over many positions at once: ``_match`` finds each
-position's back-off chain, its matched entry at every context length, with
-one binary search per length from 1 on; ``_interpolate`` turns chains into
-the probabilities of realized values, and ``_backoff`` into whole
-distributions, scaling each row and adding counts only at its entries'
-pairs. Table 0 holds only the empty context, which every position
-matches, so its step from the uniform distribution is one row, built on
-first use by ``_backoff`` and kept by the model. Scoring runs both steps
-over whole batches of streams (predictive scoring sorts the chains and
-builds each distinct one's distributions once, through ``_dense_blocks``).
-Generation steps all primes in lockstep on Python scalars: each call draws
-every uniform up front; at each step a prime's chain is found with one
-bisect per context length, each field is drawn with one bisect of its
-chain's cumulative sums, and the prime's context hashes move on by the
-drawn event with ``_push``, the scalar step of ``_rolling_hashes``. Only a
-step's new chains go through ``_dense_blocks`` and ``_cdfs``, together,
-and their sampling rows are kept up to a fixed size. The file format
-writes the same arrays entry by entry, and ``load_model`` accepts only
-files that ``save_model`` could have written.
+counts. Training numbers the corpus's distinct events once and, at each
+context length, counts each distinct (context, event) pair once with its
+multiplicity, so a corpus of few distinct events costs little more than
+its sorts by context. Prediction is two steps over many positions at once:
+``_match`` finds each position's back-off chain, its matched entry at
+every context length, with one binary search per length from 1 on;
+``_interpolate`` turns chains into the probabilities of realized values,
+and ``_backoff`` into whole distributions, scaling each row and adding
+counts only at its entries' pairs. Table 0 holds only the empty context,
+which every position matches, so its step from the uniform distribution is
+one row, built on first use by ``_backoff`` and kept by the model. Scoring
+runs both steps over whole batches of streams (predictive scoring sorts
+the chains and builds each distinct one's distributions once, through
+``_dense_blocks``). Generation steps all primes in lockstep on Python
+scalars: each call draws every uniform up front; at each step a prime's
+chain is found with one bisect per context length, each field is drawn
+with one bisect of its chain's cumulative sums, and the prime's context
+hashes move on by the drawn event with ``_push``, the scalar step of
+``_rolling_hashes``. Only a step's new chains go through ``_dense_blocks``
+and ``_cdfs``, together, and their sampling rows are kept up to a fixed
+size. The file format writes the same arrays entry by entry, and
+``load_model`` accepts only files that ``save_model`` could have written.
 """
 from __future__ import annotations
 
@@ -312,13 +314,42 @@ class CountTable:
         return _TABLE_SIZE.pack(n), words
 
 
-def _count_table(
-    contexts: np.ndarray, rows: np.ndarray, columns: np.ndarray, shift: int
-) -> CountTable:
-    """Count the events at rows under contexts[rows], one field at a time.
+def _firsts(ordered: np.ndarray) -> np.ndarray:
+    """Which elements of a sorted array differ from the one before them."""
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
 
-    columns is the events field-major, shape (6, n): columns[f] holds field
-    f of every event.
+
+def _distinct_events(events: np.ndarray, vocab: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (n, 6) event array on vocab, and each row's
+    index among them.
+
+    Each row packs into one int64 key, its fields as digits of their
+    vocabularies; the grid bound keeps every key below 5 * 2**58. The
+    distinct rows come back ascending by key, decoded from their keys.
+    """
+    sizes = np.array(vocab, dtype=np.int64)
+    weights = np.cumprod(sizes[::-1])[::-1] // sizes
+    keys = events @ weights
+    ordered = np.sort(keys)
+    distinct = ordered[_firsts(ordered)]
+    del ordered
+    return distinct[:, None] // weights % sizes, distinct.searchsorted(keys)
+
+
+def _count_table(
+    contexts: np.ndarray, rows: np.ndarray, ids: np.ndarray, keys: np.ndarray, shift: int
+) -> CountTable:
+    """Count the events at rows under contexts[rows], through distinct pairs.
+
+    ids[i] is event i's index among the corpus's distinct events, and
+    keys[d, f] is the key (value * 8 + f) of field f of distinct event d,
+    shape (D, 6). Sorting the rows by context hash gives the entries and
+    their totals; one sort of entry * D + id then gives the distinct
+    (entry, event) pairs and how often each occurs. Only the distinct
+    pairs are spread into their six fields' codes, sorted once; the
+    multiplicities of equal codes are summed.
 
     Per-event arrays are dropped as soon as they are used up, so training
     holds only a few of them at once.
@@ -326,31 +357,37 @@ def _count_table(
     if not len(rows):
         return CountTable.empty(shift)
     hashes = contexts[rows]
-    order = np.argsort(hashes)
-    rows = rows[order]
+    order = hashes.argsort()
     hashes = hashes[order]
-    del order
-    first = np.concatenate(([True], hashes[1:] != hashes[:-1]))
+    first = _firsts(hashes)
     unique = hashes[first]
     del hashes
     totals = np.diff(np.flatnonzero(first), append=len(first)).astype(np.uint64)
-    entry = np.cumsum(first, dtype=np.uint64)
-    entry -= np.uint64(1)
-    entry <<= np.uint64(shift)
-    codes, counts = [], []
-    for f in range(N_FIELDS):
-        code = columns[f].take(rows).astype(np.uint64)
-        code <<= np.uint64(3)
-        code |= entry
-        code |= np.uint64(f)
-        code.sort()
-        runs = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
-        codes.append(code[runs])
-        counts.append(np.diff(runs, append=len(code)))
-    codes = np.concatenate(codes)
-    order = np.argsort(codes)
-    counts = np.concatenate(counts)[order].astype(np.uint64)
-    return CountTable.build(unique, totals, codes[order], counts, shift)
+    pairs = np.cumsum(first)
+    del first
+    pairs -= 1
+    pairs *= len(keys)
+    pairs += ids[rows][order]
+    del order
+    pairs.sort()
+    runs = np.flatnonzero(_firsts(pairs))
+    times = np.diff(runs, append=len(pairs)).astype(np.uint64)
+    entry, event = np.divmod(pairs[runs], len(keys))
+    del pairs, runs
+    # One row of six codes a pair, the rows in entry order: a stable sort
+    # finds the long ascending stretches.
+    codes = keys.take(event, axis=0)
+    codes |= entry.astype(np.uint64)[:, None] << np.uint64(shift)
+    del entry, event
+    codes = codes.ravel()
+    order = codes.argsort(kind="stable")
+    codes = codes[order]
+    runs = np.flatnonzero(_firsts(codes))
+    codes = codes[runs]
+    order //= N_FIELDS  # each code's pair
+    times = times[order]
+    del order
+    return CountTable.build(unique, totals, codes, np.add.reduceat(times, runs), shift)
 
 
 @dataclass(frozen=True, slots=True)
@@ -574,7 +611,12 @@ def empty_model(grid: GridSpec, k: int = 4, lam: float = 1.0) -> ContextModel:
 
 
 def train(corpus: Sequence[EventSequence], k: int, lam: float = 1.0) -> ContextModel:
-    """Count every event of every sequence under context lengths 0..min(k, t)."""
+    """Count every event of every sequence under context lengths 0..min(k, t).
+
+    The events are numbered among the corpus's distinct events and then
+    dropped; only the distinct events are hashed, and each length's table
+    is counted by _count_table from the numbers.
+    """
     if not corpus:
         raise ValueError("training corpus is empty")
     _check_params(k, lam)
@@ -586,21 +628,21 @@ def train(corpus: Sequence[EventSequence], k: int, lam: float = 1.0) -> ContextM
     lengths = np.fromiter((len(seq) for seq in corpus), np.int64, count=len(corpus))
     n = int(lengths.sum())
     events = np.concatenate([seq.events for seq in corpus])
-    if np.any((events < 0) | (events >= np.array(vocab))):
+    # Read as uint64, a negative value is above every vocabulary size.
+    if (events.view(np.uint64) >= np.array(vocab, dtype=np.uint64)).any():
         raise ValueError(f"corpus has event values outside the vocabulary of {grid}")
-    # One field a row, so that counting reads each field contiguously; the
-    # grid bound keeps every value below 2**16.
-    columns = events.T.astype(np.uint16, order="C")
+    distinct, ids = _distinct_events(events, vocab)
     del events
+    keys = (distinct.astype(np.uint64) << np.uint64(3)) | np.arange(N_FIELDS, dtype=np.uint64)
     starts = np.cumsum(lengths) - lengths
     usable = np.ones(n, dtype=bool)
     shift = _key_shift(grid)
     tables = []
-    for j, contexts in enumerate(_rolling_hashes(_event_hashes(columns.T), k)):
+    for j, contexts in enumerate(_rolling_hashes(_event_hashes(distinct)[ids], k)):
         if j:
             # Event j - 1 of a sequence has fewer than j events before it.
             usable[(starts + j - 1)[lengths >= j]] = False
-        tables.append(_count_table(contexts, np.flatnonzero(usable), columns, shift))
+        tables.append(_count_table(contexts, np.flatnonzero(usable), ids, keys, shift))
     model = ContextModel(k, lam, grid, tables, n)
     _check_underflow(model)
     return model
@@ -864,14 +906,16 @@ def _read_table(
     (n,) = _TABLE_SIZE.unpack_from(data, offset)
     start = offset + _TABLE_SIZE.size
     ints = _words(data, start)
-    # Walk the entry heads: the last word of a head is its pair count. The
-    # walk stops at the end of the data, however large n claims to be.
-    heads = array.array("q")
-    at = 0
+    # Walk the entry heads: the last word of a head is its pair count. A
+    # head takes _ENTRY_WORDS words, so the data holds at most
+    # len(ints) // _ENTRY_WORDS of them and a walk that reads one more
+    # stops at IndexError: the list is never longer, however large n is.
+    heads = [0] * min(n, len(ints) // _ENTRY_WORDS + 1)
+    at, last = 0, _ENTRY_WORDS - 1
     try:
-        for _ in range(n):
-            heads.append(at)
-            at += _ENTRY_WORDS + _PAIR_WORDS * ints[at + _ENTRY_WORDS - 1]
+        for i in range(len(heads)):
+            heads[i] = at
+            at += _ENTRY_WORDS + _PAIR_WORDS * ints[at + last]
     except IndexError:
         needed = start + 4 * (at + _ENTRY_WORDS)
         raise struct.error(f"table needs {needed} bytes, file has {len(data)}") from None
@@ -880,8 +924,9 @@ def _read_table(
         raise struct.error(f"table needs {offset} bytes, file has {len(data)}")
     if not heads:
         return CountTable.empty(shift), offset
+    heads = np.array(heads, dtype=np.int64)  # the walk's ints go before the arrays come
     words = np.frombuffer(data, dtype="<u4", count=at, offset=start)
-    is_head = _head_mask(at, np.frombuffer(heads, dtype=np.int64))
+    is_head = _head_mask(at, heads)
     head = words[is_head].view(_ENTRY)
     body = words[~is_head].view(_PAIR)
     contexts = np.ascontiguousarray(head["context"])

@@ -548,6 +548,20 @@ def test_other_text_goes_to_the_token_reader(text, monkeypatch):
     assert calls == [1]
 
 
+@pytest.mark.parametrize("text", [BASE_TEXT, BASE_TEXT.replace(" ", "\t")])
+def test_a_text_read_makes_one_array(text, monkeypatch):
+    # Both readers hand back read-only int64 arrays, which the sequence keeps.
+    made = []
+    for name in ("_canonical_events", "_read_lines"):
+        reader = getattr(events_module, name)
+        monkeypatch.setattr(
+            events_module, name, lambda *a, reader=reader: made.append(reader(*a)) or made[-1]
+        )
+    seq = seq_from_text(text, GRID)
+    (array,) = [m if isinstance(m, np.ndarray) else m[0] for m in made if m is not None]
+    assert seq.events is array
+
+
 @pytest.mark.parametrize("validate", [True, False])
 def test_text_reader_reports_wide_integers_by_line(validate):
     seq = encode([[QuantNote(0, 0, 60, 1, 0)]], GRID)

@@ -46,6 +46,7 @@ from duetflow.model import (
     _HASH_CHUNK,
     _chain_tuples,
     _dense_blocks,
+    _distinct_events,
     _draw,
     _event_hashes,
     _last_hashes,
@@ -117,13 +118,38 @@ def test_vectorized_event_hashes_match_scalar(rows):
     assert [int(h) for h in got] == [event_hash(Event(*r)) for r in rows]
 
 
-def test_event_hashes_of_a_field_major_view_match_a_row_major_copy():
-    # train hashes its (6, n) field columns through their transpose.
+def test_event_hashes_across_chunks_match_scalar():
+    # Scoring hashes whole batches, many chunks of events at once.
     rng = np.random.default_rng(3)
-    columns = rng.integers(0, 2**16, size=(N_FIELDS, 3 * _HASH_CHUNK + 7)).astype(np.uint16)
-    view = columns.T
-    assert not view.flags.c_contiguous
-    np.testing.assert_array_equal(_event_hashes(view), _event_hashes(np.ascontiguousarray(view)))
+    rows = rng.integers(0, 2**16, size=(3 * _HASH_CHUNK + 7, N_FIELDS))
+    got = _event_hashes(rows).tolist()
+    assert got == [event_hash(Event(*r)) for r in rows.tolist()]
+
+
+@st.composite
+def event_arrays(draw):
+    """A grid and event rows anywhere in its vocabulary, few of them distinct.
+
+    The grids include the one whose packed event keys are largest: the
+    widest grid, with its three free spans as equal as the bound allows.
+    """
+    grid = draw(st.sampled_from([GRID, GridSpec(1, 1, 1), GridSpec(21758, 21758, 21758)]))
+    vocab = vocab_sizes(grid)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(0, vocab, size=(draw(st.integers(1, 8)), N_FIELDS))
+    pool[0] = np.array(vocab) - 1
+    return grid, pool[rng.integers(0, len(pool), draw(st.integers(0, 60)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(event_arrays())
+def test_distinct_events_number_every_row(case):
+    # train counts through the distinct events and hashes only them.
+    grid, events = case
+    distinct, ids = _distinct_events(events, vocab_sizes(grid))
+    np.testing.assert_array_equal(distinct[ids], events)
+    rows = [tuple(r) for r in distinct.tolist()]
+    assert rows == sorted(set(rows))
 
 
 def test_fingerprint_pinned():
@@ -187,6 +213,40 @@ def test_train_bytes_match_dict_reference(corpus, k, lam):
     for t in range(len(probe)):
         want = reference_predict(tables, k, lam, vocab, probe[:t])
         assert list(scores[t]) == [float(-(v * np.log(v)).sum()) for v in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpora(), st.integers(0, 4), st.integers(2, 5))
+def test_repeating_the_corpus_multiplies_every_count(corpus, k, r):
+    once, again = train(corpus, k=k), train(corpus * r, k=k)
+    assert again.trained_events == r * once.trained_events
+    for a, b in zip(once.tables, again.tables):
+        for name in ("contexts", "offsets", "codes"):
+            np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
+        np.testing.assert_array_equal(b.totals, a.totals * np.uint64(r))
+        np.testing.assert_array_equal(b.counts, a.counts * np.uint64(r))
+
+
+@st.composite
+def repetitive_corpora(draw):
+    """Corpora of a few distinct events, each repeated many times, so that
+    the same (context, event) pairs recur within and across sequences."""
+    grid = draw(st.sampled_from([GRID, GridSpec(1, 1, 1), GridSpec(4, 7, 3)]))
+    vocab = vocab_sizes(grid)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(0, vocab, size=(draw(st.integers(1, 4)), N_FIELDS))
+    return [
+        EventSequence(pool[rng.integers(0, len(pool), draw(st.integers(0, 80)))], grid)
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(repetitive_corpora(), st.integers(0, 4))
+def test_train_bytes_match_dict_reference_on_repeated_events(corpus, k):
+    tables, events = reference_train(corpus, k)
+    blob = save_model(train(corpus, k=k))
+    assert blob == reference_save(k, 1.0, corpus[0].grid, tables, events)
 
 
 @st.composite
