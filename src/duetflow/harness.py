@@ -240,11 +240,14 @@ class ExperimentReport:
     def t_statistic(self, field_index: int | None = None) -> float | None:
         """One-sided Welch t for positives carrying more flow than negatives.
 
-        None when the standard error is 0, that is when every pair of each
-        label has the same flow: t is then not a number.
+        None when either label has fewer than two flows, whose variance is
+        undefined, or when the standard error is 0, that is when every pair
+        of each label has the same flow: t is then not a number.
         """
         pos = self.label_flows(POSITIVE, field_index)
         neg = self.label_flows(NEGATIVE, field_index)
+        if min(len(pos), len(neg)) < 2:
+            return None
         stderr = np.sqrt(pos.var(ddof=1) / len(pos) + neg.var(ddof=1) / len(neg))
         if stderr == 0:
             return None

@@ -16,19 +16,21 @@ independently given the context.
 Each context length has one CountTable of sorted arrays: the context
 hashes in ascending order with their totals, and, in CSR form, the counted
 keys (value * 8 + field) of every context in ascending order with their
-counts. Training numbers the corpus's distinct events once and, at each
-context length, counts each distinct (context, event) pair once with its
-multiplicity, so a corpus of few distinct events costs little more than
-its sorts by context. Prediction is two steps over many positions at once:
-``_match`` finds each position's back-off chain, its matched entry at
-every context length, with one binary search per length from 1 on;
-``_interpolate`` turns chains into the probabilities of realized values,
-and ``_backoff`` into whole distributions, scaling each row and adding
-counts only at its entries' pairs. Table 0 holds only the empty context,
-which every position matches, so its step from the uniform distribution is
-one row, built on first use by ``_backoff`` and kept by the model. Scoring
-runs both steps over whole batches of streams (predictive scoring sorts
-the chains and builds each distinct one's distributions once, through
+counts, the offsets summed from each entry's pair count. Training numbers
+the corpus's distinct events once and, at each context length, counts each
+distinct (context, event) pair once with its multiplicity, so a corpus of
+few distinct events costs little more than its sorts by context.
+Prediction is two steps over many positions at once: ``_match`` finds each
+position's back-off chain, its matched entry at every context length, with
+one binary search per length from 1 on; ``_interpolate`` turns chains into
+the probabilities of realized values, whose keys it builds once (field 7,
+no field, for a value outside the vocabulary), and ``_backoff`` into whole
+distributions, scaling each row and adding counts only at its entries'
+pairs. Table 0 holds only the empty context, or is empty in a model with
+no counts at all; its step from the uniform distribution is one row, built
+on first use by ``_backoff`` and kept by the model. Scoring runs both
+steps over whole batches of streams (predictive scoring sorts the chains
+and builds each distinct one's distributions once, through
 ``_dense_blocks``). Generation steps all primes in lockstep on Python
 scalars: each call draws every uniform up front; at each step a prime's
 chain is found with one bisect per context length, each field is drawn
@@ -90,7 +92,6 @@ _PAIR = np.dtype([("key", "<u8"), ("count", "<u8")])
 _ENTRY_WORDS = _ENTRY.itemsize // 4
 _PAIR_WORDS = _PAIR.itemsize // 4
 
-_HASH_CHUNK = 1 << 14  # events hashed per numpy pass
 _DENSE_ROWS = 256  # whole distributions built per pass
 # Most bytes of sampling rows one generate_many call keeps for reuse. A row
 # is the cumulative sums of fields 1..5: 1,389 float64 on the default grid,
@@ -126,20 +127,17 @@ _NOTE_STATE = _fold(_FIELD_SEED, [TYPE_NOTE])
 def _event_hashes(events: np.ndarray) -> np.ndarray:
     """event_hash of every row of an (n, 6) integer array, in wrapping uint64."""
     seed = np.uint64(_FIELD_SEED)
-    out = np.empty(len(events), dtype=np.uint64)
-    for start in range(0, len(events), _HASH_CHUNK):
-        rows = events[start : start + _HASH_CHUNK].astype(np.uint64)
-        rows += seed
-        h = np.full(len(rows), seed)
-        for f in range(N_FIELDS):
-            h ^= rows[:, f]
-            h ^= h >> np.uint64(30)
-            h *= np.uint64(_MIX_1)
-            h ^= h >> np.uint64(27)
-            h *= np.uint64(_MIX_2)
-            h ^= h >> np.uint64(31)
-        out[start : start + len(rows)] = h
-    return out
+    rows = events.astype(np.uint64)
+    rows += seed
+    h = np.full(len(rows), seed)
+    for f in range(N_FIELDS):
+        h ^= rows[:, f]
+        h ^= h >> np.uint64(30)
+        h *= np.uint64(_MIX_1)
+        h ^= h >> np.uint64(27)
+        h *= np.uint64(_MIX_2)
+        h ^= h >> np.uint64(31)
+    return h
 
 
 def _push(ctx: list[int], e: int, k: int) -> list[int]:
@@ -243,14 +241,16 @@ class CountTable:
     shift: int
 
     @classmethod
-    def build(cls, contexts, totals, codes, counts, shift: int) -> CountTable:
-        bounds = np.arange(len(contexts) + 1, dtype=np.uint64) << np.uint64(shift)
-        return cls(contexts, totals, np.searchsorted(codes, bounds), codes, counts, shift)
+    def build(cls, contexts, totals, lengths, codes, counts, shift: int) -> CountTable:
+        """The table whose entry i has lengths[i] pairs, its codes in entry order."""
+        offsets = np.zeros(len(contexts) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return cls(contexts, totals, offsets, codes, counts, shift)
 
     @classmethod
     def empty(cls, shift: int) -> CountTable:
         none = np.zeros(0, dtype=np.uint64)
-        return cls.build(none, none, none, none, shift)
+        return cls.build(none, none, none, none, none, shift)
 
     def __len__(self) -> int:
         return len(self.contexts)
@@ -268,17 +268,13 @@ class CountTable:
         hit = self.contexts[entries] == hashes
         return rows[hit], entries[hit]
 
-    def point_counts(
-        self, entries: np.ndarray, values: np.ndarray, vocab: np.ndarray
-    ) -> np.ndarray:
-        """Count of values[i, f] under entries[i], shape (len(entries), 6)."""
-        known = (values >= 0) & (values < vocab)
-        keys = np.where(known, values * 8 + np.arange(N_FIELDS), 0).astype(np.uint64)
+    def point_counts(self, entries: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Count of the uint64 key keys[i, f] under entries[i], shape
+        (len(entries), 6); a key of field 7, which no pair has, counts 0."""
         codes = (entries.astype(np.uint64)[:, None] << np.uint64(self.shift)) | keys
         at = _search(self.codes, codes)
         np.minimum(at, len(self.codes) - 1, out=at)
-        hit = known & (self.codes[at] == codes)
-        return np.where(hit, self.counts[at], 0).astype(np.float64)
+        return np.where(self.codes[at] == codes, self.counts[at], 0).astype(np.float64)
 
     def pairs(
         self, entries: list[int], starts: np.ndarray
@@ -387,7 +383,8 @@ def _count_table(
     order //= N_FIELDS  # each code's pair
     times = times[order]
     del order
-    return CountTable.build(unique, totals, codes, np.add.reduceat(times, runs), shift)
+    lengths = np.bincount((codes >> np.uint64(shift)).view(np.int64), minlength=len(unique))
+    return CountTable.build(unique, totals, lengths, codes, np.add.reduceat(times, runs), shift)
 
 
 @dataclass(frozen=True, slots=True)
@@ -454,16 +451,15 @@ def _match(model: ContextModel, hashes: np.ndarray, avail: np.ndarray) -> np.nda
     """The entry each position matches at every context length, the back-off chain.
 
     hashes[j, i] is the hash of the j events before position i, usable for
-    j <= avail[i]. Table 0 holds at most the empty context, which every
-    position matches, so length 0 needs no search; longer lengths are
-    matched upward with one binary search each. The result has shape
+    j <= avail[i]. Length 0 is the model's _root_row, the same for every
+    position, so column 0 is always 0 and needs no search; longer lengths
+    are matched upward with one binary search each. The result has shape
     (m, len(hashes)): chains[i, j] is the entry of table j for position i,
     and -1 from its first unusable or unseen length on. Positions with
-    equal chains get equal predictions.
+    equal chains get equal predictions; a model with an empty table 0 has
+    no counts, so its searches miss.
     """
     chains = np.full((hashes.shape[1], hashes.shape[0]), -1, dtype=np.int64)
-    if not len(model.tables[0]):
-        return chains
     chains[:, 0] = 0
     rows = np.arange(hashes.shape[1])
     for j in range(1, hashes.shape[0]):
@@ -489,11 +485,14 @@ def _interpolate(model: ContextModel, chains: np.ndarray, values: np.ndarray) ->
     From the uniform distribution, each matched length j in ascending order
     scales by lambda / (total + lambda) and adds count / (total + lambda).
     Length 0 is the same single entry for every chain, so it is read from
-    the model's _root_row; the loop starts at length 1.
+    the model's _root_row; the loop starts at length 1. A value outside
+    the vocabulary gets the key of field 7, which matches no pair.
     """
     lay = _layout(model.vocab)
     known = (values >= 0) & (values < lay.vocab)
-    probs = model._root_row[np.where(known, values + lay.starts, lay.width + np.arange(N_FIELDS))]
+    fields = np.arange(N_FIELDS)
+    probs = model._root_row[np.where(known, values + lay.starts, lay.width + fields)]
+    keys = np.where(known, values * 8 + fields, 7).astype(np.uint64)
     lam = model.lam
     rows = np.arange(len(chains))
     for j in range(1, chains.shape[1]):
@@ -503,7 +502,7 @@ def _interpolate(model: ContextModel, chains: np.ndarray, values: np.ndarray) ->
         table = model.tables[j]
         entries = chains[rows, j]
         denom = table.totals[entries].astype(np.float64)[:, None] + lam
-        counts = table.point_counts(entries, values[rows], lay.vocab)
+        counts = table.point_counts(entries, keys[rows])
         probs[rows] = probs[rows] * (lam / denom) + counts / denom
     return probs
 
@@ -810,11 +809,8 @@ def generate_many(
         ]
         # ctx[b]: the hashes of prime b's last 1..min(k, t) events, ints.
         ctx = [_last_hashes(prefixes[i], k) for i in live]
-        # views[j - 1] reads table j's context hashes as ints, which takes
-        # native byte order; as in _match, without table 0 no length matches.
+        # views[j - 1] reads table j's context hashes as ints, in native byte order.
         views = [memoryview(t.contexts.astype(np.uint64, copy=False)) for t in model.tables[1:]]
-        if not len(model.tables[0]):
-            views = []
         spans = _layout(model.vocab).spans
         limit = max(1, _SAMPLE_CACHE_BYTES // (8 * spans[-1][1]))
         # A chain is its entries at lengths 1.. up to its first miss.
@@ -922,8 +918,6 @@ def _read_table(
     offset = start + 4 * at
     if offset > len(data):
         raise struct.error(f"table needs {offset} bytes, file has {len(data)}")
-    if not heads:
-        return CountTable.empty(shift), offset
     heads = np.array(heads, dtype=np.int64)  # the walk's ints go before the arrays come
     words = np.frombuffer(data, dtype="<u4", count=at, offset=start)
     is_head = _head_mask(at, heads)
@@ -952,11 +946,7 @@ def _read_table(
     np.add.at(sums, entry * N_FIELDS + fields.astype(np.int64), counts)
     if np.any(sums.reshape(-1, N_FIELDS) != totals[:, None]):
         raise ValueError("per-field counts do not sum to the entry total")
-    # The codes ascend with their entry above shift (checked above), so
-    # each entry's pairs start where the pairs of the entries before end.
-    offsets = np.zeros(len(heads) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    return CountTable(contexts, totals, offsets, codes, counts, shift), offset
+    return CountTable.build(contexts, totals, lengths, codes, counts, shift), offset
 
 
 def load_model(data: bytes) -> ContextModel:

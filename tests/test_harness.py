@@ -193,6 +193,16 @@ def test_t_statistic_is_none_for_a_zero_standard_error():
     assert report_of_flows(pos, neg).t_statistic() == float(welch)
     assert report_of_flows(pos, neg).t_statistic(0) == float(welch)
 
+
+def test_t_statistic_is_none_for_fewer_than_two_flows_of_a_label():
+    # The variance of one flow has no degrees of freedom; numpy would warn
+    # and give nan, which the suite turns into an error.
+    assert report_of_flows([1.0], [0.5, 0.25]).t_statistic() is None
+    assert report_of_flows([1.0, 2.0], [0.5]).t_statistic(0) is None
+    assert report_of_flows([], [0.5, 0.25]).t_statistic() is None
+    assert report_of_flows([], []).t_statistic() is None
+
+
 def test_batch_score_csv_round_trip(echo_setup):
     model, pairs = echo_setup
     report = batch_score(model, pairs.pairs[:3], FlowParams())

@@ -43,7 +43,6 @@ from duetflow.model import (
     score_sequences,
     train,
     _cdfs,
-    _HASH_CHUNK,
     _chain_tuples,
     _dense_blocks,
     _distinct_events,
@@ -119,9 +118,9 @@ def test_vectorized_event_hashes_match_scalar(rows):
 
 
 def test_event_hashes_across_chunks_match_scalar():
-    # Scoring hashes whole batches, many chunks of events at once.
+    # Scoring hashes whole batches in one pass, tens of thousands of events.
     rng = np.random.default_rng(3)
-    rows = rng.integers(0, 2**16, size=(3 * _HASH_CHUNK + 7, N_FIELDS))
+    rows = rng.integers(0, 2**16, size=(3 * 2**14 + 7, N_FIELDS))
     got = _event_hashes(rows).tolist()
     assert got == [event_hash(Event(*r)) for r in rows.tolist()]
 
@@ -378,6 +377,16 @@ def test_nll_of_values_outside_the_vocabulary_has_count_zero():
         for f, size in enumerate(vocab):
             want = -math.log((1 / size) * lam / (total + lam))
             assert row[f] == pytest.approx(want, rel=1e-12)
+    # Under contexts matched at lengths 1 and 2 too (start, instrument,
+    # notes-begin, each seen once), after which a note at beat 0, position
+    # 0 and program 0 was counted: an outside value still counts 0.
+    model = train([seq], k=2, lam=lam)
+    head = seq.events[:3].tolist()
+    for row in outside:
+        got = score_sequence(model, head + [row], 64)[-1]
+        for f, size in enumerate(vocab):
+            want = -math.log((1 / size) * lam / (total + lam) * (lam / (1 + lam)) ** 2)
+            assert got[f] == pytest.approx(want, rel=1e-12)
 
 
 _U64 = st.integers(0, 2**64 - 1)
@@ -416,9 +425,12 @@ def test_find_and_point_counts_equal_plain_searchsorted(monkeypatch):
             if not len(table):
                 continue
             entries = rng.integers(0, len(table), 40)
+            # Values outside the vocabulary too, which get the key of field 7.
             values = rng.integers(-2, vocab + 3, (40, N_FIELDS))
+            known = (values >= 0) & (values < vocab)
+            keys = np.where(known, values * 8 + np.arange(N_FIELDS), 7).astype(np.uint64)
             for n in (40, 1, 0):
-                out.append((table.point_counts(entries[:n], values[:n], vocab),))
+                out.append((table.point_counts(entries[:n], keys[:n]),))
         return out
 
     state = rng.bit_generator.state
@@ -858,12 +870,15 @@ def test_loaded_offsets_equal_a_search_of_the_entry_bounds(trained):
     corpus = [random_piece(rng, 20, programs=(0, 40)) for _ in range(3)]
     model = train(corpus, k=3) if trained else empty_model(GRID, k=3)
     back = load_model(save_model(model))
-    assert len(back.tables) == 4
+    assert len(back.tables) == len(model.tables) == 4
+    # Offsets summed from pair counts, as train and load_model build them,
+    # are where a search of the codes puts each entry's first pair.
     for table, saved in zip(back.tables, model.tables):
-        bounds = np.arange(len(table) + 1, dtype=np.uint64) << np.uint64(table.shift)
-        want = np.searchsorted(table.codes, bounds)
-        assert table.offsets.dtype == want.dtype == np.int64
-        assert np.array_equal(table.offsets, want)
+        for t in (table, saved):
+            bounds = np.arange(len(t) + 1, dtype=np.uint64) << np.uint64(t.shift)
+            want = np.searchsorted(t.codes, bounds)
+            assert t.offsets.dtype == want.dtype == np.int64
+            assert np.array_equal(t.offsets, want)
         assert np.array_equal(table.offsets, saved.offsets)
 
 
@@ -875,6 +890,30 @@ def test_empty_model_round_trips():
     assert back.trained_events == 0
     for f, vec in enumerate(back.predict_next([Event(3, 1, 2, 60, 4, 0)]).vectors):
         assert np.array_equal(vec, np.full(vocab_sizes(GRID)[f], 1.0 / vocab_sizes(GRID)[f]))
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_training_on_event_less_sequences_gives_the_empty_model(k):
+    # An empty table 0 means a model with no counts: scoring and generation
+    # search its empty tables, which miss, and stay at length 0.
+    nothing = EventSequence(np.zeros((0, N_FIELDS), dtype=np.int64), GRID)
+    model = train([nothing, nothing], k=k, lam=2.0)
+    empty = empty_model(GRID, k=k, lam=2.0)
+    assert save_model(model) == save_model(empty)
+    assert model.trained_events == 0 and not any(len(t) for t in model.tables)
+    vocab = np.array(vocab_sizes(GRID))
+    seq = simple_piece([60, 64, 67, 60])
+    nll = score_sequence(model, seq.events, 64)
+    assert np.array_equal(nll, np.tile(-np.log(1.0 / vocab), (len(seq), 1)))
+    predictive = score_sequence(model, seq.events, 64, "predictive")
+    assert predictive == pytest.approx(np.tile(np.log(vocab), (len(seq), 1)), rel=1e-12)
+    for f, vec in enumerate(model.predict_next(seq.events).vectors):
+        assert np.array_equal(vec, np.full(vocab[f], 1.0 / vocab[f]))
+    primes = [simple_piece([60, 62]), simple_piece([64])]
+    got = generate_many(model, primes, 12, [1, 2])
+    assert got == generate_many(empty, primes, 12, [1, 2])
+    for result in got:
+        assert result.context_depths == (12, *[0] * k)
 
 
 def test_lambda_too_small_for_the_counts_is_rejected():
