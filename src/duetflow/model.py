@@ -52,7 +52,6 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -420,8 +419,12 @@ class ContextModel:
         return vocab_sizes(self.grid)
 
     def fingerprint(self) -> str:
+        """The blake2b digest of the model's file, hashed one table at a time."""
         if self._fingerprint is None:
-            self._fingerprint = hashlib.blake2b(save_model(self), digest_size=8).hexdigest()
+            digest = hashlib.blake2b(digest_size=8)
+            for part in _file_parts(self):
+                digest.update(part)
+            self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
     @cached_property
@@ -866,10 +869,11 @@ def generate(
     return result
 
 
-def save_model(model: ContextModel) -> bytes:
-    """Serialize to a fixed little-endian layout, keys sorted for stability."""
+def _file_parts(model: ContextModel) -> Iterable[bytes | np.ndarray]:
+    """The model file in order, one table at a time: the magic and header,
+    then each table's file_parts."""
     grid = model.grid
-    header = _HEADER.pack(
+    yield MAGIC + _HEADER.pack(
         FORMAT_VERSION,
         model.k,
         model.lam,
@@ -878,7 +882,13 @@ def save_model(model: ContextModel) -> bytes:
         grid.max_duration,
         model.trained_events,
     )
-    return b"".join([MAGIC, header, *chain.from_iterable(t.file_parts() for t in model.tables)])
+    for table in model.tables:
+        yield from table.file_parts()
+
+
+def save_model(model: ContextModel) -> bytes:
+    """Serialize to a fixed little-endian layout, keys sorted for stability."""
+    return b"".join(_file_parts(model))
 
 
 def _words(data: bytes, start: int) -> Sequence[int]:
@@ -891,13 +901,24 @@ def _words(data: bytes, start: int) -> Sequence[int]:
     return words
 
 
+def _known_keys(grid: GridSpec) -> np.ndarray:
+    """Whether each key (value * 8 + field) below 2**_key_shift(grid) is in
+    the grid's vocabulary, then one slot, False, for every larger key."""
+    keys = np.arange(1 << _key_shift(grid))
+    sizes = np.array([*vocab_sizes(grid), 0, 0])  # fields 6 and 7 hold no value
+    return np.append((keys >> 3) < sizes[keys & 7], False)
+
+
 def _read_table(
-    data: bytes, offset: int, shift: int, vocab: tuple[int, ...]
+    data: bytes, offset: int, shift: int, known: np.ndarray
 ) -> tuple[CountTable, int]:
-    """One table from offset on, and the offset after it.
+    """One table from offset on, and the offset after it; known is _known_keys.
 
     Raises struct.error where the data ends early and ValueError where the
-    table is not one that save_model writes.
+    table is not one that save_model writes. Besides the arrays it keeps,
+    the table is built with about one whole-table temporary at a time: the
+    copied entry records go before the pair records are copied, and the
+    pair records before the per-field sums are taken.
     """
     (n,) = _TABLE_SIZE.unpack_from(data, offset)
     start = offset + _TABLE_SIZE.size
@@ -922,28 +943,33 @@ def _read_table(
     words = np.frombuffer(data, dtype="<u4", count=at, offset=start)
     is_head = _head_mask(at, heads)
     head = words[is_head].view(_ENTRY)
-    body = words[~is_head].view(_PAIR)
     contexts = np.ascontiguousarray(head["context"])
     totals = np.ascontiguousarray(head["total"])
-    keys = np.ascontiguousarray(body["key"])
-    counts = np.ascontiguousarray(body["count"])
     lengths = head["pairs"].astype(np.int64)
+    del head
+    np.logical_not(is_head, out=is_head)
+    body = words[is_head].view(_PAIR)
+    del is_head
+    counts = np.ascontiguousarray(body["count"])
     if np.any(contexts[1:] <= contexts[:-1]):
         raise ValueError("context hashes are not strictly ascending")
     if np.any(totals == 0) or np.any(counts == 0):
         raise ValueError("a total or a count is 0")
-    fields = keys & np.uint64(7)
-    limits = np.array(vocab, dtype=np.uint64)[np.minimum(fields, N_FIELDS - 1)]
-    if np.any(fields >= N_FIELDS) or np.any((keys >> np.uint64(3)) >= limits):
+    if not known[np.minimum(body["key"], np.uint64(len(known) - 1))].all():
         raise ValueError("a key is outside the vocabulary")
-    entry = np.repeat(np.arange(len(heads)), lengths)
-    codes = (entry.astype(np.uint64) << np.uint64(shift)) | keys
+    codes = np.repeat(np.arange(len(heads), dtype=np.uint64) << np.uint64(shift), lengths)
+    codes |= body["key"]
+    del body
     if np.any(codes[1:] <= codes[:-1]):
         raise ValueError("keys are not strictly ascending within an entry")
     if len(counts) and counts.max() > _MASK64 // len(counts):
         raise ValueError("counts too large to sum")
+    # Each pair's place among its entry's field sums: entry * N_FIELDS + field.
+    place = codes >> np.uint64(shift)
+    place *= np.uint64(N_FIELDS)
+    place += codes & np.uint64(7)
     sums = np.zeros(len(heads) * N_FIELDS, dtype=np.uint64)
-    np.add.at(sums, entry * N_FIELDS + fields.astype(np.int64), counts)
+    np.add.at(sums, place.view(np.int64), counts)
     if np.any(sums.reshape(-1, N_FIELDS) != totals[:, None]):
         raise ValueError("per-field counts do not sum to the entry total")
     return CountTable.build(contexts, totals, lengths, codes, counts, shift), offset
@@ -967,11 +993,11 @@ def load_model(data: bytes) -> ContextModel:
         grid = GridSpec(res, max_beat, max_dur)
     except ValueError as exc:
         raise ValueError(f"invalid grid in model header: {exc}") from None
-    shift = _key_shift(grid)
+    shift, known = _key_shift(grid), _known_keys(grid)
     tables: list[CountTable] = []
     try:
         for j in range(k + 1):
-            table, offset = _read_table(data, offset, shift, vocab_sizes(grid))
+            table, offset = _read_table(data, offset, shift, known)
             tables.append(table)
     except struct.error as exc:
         raise ValueError(f"truncated model tables: {exc}") from None

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -850,6 +851,16 @@ def test_load_accepts_only_canonical_tables():
     def bump(t, j, key):
         t[j][0][2] = sorted(t[j][0][2] + [(key, 1)])
 
+    def widen_first_key(t):  # the keys were reversed: the largest goes first
+        t[1][0][2][0] = ((1 << 20) * 8 + 6, t[1][0][2][0][1])
+
+    def add_to_first_count(t):
+        key, count = t[1][0][2][0]
+        t[1][0][2][0] = (key, count + 1)
+
+    def both(*edits):
+        return lambda t: [edit(t) for edit in edits]
+
     rejected("context hashes are not strictly ascending", swap_entries)
     rejected("keys are not strictly ascending", reverse_keys)
     rejected("total or a count is 0", zero_total)
@@ -857,6 +868,10 @@ def test_load_accepts_only_canonical_tables():
     rejected("outside the vocabulary", lambda t: bump(t, 1, (1 << 20) * 8 + 6))  # field 6
     rejected("outside the vocabulary", lambda t: bump(t, 1, 128 * 8 + 3))  # pitch 128
     rejected("do not sum", lambda t: bump(t, 1, 61 * 8 + 3))  # one pitch too many
+    # A file that breaks two checks names the one that runs first.
+    rejected("outside the vocabulary", both(reverse_keys, widen_first_key))
+    rejected("context hashes are not strictly ascending", both(swap_entries, zero_count))
+    rejected("keys are not strictly ascending", both(reverse_keys, add_to_first_count))
     rejected("exactly the empty context", lambda t: t[0][0].__setitem__(0, 5))
     rejected("exactly the empty context", lambda t: t[0].append([9, *t[0][0][1:]]))
     rejected("table 0 is empty", lambda t: t[0].clear(), events=0)
@@ -879,7 +894,32 @@ def test_loaded_offsets_equal_a_search_of_the_entry_bounds(trained):
             want = np.searchsorted(t.codes, bounds)
             assert t.offsets.dtype == want.dtype == np.int64
             assert np.array_equal(t.offsets, want)
-        assert np.array_equal(table.offsets, saved.offsets)
+        # The loaded arrays are the trained ones, C-contiguous: generation
+        # reads the contexts through a memoryview.
+        for name in ("contexts", "totals", "offsets", "codes", "counts"):
+            got, want = getattr(table, name), getattr(saved, name)
+            assert got.dtype == want.dtype == (np.int64 if name == "offsets" else np.uint64)
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
+
+
+def test_load_model_peaks_little_above_what_it_keeps():
+    # Each table is built with about one whole-table temporary beside the
+    # arrays it keeps: the peak above them is about 0.30 of the file here,
+    # where a load that holds a table's copied records, its contiguous
+    # columns and its per-pair index arrays at once reaches 1.15.
+    rng = np.random.default_rng(7)
+    model = train([random_piece(rng, 60, programs=(0, 40)) for _ in range(40)], k=4)
+    assert sum(len(t.codes) for t in model.tables) > 50_000
+    blob = save_model(model)
+    tracemalloc.start()
+    try:
+        back = load_model(blob)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert save_model(back) == blob
+    assert peak - kept < 0.6 * len(blob)
 
 
 def test_empty_model_round_trips():
