@@ -50,8 +50,8 @@ class Config:
                 raise ValueError(f"config key {f.name!r} must be {noun}, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"config key 'seed' must be >= 0, got {self.seed}")
-        object.__setattr__(self, "lam", float(self.lam))
         _check_params(self.k, self.lam)
+        object.__setattr__(self, "lam", float(self.lam))
         grid = GridSpec(self.resolution, self.max_beat, self.max_duration)
         flow = FlowParams(
             self.context_len, self.burn_in, self.mode, self.xy_norm, self.split_shared_programs

@@ -17,21 +17,20 @@ arrays; ``Event`` is the type of a single row where code handles one event
 at a time.
 
 Canonical note order is the order of one int64 key per note, its five
-fields packed by the grid's spans. Validation is one pass over the
-sequence's parts, each checked whole, that decides and names the first bad
-event at once; encoding sorts by the key, and not at all when the notes
-are in order already.
+fields packed by the weights of the grid's ``layout``. Validation is one
+pass over the sequence's parts, each checked whole, that decides and names
+the first bad event at once; encoding sorts by the key, and not at all
+when the notes are in order already.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import GridSpec, vocab_sizes
+from .grid import GridSpec, layout
 from .midi import _ByValue, _read_lines, as_rows, as_track, sort_notes
 
 TYPE_START = 0
@@ -113,24 +112,9 @@ _ALL_NOTE_FIELDS = np.ones(5, dtype=bool)
 _ALL_MIDDLE_FIELDS = np.ones(4, dtype=bool)
 
 
-@lru_cache(maxsize=64)
-def _key_layout(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The spans of a note's five fields on this grid, and their key weights.
-
-    On the grid each field is a digit below its span, so comparing keys,
-    the notes times the weights, compares rows field by field. The grid
-    bound keeps the spans' product, and so every such key, below 2**58.
-    """
-    spans = vocab_sizes(grid)[1:]
-    weights = [math.prod(spans[f + 1 :]) for f in range(5)]
-    layout = np.array([spans, weights], dtype=np.int64)
-    layout.flags.writeable = False  # shared by every caller
-    return layout[0], layout[1]
-
-
 def _off_grid(notes: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Which rows of an (n, 5) note array fail _check_note_fields."""
-    return ((notes < _NOTE_LOW) | (notes >= _key_layout(grid)[0])) @ _ALL_NOTE_FIELDS
+    return ((notes < _NOTE_LOW) | (notes >= layout(grid).sizes[1:])) @ _ALL_NOTE_FIELDS
 
 
 def encode(
@@ -163,7 +147,7 @@ def encode(
         # themselves, and name the first bad note in that order.
         notes = sort_notes(notes)
         raise ValueError(_check_note_fields(notes[_off_grid(notes, grid).argmax()], grid))
-    keys = notes @ _key_layout(grid)[1]
+    keys = notes @ layout(grid).weights[1:]
     if (keys[1:] < keys[:-1]).any():
         # Equal keys are equal notes, so any order of them is canonical;
         # the stable sort merges the runs of two ordered tracks fastest.
@@ -235,7 +219,7 @@ def validate_sequence(seq: EventSequence) -> None:
     # A note is out of order when its key is below the one before it. An
     # off-grid note's key may be anything (the product wraps), but outside
     # names that note first.
-    keys = notes @ _key_layout(grid)[1]
+    keys = notes @ layout(grid).weights[1:]
     falling = np.zeros(len(notes), dtype=bool)
     falling[1:] = keys[1:] < keys[:-1]
     bad = outside | undeclared | falling

@@ -1,7 +1,13 @@
-"""Shared quantization grid parameters and integer rounding helpers."""
+"""The quantization grid, its one cached ``layout``, and integer rounding.
+
+``layout`` is where a grid's values sit, worked out once per grid and read
+by the event layer and the model alike.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +55,46 @@ def vocab_sizes(grid: GridSpec) -> tuple[int, ...]:
     structural events carry 0.
     """
     return (5, grid.max_beat, grid.resolution, 128, grid.max_duration + 1, 128)
+
+
+class Layout(NamedTuple):
+    """Where a grid's values sit; every array is read-only."""
+
+    sizes: np.ndarray  # int64, the vocabulary size of each of the six fields
+    # int64, the mixed-radix weight of each field: an event's key is its
+    # row times these, a note's its five fields times the last five.
+    weights: np.ndarray
+    starts: np.ndarray  # int64, the first column of each field in a row of whole distributions
+    width: int  # the columns of such a row
+    spans: tuple[tuple[int, int], ...]  # (start, stop) of fields 1..5 in a sampling row
+    lasts: np.ndarray  # int64, the last column of fields 1..5 in a sampling row
+    shift: int  # bits that hold any count key (value * 8 + field)
+    # Whether each key below 2**shift is in the vocabulary, then one slot,
+    # False, for every larger key.
+    known: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def layout(grid: GridSpec) -> Layout:
+    """The layout of a grid, built once and shared by every caller.
+
+    Each field is a digit below its size, so comparing keys compares rows
+    field by field. The grid bound keeps every event key below 5 * 2**58.
+    """
+    vocab = vocab_sizes(grid)
+    sizes = np.array(vocab, dtype=np.int64)
+    weights = np.cumprod(sizes[::-1])[::-1] // sizes
+    starts = np.cumsum(sizes) - sizes
+    lasts = np.cumsum(sizes[1:]) - 1
+    firsts = (starts[1:] - vocab[0]).tolist()
+    spans = tuple((lo, lo + n) for lo, n in zip(firsts, vocab[1:]))
+    shift = (8 * max(vocab) - 1).bit_length()
+    keys = np.arange(1 << shift)
+    limits = np.array([*vocab, 0, 0])  # fields 6 and 7 hold no value
+    known = np.append((keys >> 3) < limits[keys & 7], False)
+    for a in (sizes, weights, starts, lasts, known):
+        a.flags.writeable = False
+    return Layout(sizes, weights, starts, int(sizes.sum()), spans, lasts, shift, known)
 
 
 def round_half_away(numerator, denominator: int):

@@ -51,8 +51,8 @@ import struct
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property, reduce
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,7 +68,7 @@ from .events import (
     encode,
     validate_sequence,
 )
-from .grid import GridSpec, vocab_sizes
+from .grid import GridSpec, Layout, layout, vocab_sizes
 from .midi import QuantNote, as_rows
 
 _MASK64 = (1 << 64) - 1
@@ -165,36 +165,6 @@ def _rolling_hashes(event_hashes: np.ndarray, kmax: int) -> Iterable[np.ndarray]
         nxt[1:] += event_hashes[:-1]
         h = nxt
         yield h
-
-
-class _Layout(NamedTuple):
-    """Where each field's values sit in a row of whole distributions."""
-
-    vocab: np.ndarray  # int64, the size of each field
-    starts: np.ndarray  # int64, the first column of each field
-    width: int  # columns in all
-    uniform: np.ndarray  # 1 / the size of each column's field
-    spans: tuple[tuple[int, int], ...]  # (start, stop) of fields 1..5 in a _cdfs row
-    lasts: np.ndarray  # int64, the last column of fields 1..5 in a _cdfs row
-
-
-@lru_cache(maxsize=64)
-def _layout(vocab: tuple[int, ...]) -> _Layout:
-    """The row layout of a vocabulary, shared by every caller: read-only."""
-    sizes = np.array(vocab, dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    uniform = 1.0 / np.repeat(sizes, sizes)
-    lasts = np.cumsum(sizes[1:]) - 1
-    for a in (sizes, starts, uniform, lasts):
-        a.flags.writeable = False
-    firsts = (starts[1:] - vocab[0]).tolist()
-    spans = tuple((lo, lo + n) for lo, n in zip(firsts, vocab[1:]))
-    return _Layout(sizes, starts, int(sizes.sum()), uniform, spans, lasts)
-
-
-def _key_shift(grid: GridSpec) -> int:
-    """Bits that hold any key (value * 8 + field) of this grid's vocabulary."""
-    return (8 * max(vocab_sizes(grid)) - 1).bit_length()
 
 
 def _search(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
@@ -316,21 +286,18 @@ def _firsts(ordered: np.ndarray) -> np.ndarray:
     return first
 
 
-def _distinct_events(events: np.ndarray, vocab: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an (n, 6) event array on vocab, and each row's
-    index among them.
+def _distinct_events(events: np.ndarray, lay: Layout) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (n, 6) event array on a grid of layout lay,
+    and each row's index among them.
 
-    Each row packs into one int64 key, its fields as digits of their
-    vocabularies; the grid bound keeps every key below 5 * 2**58. The
-    distinct rows come back ascending by key, decoded from their keys.
+    Each row packs into one int64 key by the layout's weights. The distinct
+    rows come back ascending by key, decoded from their keys.
     """
-    sizes = np.array(vocab, dtype=np.int64)
-    weights = np.cumprod(sizes[::-1])[::-1] // sizes
-    keys = events @ weights
+    keys = events @ lay.weights
     ordered = np.sort(keys)
     distinct = ordered[_firsts(ordered)]
     del ordered
-    return distinct[:, None] // weights % sizes, distinct.searchsorted(keys)
+    return distinct[:, None] // lay.weights % lay.sizes, distinct.searchsorted(keys)
 
 
 def _count_table(
@@ -418,6 +385,10 @@ class ContextModel:
     def vocab(self) -> tuple[int, ...]:
         return vocab_sizes(self.grid)
 
+    @property
+    def layout(self) -> Layout:
+        return layout(self.grid)
+
     def fingerprint(self) -> str:
         """The blake2b digest of the model's file, hashed one table at a time."""
         if self._fingerprint is None:
@@ -436,8 +407,8 @@ class ContextModel:
         _backoff's step at length 0; with table 0 empty the row is the
         uniform distribution itself.
         """
-        lay = _layout(self.vocab)
-        row = np.concatenate([lay.uniform, 1.0 / lay.vocab])[None]
+        sizes = self.layout.sizes
+        row = np.concatenate([1.0 / np.repeat(sizes, sizes), 1.0 / sizes])[None]
         return _backoff(self, row, [(0,) if len(self.tables[0]) else ()], 0)[0]
 
     def predict_next(self, context: Sequence[Event] | np.ndarray) -> FieldDistributions:
@@ -447,7 +418,7 @@ class ContextModel:
         hashes = np.array([0, *ctx], dtype=np.uint64)[:, None]
         chains = _chain_tuples(_match(self, hashes, np.array([len(ctx)])))
         ((_, probs),) = _dense_blocks(self, chains)
-        return FieldDistributions(tuple(np.split(probs[0], _layout(self.vocab).starts[1:])))
+        return FieldDistributions(tuple(np.split(probs[0], self.layout.starts[1:])))
 
 
 def _match(model: ContextModel, hashes: np.ndarray, avail: np.ndarray) -> np.ndarray:
@@ -491,8 +462,8 @@ def _interpolate(model: ContextModel, chains: np.ndarray, values: np.ndarray) ->
     the model's _root_row; the loop starts at length 1. A value outside
     the vocabulary gets the key of field 7, which matches no pair.
     """
-    lay = _layout(model.vocab)
-    known = (values >= 0) & (values < lay.vocab)
+    lay = model.layout
+    known = (values >= 0) & (values < lay.sizes)
     fields = np.arange(N_FIELDS)
     probs = model._root_row[np.where(known, values + lay.starts, lay.width + fields)]
     keys = np.where(known, values * 8 + fields, 7).astype(np.uint64)
@@ -525,7 +496,7 @@ def _backoff(
     generation builds few at a time; when all do, the whole array is
     scaled in place.
     """
-    starts = _layout(model.vocab).starts
+    starts = model.layout.starts
     lam = model.lam
     for n, table in enumerate(model.tables[first:]):
         rows = [i for i, c in enumerate(chains) if len(c) > n]
@@ -550,7 +521,7 @@ def _dense_blocks(
 ) -> Iterable[tuple[slice, np.ndarray]]:
     """Whole distributions along chains, as _chain_tuples gives them,
     _DENSE_ROWS rows at a time, each block from the model's _root_row."""
-    root = model._root_row[: _layout(model.vocab).width]
+    root = model._root_row[: model.layout.width]
     for start in range(0, len(chains), _DENSE_ROWS):
         block = slice(start, start + _DENSE_ROWS)
         part = chains[block]
@@ -572,7 +543,7 @@ def _entropies(model: ContextModel, chains: np.ndarray) -> np.ndarray:
     inverse[order] = np.cumsum(first) - 1
     distinct = _chain_tuples(chains[first])
     out = np.empty((len(distinct), N_FIELDS))
-    bounds = _layout(model.vocab).starts[1:]
+    bounds = model.layout.starts[1:]
     for block, probs in _dense_blocks(model, distinct):
         for f, vecs in enumerate(np.split(probs, bounds, axis=1)):
             out[block, f] = -(vecs * np.log(vecs)).sum(axis=1)
@@ -582,7 +553,9 @@ def _entropies(model: ContextModel, chains: np.ndarray) -> np.ndarray:
 def _check_params(k: int, lam: float) -> None:
     if k < 0:
         raise ValueError("k must be >= 0")
-    if not (lam > 0 and math.isfinite(lam)):
+    # One comparison chain, exact for ints too: an int too large for a float
+    # is refused here rather than overflowing where it is converted.
+    if not 0 < lam <= sys.float_info.max:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
 
 
@@ -608,7 +581,7 @@ def _check_underflow(model: ContextModel) -> None:
 def empty_model(grid: GridSpec, k: int = 4, lam: float = 1.0) -> ContextModel:
     """A model with no counts; every prediction is uniform."""
     _check_params(k, lam)
-    shift = _key_shift(grid)
+    shift = layout(grid).shift
     return ContextModel(k, lam, grid, [CountTable.empty(shift) for _ in range(k + 1)], 0)
 
 
@@ -626,25 +599,24 @@ def train(corpus: Sequence[EventSequence], k: int, lam: float = 1.0) -> ContextM
     for seq in corpus:
         if seq.grid != grid:
             raise ValueError(f"mixed grids in corpus: {seq.grid} vs {grid}")
-    vocab = vocab_sizes(grid)
+    lay = layout(grid)
     lengths = np.fromiter((len(seq) for seq in corpus), np.int64, count=len(corpus))
     n = int(lengths.sum())
     events = np.concatenate([seq.events for seq in corpus])
     # Read as uint64, a negative value is above every vocabulary size.
-    if (events.view(np.uint64) >= np.array(vocab, dtype=np.uint64)).any():
+    if (events.view(np.uint64) >= lay.sizes.view(np.uint64)).any():
         raise ValueError(f"corpus has event values outside the vocabulary of {grid}")
-    distinct, ids = _distinct_events(events, vocab)
+    distinct, ids = _distinct_events(events, lay)
     del events
     keys = (distinct.astype(np.uint64) << np.uint64(3)) | np.arange(N_FIELDS, dtype=np.uint64)
     starts = np.cumsum(lengths) - lengths
     usable = np.ones(n, dtype=bool)
-    shift = _key_shift(grid)
     tables = []
     for j, contexts in enumerate(_rolling_hashes(_event_hashes(distinct)[ids], k)):
         if j:
             # Event j - 1 of a sequence has fewer than j events before it.
             usable[(starts + j - 1)[lengths >= j]] = False
-        tables.append(_count_table(contexts, np.flatnonzero(usable), ids, keys, shift))
+        tables.append(_count_table(contexts, np.flatnonzero(usable), ids, keys, lay.shift))
     model = ContextModel(k, lam, grid, tables, n)
     _check_underflow(model)
     return model
@@ -727,29 +699,28 @@ def _validate_prime(prime: EventSequence, grid: GridSpec) -> np.ndarray:
     return events
 
 
-def _cdfs(probs: np.ndarray, vocab: Sequence[int]) -> np.ndarray:
+def _cdfs(probs: np.ndarray, lay: Layout) -> np.ndarray:
     """The cumulative sums _draw compares draws with, one row per distribution.
 
     probs holds each row's whole distributions side by side. Fields 1..5
     are copied out side by side, at the layout's spans, and duration 0 is
     zeroed; each field is divided by its sum, summed cumulatively and
-    divided by its last sum: shape (len(probs), sum(vocab[1:])). Each
+    divided by its last sum: shape (len(probs), the width of fields 1..5). Each
     field's sums never decrease: the terms are not negative, the last sum
     is positive and rounding is monotone. The five sums and the five
     cumulative sums are one numpy call per field; each division is one.
     """
-    lay = _layout(tuple(vocab))
-    cdfs = probs[:, vocab[0] : lay.width].copy()
+    cdfs = probs[:, lay.starts[1] : lay.width].copy()
     cdfs[:, lay.spans[3][0]] = 0.0  # a note cannot have duration zero
     sums = np.empty((len(cdfs), len(lay.spans)))
     # The ufuncs themselves, not sum and cumsum, whose wrappers cost as
     # much as a field's work.
     for f, (lo, hi) in enumerate(lay.spans):
         np.add.reduce(cdfs[:, lo:hi], axis=1, out=sums[:, f])
-    cdfs /= sums.repeat(lay.vocab[1:], axis=1)
+    cdfs /= sums.repeat(lay.sizes[1:], axis=1)
     for lo, hi in lay.spans:
         np.add.accumulate(cdfs[:, lo:hi], axis=1, out=cdfs[:, lo:hi])
-    cdfs /= cdfs.take(lay.lasts, axis=1).repeat(lay.vocab[1:], axis=1)
+    cdfs /= cdfs.take(lay.lasts, axis=1).repeat(lay.sizes[1:], axis=1)
     return cdfs
 
 
@@ -814,7 +785,8 @@ def generate_many(
         ctx = [_last_hashes(prefixes[i], k) for i in live]
         # views[j - 1] reads table j's context hashes as ints, in native byte order.
         views = [memoryview(t.contexts.astype(np.uint64, copy=False)) for t in model.tables[1:]]
-        spans = _layout(model.vocab).spans
+        lay = model.layout
+        spans = lay.spans
         limit = max(1, _SAMPLE_CACHE_BYTES // (8 * spans[-1][1]))
         # A chain is its entries at lengths 1.. up to its first miss.
         rows: dict[tuple[int, ...], memoryview] = {}
@@ -834,7 +806,7 @@ def generate_many(
                 rows.clear()
                 new = list(dict.fromkeys(chains))
             for block, probs in _dense_blocks(model, new):
-                rows.update(zip(new[block], map(memoryview, _cdfs(probs, model.vocab))))
+                rows.update(zip(new[block], map(memoryview, _cdfs(probs, lay))))
             for b, c in enumerate(chains):
                 values = _draw(rows[c], spans, draws[b][step])
                 sampled[b].append(values)
@@ -901,18 +873,8 @@ def _words(data: bytes, start: int) -> Sequence[int]:
     return words
 
 
-def _known_keys(grid: GridSpec) -> np.ndarray:
-    """Whether each key (value * 8 + field) below 2**_key_shift(grid) is in
-    the grid's vocabulary, then one slot, False, for every larger key."""
-    keys = np.arange(1 << _key_shift(grid))
-    sizes = np.array([*vocab_sizes(grid), 0, 0])  # fields 6 and 7 hold no value
-    return np.append((keys >> 3) < sizes[keys & 7], False)
-
-
-def _read_table(
-    data: bytes, offset: int, shift: int, known: np.ndarray
-) -> tuple[CountTable, int]:
-    """One table from offset on, and the offset after it; known is _known_keys.
+def _read_table(data: bytes, offset: int, lay: Layout) -> tuple[CountTable, int]:
+    """One table from offset on, on a grid of layout lay, and the offset after it.
 
     Raises struct.error where the data ends early and ValueError where the
     table is not one that save_model writes. Besides the arrays it keeps,
@@ -920,6 +882,7 @@ def _read_table(
     copied entry records go before the pair records are copied, and the
     pair records before the per-field sums are taken.
     """
+    shift, known = lay.shift, lay.known
     (n,) = _TABLE_SIZE.unpack_from(data, offset)
     start = offset + _TABLE_SIZE.size
     ints = _words(data, start)
@@ -993,11 +956,11 @@ def load_model(data: bytes) -> ContextModel:
         grid = GridSpec(res, max_beat, max_dur)
     except ValueError as exc:
         raise ValueError(f"invalid grid in model header: {exc}") from None
-    shift, known = _key_shift(grid), _known_keys(grid)
+    lay = layout(grid)
     tables: list[CountTable] = []
     try:
         for j in range(k + 1):
-            table, offset = _read_table(data, offset, shift, known)
+            table, offset = _read_table(data, offset, lay)
             tables.append(table)
     except struct.error as exc:
         raise ValueError(f"truncated model tables: {exc}") from None

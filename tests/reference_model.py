@@ -15,7 +15,7 @@ import numpy as np
 
 from duetflow.events import EventSequence, N_FIELDS
 from duetflow.grid import GridSpec
-from duetflow.model import FORMAT_VERSION, MAGIC, _layout, event_hash
+from duetflow.model import FORMAT_VERSION, MAGIC, event_hash
 
 _MASK64 = (1 << 64) - 1
 _CTX_MULT = 0x100000001B3
@@ -112,21 +112,20 @@ def reference_cdfs(probs: np.ndarray, vocab: Sequence[int]) -> np.ndarray:
     """The sampling rows of whole distributions, one field at a time.
 
     Fields 1..5 of each row of probs, duration 0 zeroed, normalised, summed
-    cumulatively and divided by their last sum, laid side by side at the
-    layout's spans: what ``model._cdfs`` must return bit for bit.
+    cumulatively and divided by their last sum, laid side by side in field
+    order: what ``model._cdfs`` must return bit for bit. The columns are
+    counted from vocab alone.
     """
-    lay = _layout(tuple(vocab))
-    cdfs = np.empty((len(probs), lay.spans[-1][1]))
-    for f, (lo, hi) in enumerate(lay.spans, start=1):
-        first = int(lay.starts[f])
+    parts = []
+    for f in range(1, N_FIELDS):
+        first = sum(vocab[:f])
         vecs = probs[:, first : first + vocab[f]]
         if f == 4:
             vecs = vecs.copy()
             vecs[:, 0] = 0.0  # a note cannot have duration zero
-        cdf = cdfs[:, lo:hi]
-        np.cumsum(vecs / vecs.sum(axis=1, keepdims=True), axis=1, out=cdf)
-        cdf /= cdf[:, -1:]
-    return cdfs
+        cdf = np.cumsum(vecs / vecs.sum(axis=1, keepdims=True), axis=1)
+        parts.append(cdf / cdf[:, -1:])
+    return np.concatenate(parts, axis=1)
 
 
 def reference_scores(

@@ -21,7 +21,7 @@ from duetflow.events import seq_from_text, seq_to_text, sequences_from_notes
 from duetflow.grid import GridSpec
 from duetflow.harness import training_encodings
 from duetflow.midi import QuantNote, piece_from_bytes, track_to_text
-from duetflow.model import save_model, train
+from duetflow.model import empty_model, save_model, train
 from duetflow.oracle import (
     copy_spec,
     embed_pieces,
@@ -915,6 +915,31 @@ def test_out_of_range_config_exits_1(tmp_path, trained, capsys, entry, command):
     assert rc == 1
     assert out.err.startswith("error: ")
     assert "Traceback" not in out.err and not out.out
+    assert not model.exists()
+
+
+def test_lambda_beyond_every_float_is_refused(tmp_path, trained, capsys):
+    # JSON reads 1 followed by 400 zeros as an int that no float holds.
+    huge = 10**400
+    x, _, _ = sequences_from_notes([(0, 0, 60, 12, 0)], [(0, 0, 64, 12, 0)], GridSpec())
+    for make in (
+        lambda: Config(lam=huge),
+        lambda: empty_model(GridSpec(), lam=huge),
+        lambda: train([x], k=1, lam=huge),
+    ):
+        with pytest.raises(ValueError, match="^lambda must be positive and finite, got 1000"):
+            make()
+    tok, _ = trained
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"lam": 1' + "0" * 400 + "}")
+    model = tmp_path / "new.dfm"
+    for args in (["train", "--corpus", str(tok), "--out", str(model)], ["oracle", "exact"]):
+        capsys.readouterr()
+        rc = main(["--config", str(cfg), *args])
+        out = capsys.readouterr()
+        assert rc == 1 and not out.out
+        assert out.err.startswith("error: lambda must be positive and finite, got 1000")
+        assert out.err.count("\n") == 1 and "Traceback" not in out.err
     assert not model.exists()
 
 

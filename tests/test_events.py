@@ -16,9 +16,8 @@ from duetflow.events import (
     seq_to_text,
     sequences_from_notes,
     validate_sequence,
-    vocab_sizes,
 )
-from duetflow.grid import MAX_VALUES, GridSpec
+from duetflow.grid import MAX_VALUES, GridSpec, vocab_sizes
 from duetflow.midi import QuantNote, merge_tracks
 from reference_events import (
     event_rows,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import duetflow.flow
-from duetflow.events import TYPE_NOTE, sequences_from_notes, vocab_sizes
+from duetflow.events import TYPE_NOTE, sequences_from_notes
 from duetflow.flow import (
     LN2,
     FlowParams,
@@ -15,7 +15,7 @@ from duetflow.flow import (
     information_flow,
     information_flows,
 )
-from duetflow.grid import GridSpec
+from duetflow.grid import GridSpec, vocab_sizes
 from duetflow.midi import QuantNote, as_track
 from duetflow.model import empty_model, score_sequence, train
 from reference_events import event_rows

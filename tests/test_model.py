@@ -22,9 +22,8 @@ from duetflow.events import (
     SequenceStructureError,
     encode,
     validate_sequence,
-    vocab_sizes,
 )
-from duetflow.grid import MAX_VALUES, GridSpec
+from duetflow.grid import MAX_VALUES, GridSpec, layout, vocab_sizes
 from duetflow.midi import QuantNote
 import duetflow.model as model_module
 from duetflow.model import (
@@ -146,7 +145,7 @@ def event_arrays(draw):
 def test_distinct_events_number_every_row(case):
     # train counts through the distinct events and hashes only them.
     grid, events = case
-    distinct, ids = _distinct_events(events, vocab_sizes(grid))
+    distinct, ids = _distinct_events(events, layout(grid))
     np.testing.assert_array_equal(distinct[ids], events)
     rows = [tuple(r) for r in distinct.tolist()]
     assert rows == sorted(set(rows))
@@ -295,7 +294,7 @@ def test_entropies_equal_row_by_row_entropies():
     pool = rng.integers(0, sizes, (40, len(sizes)))
     pool[np.arange(len(sizes)) >= rng.integers(1, len(sizes) + 1, (40, 1))] = -1
     chains = pool[rng.integers(0, len(pool), 300)]
-    bounds = model_module._layout(model.vocab).starts[1:]
+    bounds = model.layout.starts[1:]
 
     def alone(chain):
         ((_, probs),) = _dense_blocks(model, _chain_tuples(chain[None]))
@@ -341,7 +340,7 @@ def test_whole_rows_and_sampling_rows_equal_the_references(corpus, k, lam, per_c
         hashes[1 : len(ctx) + 1, i] = ctx
         avail[i] = len(ctx)
     chains = _chain_tuples(_match(model, hashes, avail))
-    starts = model_module._layout(vocab).starts[1:]
+    starts = np.cumsum(vocab)[:-1]
     for at in range(0, len(chains), per_call):
         ((_, probs),) = _dense_blocks(model, chains[at : at + per_call])
         for row, context in zip(probs, contexts[at : at + per_call]):
@@ -349,7 +348,7 @@ def test_whole_rows_and_sampling_rows_equal_the_references(corpus, k, lam, per_c
             for got, vec in zip(np.split(row, starts), want, strict=True):
                 assert got.tobytes() == vec.tobytes()
         before = probs.copy()
-        assert _cdfs(probs, vocab).tobytes() == reference_cdfs(probs, vocab).tobytes()
+        assert _cdfs(probs, model.layout).tobytes() == reference_cdfs(probs, vocab).tobytes()
         assert probs.tobytes() == before.tobytes()
 
 
@@ -448,11 +447,13 @@ def test_find_and_point_counts_equal_plain_searchsorted(monkeypatch):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_sampler_draws_what_rng_choice_draws(seed):
-    # 100 rows of five fields, 500 vectors per example: field sizes from 1
-    # to 300, entries spread over many orders of magnitude, some zero.
+    # 100 rows of five fields, 500 vectors per example, on a legal grid:
+    # beat, position and duration sizes from 1 to 300, entries spread over
+    # many orders of magnitude, some zero.
     rng = np.random.default_rng(seed)
-    beat, position, pitch, duration = rng.integers(1, 300, 4).tolist()
-    vocab = (5, beat, position, pitch, max(2, duration), 128)
+    beat, position, duration = rng.integers(1, 300, 3).tolist()
+    grid = GridSpec(position, beat, max(1, duration - 1))
+    vocab, lay = vocab_sizes(grid), layout(grid)
     rows = 100
     probs = np.exp(rng.normal(0, 4, (rows, sum(vocab))))
     probs[rng.random(probs.shape) < 0.1] = 0.0
@@ -461,8 +462,8 @@ def test_sampler_draws_what_rng_choice_draws(seed):
         probs[:, ends[f] - 1] += 1e-3  # every field keeps some mass past duration 0
     seeds = rng.integers(0, 2**63, rows)
     draws = [np.random.default_rng(s).random(5).tolist() for s in seeds]
-    cdfs = _cdfs(probs, vocab)
-    spans = model_module._layout(vocab).spans
+    cdfs = _cdfs(probs, lay)
+    spans = lay.spans
     for row, s in enumerate(seeds):
         got = _draw(memoryview(cdfs[row]), spans, draws[row])
         chooser = np.random.default_rng(s)
