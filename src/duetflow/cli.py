@@ -43,8 +43,12 @@ EXIT_CONVERGENCE = 4
 def _write_text(path: Path, text: str) -> None:
     # Atomic: a crashed run never leaves a half-written artifact behind.
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _midi_paths(root: Path) -> list[Path]:

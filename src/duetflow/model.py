@@ -40,13 +40,21 @@ hashes move on by the drawn event with ``_push``, the scalar step of
 and ``_cdfs``, together, and their sampling rows are kept up to a fixed
 size. The file format writes the same arrays entry by entry, and
 ``load_model`` accepts only files that ``save_model`` could have written.
+``save_model`` joins the file's parts into bytes; ``save_model_file`` and
+the fingerprint take them one table at a time and never join them, and
+``load_model_file`` parses a mapping of a regular file, of which the model
+keeps only copies.
 """
 from __future__ import annotations
 
 import array
+import contextlib
 import hashlib
 import math
+import mmap
 import os
+import reprlib
+import stat
 import struct
 import sys
 from bisect import bisect_left, bisect_right
@@ -100,6 +108,9 @@ _DENSE_ROWS = 256  # whole distributions built per pass
 # ones would pass the limit.
 _SAMPLE_CACHE_BYTES = 16 << 20
 _LOG_SMALLEST = math.log(sys.float_info.min)
+
+# What load_model parses: any buffer of bytes, a mapped file included.
+_Buffer = bytes | bytearray | memoryview | mmap.mmap
 
 
 def _fold(h: int, values: Iterable[int]) -> int:
@@ -199,7 +210,9 @@ class CountTable:
     totals[i] times. Its pairs are offsets[i]:offsets[i + 1]: the codes
     (i << shift) | key with key = value * 8 + field, strictly ascending, so
     the keys of an entry ascend and one binary search finds any (entry,
-    key) pair; counts holds the count of each pair.
+    key) pair; counts holds the count of each pair. shift is the key width
+    of the model's grid, ``layout(grid).shift``, which the methods that
+    split codes take from their callers.
     """
 
     contexts: np.ndarray  # uint64
@@ -207,26 +220,25 @@ class CountTable:
     offsets: np.ndarray  # int64, one more than contexts
     codes: np.ndarray  # uint64
     counts: np.ndarray  # uint64
-    shift: int
 
     @classmethod
-    def build(cls, contexts, totals, lengths, codes, counts, shift: int) -> CountTable:
+    def build(cls, contexts, totals, lengths, codes, counts) -> CountTable:
         """The table whose entry i has lengths[i] pairs, its codes in entry order."""
         offsets = np.zeros(len(contexts) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        return cls(contexts, totals, offsets, codes, counts, shift)
+        return cls(contexts, totals, offsets, codes, counts)
 
     @classmethod
-    def empty(cls, shift: int) -> CountTable:
+    def empty(cls) -> CountTable:
         none = np.zeros(0, dtype=np.uint64)
-        return cls.build(none, none, none, none, none, shift)
+        return cls.build(none, none, none, none, none)
 
     def __len__(self) -> int:
         return len(self.contexts)
 
-    def keys(self, pairs: slice | np.ndarray = slice(None)) -> np.ndarray:
-        """The keys (value * 8 + field) of the given pairs."""
-        return self.codes[pairs] & np.uint64((1 << self.shift) - 1)
+    def keys(self, shift: int, pairs: slice | np.ndarray = slice(None)) -> np.ndarray:
+        """The keys (value * 8 + field) of the given pairs, under key width shift."""
+        return self.codes[pairs] & np.uint64((1 << shift) - 1)
 
     def find(self, hashes: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows whose context hash is in this table, and their entries."""
@@ -237,20 +249,21 @@ class CountTable:
         hit = self.contexts[entries] == hashes
         return rows[hit], entries[hit]
 
-    def point_counts(self, entries: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    def point_counts(self, entries: np.ndarray, keys: np.ndarray, shift: int) -> np.ndarray:
         """Count of the uint64 key keys[i, f] under entries[i], shape
         (len(entries), 6); a key of field 7, which no pair has, counts 0."""
-        codes = (entries.astype(np.uint64)[:, None] << np.uint64(self.shift)) | keys
+        codes = (entries.astype(np.uint64)[:, None] << np.uint64(shift)) | keys
         at = _search(self.codes, codes)
         np.minimum(at, len(self.codes) - 1, out=at)
         return np.where(self.codes[at] == codes, self.counts[at], 0).astype(np.float64)
 
     def pairs(
-        self, entries: list[int], starts: np.ndarray
+        self, entries: list[int], lay: Layout
     ) -> tuple[int | np.ndarray, np.ndarray, np.ndarray]:
         """The pairs under every entries[i] as (i, column, count), where
         column is the key's place in a row of all fields' values side by
-        side. A lone entry's pairs are one slice of the arrays."""
+        side, on a grid of layout lay. A lone entry's pairs are one slice of
+        the arrays."""
         if len(entries) == 1:
             owner, at = 0, slice(self.offsets[entries[0]], self.offsets[entries[0] + 1])
         else:
@@ -258,18 +271,19 @@ class CountTable:
             lengths = self.offsets[np.add(entries, 1)] - first
             owner = np.repeat(np.arange(len(entries)), lengths)
             at = np.arange(len(owner)) + np.repeat(first - np.cumsum(lengths) + lengths, lengths)
-        keys = self.keys(at).view(np.int64)
-        return owner, starts[keys & 7] + (keys >> 3), self.counts[at]
+        keys = self.keys(lay.shift, at).view(np.int64)
+        return owner, lay.starts[keys & 7] + (keys >> 3), self.counts[at]
 
-    def file_parts(self) -> tuple[bytes, np.ndarray]:
-        """This table in the file layout: its size, then entry by entry."""
+    def file_parts(self, shift: int) -> tuple[bytes, np.ndarray]:
+        """This table in the file layout, under key width shift: its size,
+        then entry by entry."""
         n = len(self.contexts)
         heads = np.empty(n, dtype=_ENTRY)
         heads["context"] = self.contexts
         heads["total"] = self.totals
         heads["pairs"] = np.diff(self.offsets)
         pairs = np.empty(len(self.codes), dtype=_PAIR)
-        pairs["key"] = self.keys()
+        pairs["key"] = self.keys(shift)
         pairs["count"] = self.counts
         words = np.empty(n * _ENTRY_WORDS + len(pairs) * _PAIR_WORDS, dtype="<u4")
         first = np.arange(n) * _ENTRY_WORDS + self.offsets[:-1] * _PAIR_WORDS
@@ -317,7 +331,7 @@ def _count_table(
     holds only a few of them at once.
     """
     if not len(rows):
-        return CountTable.empty(shift)
+        return CountTable.empty()
     hashes = contexts[rows]
     order = hashes.argsort()
     hashes = hashes[order]
@@ -350,7 +364,7 @@ def _count_table(
     times = times[order]
     del order
     lengths = np.bincount((codes >> np.uint64(shift)).view(np.int64), minlength=len(unique))
-    return CountTable.build(unique, totals, lengths, codes, np.add.reduceat(times, runs), shift)
+    return CountTable.build(unique, totals, lengths, codes, np.add.reduceat(times, runs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -395,6 +409,7 @@ class ContextModel:
             digest = hashlib.blake2b(digest_size=8)
             for part in _file_parts(self):
                 digest.update(part)
+                del part  # so only one table's words are alive at a time
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
@@ -476,7 +491,7 @@ def _interpolate(model: ContextModel, chains: np.ndarray, values: np.ndarray) ->
         table = model.tables[j]
         entries = chains[rows, j]
         denom = table.totals[entries].astype(np.float64)[:, None] + lam
-        counts = table.point_counts(entries, keys[rows])
+        counts = table.point_counts(entries, keys[rows], lay.shift)
         probs[rows] = probs[rows] * (lam / denom) + counts / denom
     return probs
 
@@ -496,7 +511,7 @@ def _backoff(
     generation builds few at a time; when all do, the whole array is
     scaled in place.
     """
-    starts = model.layout.starts
+    lay = model.layout
     lam = model.lam
     for n, table in enumerate(model.tables[first:]):
         rows = [i for i, c in enumerate(chains) if len(c) > n]
@@ -504,7 +519,7 @@ def _backoff(
             break
         entries = [chains[i][n] for i in rows]
         denom = table.totals[entries].astype(np.float64) + lam
-        owner, columns, counts = table.pairs(entries, starts)
+        owner, columns, counts = table.pairs(entries, lay)
         if len(rows) == len(chains):
             probs *= (lam / denom)[:, None]
             at = owner
@@ -556,7 +571,8 @@ def _check_params(k: int, lam: float) -> None:
     # One comparison chain, exact for ints too: an int too large for a float
     # is refused here rather than overflowing where it is converted.
     if not 0 < lam <= sys.float_info.max:
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
+        # Shortened: JSON can carry an integer of any number of digits.
+        raise ValueError(f"lambda must be positive and finite, got {reprlib.repr(lam)}")
 
 
 def _check_underflow(model: ContextModel) -> None:
@@ -581,8 +597,7 @@ def _check_underflow(model: ContextModel) -> None:
 def empty_model(grid: GridSpec, k: int = 4, lam: float = 1.0) -> ContextModel:
     """A model with no counts; every prediction is uniform."""
     _check_params(k, lam)
-    shift = layout(grid).shift
-    return ContextModel(k, lam, grid, [CountTable.empty(shift) for _ in range(k + 1)], 0)
+    return ContextModel(k, lam, grid, [CountTable.empty() for _ in range(k + 1)], 0)
 
 
 def train(corpus: Sequence[EventSequence], k: int, lam: float = 1.0) -> ContextModel:
@@ -845,6 +860,7 @@ def _file_parts(model: ContextModel) -> Iterable[bytes | np.ndarray]:
     """The model file in order, one table at a time: the magic and header,
     then each table's file_parts."""
     grid = model.grid
+    shift = model.layout.shift
     yield MAGIC + _HEADER.pack(
         FORMAT_VERSION,
         model.k,
@@ -855,7 +871,7 @@ def _file_parts(model: ContextModel) -> Iterable[bytes | np.ndarray]:
         model.trained_events,
     )
     for table in model.tables:
-        yield from table.file_parts()
+        yield from table.file_parts(shift)
 
 
 def save_model(model: ContextModel) -> bytes:
@@ -863,7 +879,7 @@ def save_model(model: ContextModel) -> bytes:
     return b"".join(_file_parts(model))
 
 
-def _words(data: bytes, start: int) -> Sequence[int]:
+def _words(data: _Buffer, start: int) -> Sequence[int]:
     """The whole little-endian 32-bit words of data from start on, as ints."""
     stop = start + (len(data) - start) // 4 * 4
     if sys.byteorder == "little":
@@ -873,7 +889,7 @@ def _words(data: bytes, start: int) -> Sequence[int]:
     return words
 
 
-def _read_table(data: bytes, offset: int, lay: Layout) -> tuple[CountTable, int]:
+def _read_table(data: _Buffer, offset: int, lay: Layout) -> tuple[CountTable, int]:
     """One table from offset on, on a grid of layout lay, and the offset after it.
 
     Raises struct.error where the data ends early and ValueError where the
@@ -935,11 +951,16 @@ def _read_table(data: bytes, offset: int, lay: Layout) -> tuple[CountTable, int]
     np.add.at(sums, place.view(np.int64), counts)
     if np.any(sums.reshape(-1, N_FIELDS) != totals[:, None]):
         raise ValueError("per-field counts do not sum to the entry total")
-    return CountTable.build(contexts, totals, lengths, codes, counts, shift), offset
+    return CountTable.build(contexts, totals, lengths, codes, counts), offset
 
 
-def load_model(data: bytes) -> ContextModel:
-    """Parse a model file; a file save_model could not have written raises ValueError."""
+def load_model(data: _Buffer) -> ContextModel:
+    """Parse a model file from any bytes-like buffer (bytes, a memoryview, an
+    mmap); a file save_model could not have written raises ValueError.
+
+    Every array the model keeps is a copy, so the model never holds on to
+    data.
+    """
     if data[:4] != MAGIC:
         raise ValueError("not a model file (bad magic)")
     offset = 4
@@ -958,14 +979,19 @@ def load_model(data: bytes) -> ContextModel:
         raise ValueError(f"invalid grid in model header: {exc}") from None
     lay = layout(grid)
     tables: list[CountTable] = []
+    error = None
     try:
         for j in range(k + 1):
             table, offset = _read_table(data, offset, lay)
             tables.append(table)
     except struct.error as exc:
-        raise ValueError(f"truncated model tables: {exc}") from None
+        error = f"truncated model tables: {exc}"
     except ValueError as exc:
-        raise ValueError(f"model table {j}: {exc}") from None
+        error = f"model table {j}: {exc}"
+    # Raised once the handler has dropped the caught error, whose traceback
+    # holds _read_table's views of data: a mapped file can then be closed.
+    if error is not None:
+        raise ValueError(error)
     if offset != len(data):
         raise ValueError(f"{len(data) - offset} trailing bytes after model tables")
     root = tables[0]
@@ -986,12 +1012,31 @@ def load_model(data: bytes) -> ContextModel:
 
 
 def save_model_file(model: ContextModel, path: str | os.PathLike) -> None:
+    """Write save_model's bytes to path, one table at a time, never joined.
+
+    The parts go to a temporary file beside path, which then replaces it:
+    when writing fails, the temporary file is removed and an existing file
+    at path is left as it was.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(save_model(model))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            # writelines drops each part before it fetches the next.
+            fh.writelines(_file_parts(model))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_model_file(path: str | os.PathLike) -> ContextModel:
+    """load_model of the file at path. A non-empty regular file is mapped
+    read-only, not read into memory; anything else (an empty file, a pipe)
+    is read whole."""
     with open(path, "rb") as fh:
-        return load_model(fh.read())
+        info = os.fstat(fh.fileno())
+        if not (stat.S_ISREG(info.st_mode) and info.st_size):
+            return load_model(fh.read())
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            return load_model(data)

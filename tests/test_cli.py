@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import duetflow
-from duetflow.cli import build_parser, main
+from duetflow.cli import _write_text, build_parser, main
 from duetflow.config import Config
 from duetflow.events import seq_from_text, seq_to_text, sequences_from_notes
 from duetflow.grid import GridSpec
@@ -918,6 +918,21 @@ def test_out_of_range_config_exits_1(tmp_path, trained, capsys, entry, command):
     assert not model.exists()
 
 
+def test_a_failed_text_write_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "flows.csv"
+    path.write_text("old\n")
+    # A lone surrogate fails to encode once the temporary file is open.
+    with pytest.raises(UnicodeEncodeError):
+        _write_text(path, "\ud800")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["flows.csv"]
+    # The write succeeds but the target, a directory, cannot be replaced.
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        _write_text(tmp_path / "taken", "new\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flows.csv", "taken"]
+
+
 def test_lambda_beyond_every_float_is_refused(tmp_path, trained, capsys):
     # JSON reads 1 followed by 400 zeros as an int that no float holds.
     huge = 10**400
@@ -927,8 +942,10 @@ def test_lambda_beyond_every_float_is_refused(tmp_path, trained, capsys):
         lambda: empty_model(GridSpec(), lam=huge),
         lambda: train([x], k=1, lam=huge),
     ):
-        with pytest.raises(ValueError, match="^lambda must be positive and finite, got 1000"):
+        refusal = "^lambda must be positive and finite, got 1000"
+        with pytest.raises(ValueError, match=refusal) as info:
             make()
+        assert len(str(info.value)) < 120
     tok, _ = trained
     cfg = tmp_path / "run.json"
     cfg.write_text('{"lam": 1' + "0" * 400 + "}")
@@ -940,6 +957,8 @@ def test_lambda_beyond_every_float_is_refused(tmp_path, trained, capsys):
         assert rc == 1 and not out.out
         assert out.err.startswith("error: lambda must be positive and finite, got 1000")
         assert out.err.count("\n") == 1 and "Traceback" not in out.err
+        # The value is shortened, not echoed with all its 401 digits.
+        assert len(out.err) < 120
     assert not model.exists()
 
 

@@ -1,9 +1,13 @@
 """Back-off model: counting, interpolation, serialization, generation."""
+import dataclasses
 import hashlib
 import itertools
 import math
+import mmap
+import os
 import re
 import struct
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -411,11 +415,11 @@ def test_find_and_point_counts_equal_plain_searchsorted(monkeypatch):
     rng = np.random.default_rng(29)
     model = train([random_piece(rng, 30, programs=(0, 40)) for _ in range(4)], k=3)
     vocab = np.array(model.vocab)
-    shift = model.tables[0].shift
+    shift = model.layout.shift
 
     def outcomes():
         out = []
-        for table in model.tables + [CountTable.empty(shift)]:
+        for table in model.tables + [CountTable.empty()]:
             # Every context once, some twice, and hashes absent from the table,
             # shuffled; then a single needle.
             absent = rng.integers(0, 2**63, 8, dtype=np.int64).astype(np.uint64)
@@ -430,7 +434,7 @@ def test_find_and_point_counts_equal_plain_searchsorted(monkeypatch):
             known = (values >= 0) & (values < vocab)
             keys = np.where(known, values * 8 + np.arange(N_FIELDS), 7).astype(np.uint64)
             for n in (40, 1, 0):
-                out.append((table.point_counts(entries[:n], keys[:n]),))
+                out.append((table.point_counts(entries[:n], keys[:n], shift),))
         return out
 
     state = rng.bit_generator.state
@@ -891,7 +895,7 @@ def test_loaded_offsets_equal_a_search_of_the_entry_bounds(trained):
     # are where a search of the codes puts each entry's first pair.
     for table, saved in zip(back.tables, model.tables):
         for t in (table, saved):
-            bounds = np.arange(len(t) + 1, dtype=np.uint64) << np.uint64(t.shift)
+            bounds = np.arange(len(t) + 1, dtype=np.uint64) << np.uint64(model.layout.shift)
             want = np.searchsorted(t.codes, bounds)
             assert t.offsets.dtype == want.dtype == np.int64
             assert np.array_equal(t.offsets, want)
@@ -904,23 +908,158 @@ def test_loaded_offsets_equal_a_search_of_the_entry_bounds(trained):
             assert got.flags.c_contiguous
 
 
-def test_load_model_peaks_little_above_what_it_keeps():
+@pytest.fixture(scope="module")
+def large_model():
+    rng = np.random.default_rng(7)
+    model = train([random_piece(rng, 60, programs=(0, 40)) for _ in range(40)], k=4)
+    assert sum(len(t.codes) for t in model.tables) > 50_000
+    return model
+
+
+def traced_peak(run):
+    """What run() returns, the bytes it leaves allocated and its peak."""
+    tracemalloc.start()
+    try:
+        out = run()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept, peak
+
+
+def test_load_model_peaks_little_above_what_it_keeps(large_model):
     # Each table is built with about one whole-table temporary beside the
     # arrays it keeps: the peak above them is about 0.30 of the file here,
     # where a load that holds a table's copied records, its contiguous
     # columns and its per-pair index arrays at once reaches 1.15.
-    rng = np.random.default_rng(7)
-    model = train([random_piece(rng, 60, programs=(0, 40)) for _ in range(40)], k=4)
-    assert sum(len(t.codes) for t in model.tables) > 50_000
-    blob = save_model(model)
-    tracemalloc.start()
-    try:
-        back = load_model(blob)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    blob = save_model(large_model)
+    back, kept, peak = traced_peak(lambda: load_model(blob))
     assert save_model(back) == blob
     assert peak - kept < 0.6 * len(blob)
+
+
+def test_model_files_move_without_a_whole_file_copy(large_model, tmp_path):
+    # The writer holds one table's file layout at a time: its peak is about
+    # 0.79 of the file here, where one that joins the parts reaches 2.0.
+    # The reader maps the file, so its peak above the model it keeps is
+    # about the 0.30 of load_model on bytes; reading the file whole adds
+    # the file's size.
+    path = tmp_path / "large.dfm"
+    size = len(save_model(large_model))
+    _, _, peak = traced_peak(lambda: save_model_file(large_model, path))
+    assert path.stat().st_size == size
+    assert peak < 1.2 * size
+    back, kept, peak = traced_peak(lambda: load_model_file(path))
+    assert back.fingerprint() == large_model.fingerprint()
+    assert peak - kept < 0.6 * size
+
+
+def test_fingerprint_hashes_one_table_at_a_time(large_model):
+    # About 0.78 of the file here; holding the last table's file layout
+    # while the next is built reaches 1.03.
+    model = dataclasses.replace(large_model, _fingerprint=None)
+    size = len(save_model(model))
+    digest, _, peak = traced_peak(model.fingerprint)
+    assert digest == hashlib.blake2b(save_model(model), digest_size=8).hexdigest()
+    assert peak < 0.9 * size
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: train([random_piece(np.random.default_rng(3), 30, programs=(0, 40))], k=3),
+        lambda: train(SMALL_CORPUS, k=2),
+        lambda: empty_model(GRID, k=2),
+    ],
+    ids=["default-grid", "coarse-grid", "empty"],
+)
+def test_model_file_round_trips_through_a_file_and_a_pipe(make, tmp_path, monkeypatch):
+    model = make()
+    blob = save_model(model)
+    path = tmp_path / "model.dfm"
+    path.write_bytes(b"an older model")
+    save_model_file(model, path)
+    assert path.read_bytes() == blob
+    assert [p.name for p in tmp_path.iterdir()] == ["model.dfm"]
+    parsed = []
+
+    def spy(data):
+        parsed.append(type(data))
+        return load_model(data)
+
+    monkeypatch.setattr(model_module, "load_model", spy)
+    loaded = [load_model_file(path)]
+    if hasattr(os, "mkfifo"):
+        fifo = tmp_path / "model.pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,))
+        writer.start()
+        loaded.append(load_model_file(fifo))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    # A regular file is mapped, a pipe read whole.
+    assert parsed == [mmap.mmap, bytes][: len(loaded)]
+    want = load_model(blob)
+    for got in loaded:
+        assert got.fingerprint() == want.fingerprint() == model.fingerprint()
+        assert save_model(got) == blob
+        for table, expected in zip(got.tables, want.tables, strict=True):
+            for name in ("contexts", "totals", "offsets", "codes", "counts"):
+                a, b = getattr(table, name), getattr(expected, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert a.flags.c_contiguous
+                # The model keeps copies, never a view of the mapped file.
+                base = a.base
+                while base is not None:
+                    assert not isinstance(base, mmap.mmap)
+                    base = base.obj if isinstance(base, memoryview) else getattr(base, "base", None)
+
+
+def test_load_model_file_refuses_as_load_model_does(tmp_path):
+    corpus = [simple_piece([60, 64, 67])]
+    blob = save_model(train(corpus, k=2))
+    tables, trained = listed_tables(corpus, 2)
+    tables[1][0], tables[1][1] = tables[1][1], tables[1][0]
+    bad = {
+        "empty": b"",
+        "magic": b"XXXX" + blob[4:],
+        "header": blob[:20],
+        "half": blob[: len(blob) // 2],
+        "unsorted": write_blob(2, 1.0, GRID, trained, tables),
+        "trailing": blob + b"\x00",
+    }
+    for name, data in bad.items():
+        with pytest.raises(ValueError) as from_bytes:
+            load_model(data)
+        path = tmp_path / f"{name}.dfm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as from_file:
+            load_model_file(path)
+        assert str(from_file.value) == str(from_bytes.value), name
+
+
+def test_a_failed_save_leaves_no_temporary_file(tmp_path, monkeypatch):
+    model = train([simple_piece([60, 64, 67])], k=2)
+    path = tmp_path / "model.dfm"
+    old = save_model(empty_model(GRID))
+    path.write_bytes(old)
+    parts = model_module._file_parts
+
+    def first_part_then_fail(m):
+        yield next(iter(parts(m)))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(model_module, "_file_parts", first_part_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_model_file(model, path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.dfm"]
+    monkeypatch.undo()
+    # The write succeeds but the target, a directory, cannot be replaced.
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        save_model_file(model, tmp_path / "taken")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.dfm", "taken"]
 
 
 def test_empty_model_round_trips():
