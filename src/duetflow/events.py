@@ -17,10 +17,12 @@ arrays; ``Event`` is the type of a single row where code handles one event
 at a time.
 
 Canonical note order is the order of one int64 key per note, its five
-fields packed by the weights of the grid's ``layout``. Validation is one
-pass over the sequence's parts, each checked whole, that decides and names
-the first bad event at once; encoding sorts by the key, and not at all
-when the notes are in order already.
+fields packed by the weights of the grid's ``layout``; encoding sorts by
+the key, and not at all when the notes are in order already. Validation
+decides first, from one such key per event and a few whole-array checks
+on them. Only a sequence that fails goes on to the naming pass, which
+checks the parts of the encoding one after another and names the first
+bad event.
 """
 from __future__ import annotations
 
@@ -112,9 +114,12 @@ _ALL_NOTE_FIELDS = np.ones(5, dtype=bool)
 _ALL_MIDDLE_FIELDS = np.ones(4, dtype=bool)
 
 
-def _off_grid(notes: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Which rows of an (n, 5) note array fail _check_note_fields."""
-    return ((notes < _NOTE_LOW) | (notes >= layout(grid).sizes[1:])) @ _ALL_NOTE_FIELDS
+def _outside(notes: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Which fields of an (n, 5) note array fail _check_note_fields, (n, 5)."""
+    # Less its lowest value and read as uint64, a field is in range exactly
+    # when it is below its size less that value: one compare for both ends.
+    limits = (layout(grid).sizes[1:] - _NOTE_LOW).view(np.uint64)
+    return (notes - _NOTE_LOW).view(np.uint64) >= limits
 
 
 def encode(
@@ -142,11 +147,12 @@ def encode(
         programs[shared] = (programs[shared] + 1) % 128
     if not len(notes):
         raise ValueError("cannot encode an empty note list")
-    if _off_grid(notes, grid).any():
+    if _outside(notes, grid).any():
         # A note off the grid has no key that orders it: sort the rows
         # themselves, and name the first bad note in that order.
         notes = sort_notes(notes)
-        raise ValueError(_check_note_fields(notes[_off_grid(notes, grid).argmax()], grid))
+        first = (_outside(notes, grid) @ _ALL_NOTE_FIELDS).argmax()
+        raise ValueError(_check_note_fields(notes[first], grid))
     keys = notes @ layout(grid).weights[1:]
     if (keys[1:] < keys[:-1]).any():
         # Equal keys are equal notes, so any order of them is canonical;
@@ -176,13 +182,62 @@ def _run_end(types: np.ndarray, start: int, event_type: int) -> int:
     return start + int(other.argmax()) if other.any() else len(types)
 
 
+def _declared(programs: np.ndarray) -> np.ndarray:
+    """A table of the 128 programs, True at each of these, all in [0, 128)."""
+    declared = np.zeros(128, dtype=bool)
+    declared[programs] = True
+    return declared
+
+
+def _is_valid(events: np.ndarray, grid: GridSpec) -> bool:
+    """Whether an (n, 6) event array is a valid sequence on grid.
+
+    Once every field is below its size, an event's key (its row times the
+    layout's weights) orders events as their rows do, and the type is its
+    leading digit. Keys that never fall and type counts (1, p >= 1, 1, m, 1)
+    therefore put the parts in encoding order, and the rest checks each
+    part by a key or a field.
+    """
+    lay = layout(grid)
+    # Read as uint64, a negative value is above every size. count_nonzero
+    # stands for any() and all(), which cost more on arrays this short.
+    if len(events) < 4 or np.count_nonzero(events.view(np.uint64) >= lay.sizes.view(np.uint64)):
+        return False
+    start, p, begin, m, end = np.bincount(events[:, 0], minlength=5).tolist()
+    if not (start == begin == end == 1 and p):
+        return False
+    keys = events @ lay.weights
+    w0 = lay.weights[0]
+    notes = events[p + 2 : -1]
+    # Structural events carry zeros. An instrument key is below w0 plus the
+    # duration weight when the event carries only a program, and the keys
+    # rise through the header when no program repeats.
+    return bool(
+        keys[0] == 0
+        and keys[p + 1] == 2 * w0
+        and keys[-1] == 4 * w0
+        and keys[p] < w0 + lay.weights[4]
+        and not np.count_nonzero(keys[1 : p + 1] <= keys[:p])
+        and not np.count_nonzero(keys[p + 2 :] < keys[p + 1 : -1])
+        and np.count_nonzero(notes[:, 4]) == m
+        and np.count_nonzero(_declared(events[1 : p + 1, 5])[notes[:, 5]]) == m
+    )
+
+
 def validate_sequence(seq: EventSequence) -> None:
     """Raise SequenceStructureError at the first offending event.
 
-    Each part of the encoding (start, instruments, start-of-notes, notes,
-    end) is checked whole, in order, and the first bad row of the first bad
-    part is named.
+    _is_valid decides. Only a sequence it refuses goes through the naming
+    pass: each part of the encoding (start, instruments, start-of-notes,
+    notes, end) is checked whole, in order, and the first bad row of the
+    first bad part is named.
     """
+    if not _is_valid(seq.events, seq.grid):
+        _name_first_bad(seq)
+
+
+def _name_first_bad(seq: EventSequence) -> None:
+    """Raise SequenceStructureError at the first offending event, if any."""
     events, grid = seq.events, seq.grid
     n = len(events)
     if not n or events[0].any():
@@ -210,12 +265,10 @@ def validate_sequence(seq: EventSequence) -> None:
     start = end + 1
     end = _run_end(types, start, TYPE_NOTE)
     notes = events[start:end, 1:]
-    outside = _off_grid(notes, grid)
+    outside = _outside(notes, grid) @ _ALL_NOTE_FIELDS
     # Header instruments are in [0, 128) by now; a note's instrument is
     # looked up only where it is in range too, as outside comes first.
-    declared = np.zeros(128, dtype=bool)
-    declared[instruments] = True
-    undeclared = ~declared[notes[:, 4] & 127]
+    undeclared = ~_declared(instruments)[notes[:, 4] & 127]
     # A note is out of order when its key is below the one before it. An
     # off-grid note's key may be anything (the product wraps), but outside
     # names that note first.

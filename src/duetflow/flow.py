@@ -93,10 +93,13 @@ def conditional_entropy(
     a valid sequence, shape (scored notes, 6).
 
     The first burn_in notes and all structural events are not scored, but
-    every event still extends the model's context window.
+    every event still extends the model's context window. A sequence on a
+    grid other than the model's raises ValueError.
     """
     if burn_in < 1:
         raise ValueError("burn_in must be >= 1")
+    if seq.grid != model.grid:
+        raise ValueError(f"{label} grid {seq.grid} does not match the model's {model.grid}")
     validate_sequence(seq)
     keep = _scored_rows(seq, burn_in, label)
     scores = score_sequence(model, seq.events, context_len, mode)

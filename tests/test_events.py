@@ -381,6 +381,54 @@ def test_validate_matches_reference_on_every_single_edit(grid):
         assert got == want, case
 
 
+@settings(max_examples=500, deadline=None)
+@given(mutated_sequences())
+def test_the_decision_accepts_what_the_reference_accepts(case):
+    # The naming pass runs only when the decision refuses, so a wrong
+    # refusal would pass the tests above unseen: check the decision alone.
+    events, grid = case
+    accepted = _outcome(lambda: reference_validate(events, grid) or ()) == []
+    assert events_module._is_valid(EventSequence(events, grid).events, grid) == accepted
+
+
+@st.composite
+def valid_encodings(draw, grid):
+    """A valid sequence on grid: an encoding of notes at and between the
+    grid's edges, or a header with no notes, which encode cannot make."""
+    programs = draw(st.lists(st.sampled_from([0, 1, 64, 126, 127]), min_size=1, max_size=3))
+
+    def field(size, low=0):
+        return st.one_of(st.sampled_from([low, size - 1]), st.integers(low, size - 1))
+
+    note = st.builds(
+        QuantNote,
+        field(grid.max_beat),
+        field(grid.resolution),
+        field(128),
+        field(grid.max_duration + 1, low=1),
+        st.sampled_from(programs),
+    )
+    tracks = [draw(st.lists(note, max_size=10)) for _ in range(draw(st.integers(1, 2)))]
+    if not any(tracks):
+        rows = [[0] * 6, *([1, 0, 0, 0, 0, p] for p in sorted(set(programs))), [2] + [0] * 5]
+        return EventSequence(rows + [[4] + [0] * 5], grid)
+    return encode([t for t in tracks if t], grid, split_shared_programs=draw(st.booleans()))
+
+
+@pytest.mark.parametrize("grid", [GRID, GridSpec(3, 5, 2), *KEY_EDGE_GRIDS])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_valid_sequence_never_reaches_the_naming_pass(grid, data):
+    seq = data.draw(valid_encodings(grid))
+
+    def refuse(*args):
+        raise AssertionError("naming pass used")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(events_module, "_name_first_bad", refuse)
+        validate_sequence(seq)
+
+
 @settings(max_examples=200, deadline=None)
 @given(grids, st.lists(st.tuples(*[st.integers(-(2**63), 2**63 - 1)] * 6), max_size=6))
 def test_to_text_matches_reference_on_any_int64_rows(grid, rows):

@@ -109,6 +109,16 @@ def test_too_short_error_names_the_sequence():
         conditional_entropy(model, merged, burn_in=16, label="XY")
 
 
+def test_a_sequence_on_another_grid_is_refused():
+    # Its keys and vocabulary would be read on the model's grid.
+    coarse = GridSpec(resolution=5, max_beat=16, max_duration=4)
+    notes = [QuantNote(i, 0, 60 + i % 3, 1, 0) for i in range(12)]
+    seq = sequences_from_notes(notes, notes, coarse)[0]
+    with pytest.raises(ValueError, match=r"^sequence grid .* does not match the model's "):
+        conditional_entropy(empty_model(GRID, k=2), seq, burn_in=4)
+    assert conditional_entropy(empty_model(coarse, k=2), seq, burn_in=4).shape == (8, 6)
+
+
 def test_flow_params_validation():
     with pytest.raises(ValueError):
         FlowParams(burn_in=0)
