@@ -18,7 +18,9 @@ at a time.
 
 Canonical note order is the order of one int64 key per note, its five
 fields packed by the weights of the grid's ``layout``; encoding sorts by
-the key, and not at all when the notes are in order already. Validation
+the key, and not at all when the notes are in order already. The note
+bounds come from the layout too: each field is below its size, a duration
+at least 1, and a refusal names the first field outside. Validation
 decides first, from one such key per event and a few whole-array checks
 on them. Only a sequence that fails goes on to the naming pass, which
 checks the parts of the encoding one after another and names the first
@@ -90,36 +92,26 @@ class EventSequence(_ByValue):
         return int(np.count_nonzero(self.events[:, 0] == TYPE_NOTE))
 
 
-def _check_note_fields(note: Sequence[int], grid: GridSpec) -> str | None:
-    """What is wrong with a note's (beat, position, pitch, duration, program)."""
-    beat, position, pitch, duration, program = map(int, note)
-    if not 0 <= beat < grid.max_beat:
-        return f"beat {beat} outside [0, {grid.max_beat})"
-    if not 0 <= position < grid.resolution:
-        return f"position {position} outside [0, {grid.resolution})"
-    if not 0 <= pitch < 128:
-        return f"pitch {pitch} outside [0, 128)"
-    if not 1 <= duration <= grid.max_duration:
-        return f"duration {duration} outside [1, {grid.max_duration}]"
-    if not 0 <= program < 128:
-        return f"program {program} outside [0, 128)"
-    return None
-
-
-# The lowest value of each note field, as _check_note_fields allows.
-_NOTE_LOW = np.array([0, 0, 0, 1, 0])
-# Row reductions by matmul: a boolean (n, m) array times m Trues is each
-# row's any(), for less than .any(axis=1) costs on such short rows.
-_ALL_NOTE_FIELDS = np.ones(5, dtype=bool)
-_ALL_MIDDLE_FIELDS = np.ones(4, dtype=bool)
+# Each note field's name and lowest value; its size comes from the layout.
+_NOTE_FIELDS = (("beat", 0), ("position", 0), ("pitch", 0), ("duration", 1), ("program", 0))
+_NOTE_LOW = np.array([low for _, low in _NOTE_FIELDS])
 
 
 def _outside(notes: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Which fields of an (n, 5) note array fail _check_note_fields, (n, 5)."""
+    """Which fields of an (n, 5) note array, or of one note, are off the grid."""
     # Less its lowest value and read as uint64, a field is in range exactly
     # when it is below its size less that value: one compare for both ends.
     limits = (layout(grid).sizes[1:] - _NOTE_LOW).view(np.uint64)
     return (notes - _NOTE_LOW).view(np.uint64) >= limits
+
+
+def _off_grid(note: np.ndarray, grid: GridSpec) -> str:
+    """What is wrong with an off-grid note: its first field outside the grid."""
+    f = int(_outside(note, grid).argmax())
+    (name, low), size = _NOTE_FIELDS[f], int(layout(grid).sizes[1 + f])
+    # Duration's range, from 1, is written with its last value, max_duration.
+    bound = f"{size - 1}]" if low else f"{size})"
+    return f"{name} {note[f]} outside [{low}, {bound}"
 
 
 def encode(
@@ -151,8 +143,8 @@ def encode(
         # A note off the grid has no key that orders it: sort the rows
         # themselves, and name the first bad note in that order.
         notes = sort_notes(notes)
-        first = (_outside(notes, grid) @ _ALL_NOTE_FIELDS).argmax()
-        raise ValueError(_check_note_fields(notes[first], grid))
+        first = _outside(notes, grid).any(axis=1).argmax()
+        raise ValueError(_off_grid(notes[first], grid))
     keys = notes @ layout(grid).weights[1:]
     if (keys[1:] < keys[:-1]).any():
         # Equal keys are equal notes, so any order of them is canonical;
@@ -245,7 +237,7 @@ def _name_first_bad(seq: EventSequence) -> None:
     types = events[:, 0]
     end = _run_end(types, 1, TYPE_INSTRUMENT)
     instruments = events[1:end, 5]
-    stray = events[1:end, 1:5].astype(bool) @ _ALL_MIDDLE_FIELDS
+    stray = events[1:end, 1:5].any(axis=1)
     outside = (instruments < 0) | (instruments >= 128)
     falling = np.zeros(len(instruments), dtype=bool)
     falling[1:] = instruments[1:] <= instruments[:-1]
@@ -265,7 +257,7 @@ def _name_first_bad(seq: EventSequence) -> None:
     start = end + 1
     end = _run_end(types, start, TYPE_NOTE)
     notes = events[start:end, 1:]
-    outside = _outside(notes, grid) @ _ALL_NOTE_FIELDS
+    outside = _outside(notes, grid).any(axis=1)
     # Header instruments are in [0, 128) by now; a note's instrument is
     # looked up only where it is in range too, as outside comes first.
     undeclared = ~_declared(instruments)[notes[:, 4] & 127]
@@ -279,7 +271,7 @@ def _name_first_bad(seq: EventSequence) -> None:
     if bad.any():
         i = start + int(bad.argmax())
         if outside[i - start]:
-            raise SequenceStructureError(_check_note_fields(events[i, 1:], grid), i)
+            raise SequenceStructureError(_off_grid(events[i, 1:], grid), i)
         if undeclared[i - start]:
             raise SequenceStructureError(
                 f"note instrument {events[i, 5]} not declared in header", i

@@ -76,7 +76,7 @@ from .events import (
     encode,
     validate_sequence,
 )
-from .grid import GridSpec, Layout, layout, vocab_sizes
+from .grid import GridSpec, Layout, layout
 from .midi import QuantNote, as_rows
 
 _MASK64 = (1 << 64) - 1
@@ -223,9 +223,12 @@ class CountTable:
 
     @classmethod
     def build(cls, contexts, totals, lengths, codes, counts) -> CountTable:
-        """The table whose entry i has lengths[i] pairs, its codes in entry order."""
+        """The table whose entry i has lengths[i] pairs, its codes in entry
+        order. The table keeps the arrays, and makes them read-only."""
         offsets = np.zeros(len(contexts) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
+        for a in (contexts, totals, offsets, codes, counts):
+            a.flags.writeable = False
         return cls(contexts, totals, offsets, codes, counts)
 
     @classmethod
@@ -385,19 +388,18 @@ class FieldDistributions:
                 raise AssertionError(f"field {i} has a non-positive entry")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ContextModel:
+    """Immutable, down to its tables' arrays, so the fingerprint and _root_row
+    it keeps stay its own; ``dataclasses.replace`` builds a new model."""
+
     k: int
     lam: float
     grid: GridSpec
     # tables[j]: counts under context length j, as sorted arrays (CountTable)
-    tables: list[CountTable]
+    tables: tuple[CountTable, ...]
     trained_events: int = 0
-    _fingerprint: str | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def vocab(self) -> tuple[int, ...]:
-        return vocab_sizes(self.grid)
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def layout(self) -> Layout:
@@ -410,7 +412,7 @@ class ContextModel:
             for part in _file_parts(self):
                 digest.update(part)
                 del part  # so only one table's words are alive at a time
-            self._fingerprint = digest.hexdigest()
+            object.__setattr__(self, "_fingerprint", digest.hexdigest())
         return self._fingerprint
 
     @cached_property
@@ -583,7 +585,7 @@ def _check_underflow(model: ContextModel) -> None:
     length's largest total.
     """
     lam = model.lam
-    log_p = -math.log(max(model.vocab))
+    log_p = -math.log(int(model.layout.sizes.max()))
     for table in model.tables:
         if len(table):
             log_p += math.log(lam) - math.log(float(table.totals.max()) + lam)
@@ -597,7 +599,7 @@ def _check_underflow(model: ContextModel) -> None:
 def empty_model(grid: GridSpec, k: int = 4, lam: float = 1.0) -> ContextModel:
     """A model with no counts; every prediction is uniform."""
     _check_params(k, lam)
-    return ContextModel(k, lam, grid, [CountTable.empty() for _ in range(k + 1)], 0)
+    return ContextModel(k, lam, grid, (CountTable.empty(),) * (k + 1), 0)
 
 
 def train(corpus: Sequence[EventSequence], k: int, lam: float = 1.0) -> ContextModel:
@@ -632,7 +634,7 @@ def train(corpus: Sequence[EventSequence], k: int, lam: float = 1.0) -> ContextM
             # Event j - 1 of a sequence has fewer than j events before it.
             usable[(starts + j - 1)[lengths >= j]] = False
         tables.append(_count_table(contexts, np.flatnonzero(usable), ids, keys, lay.shift))
-    model = ContextModel(k, lam, grid, tables, n)
+    model = ContextModel(k, lam, grid, tuple(tables), n)
     _check_underflow(model)
     return model
 
@@ -1004,10 +1006,10 @@ def load_model(data: _Buffer) -> ContextModel:
         raise ValueError(
             f"trained_events {trained} differs from the table 0 total {root.totals[0]}"
         )
-    model = ContextModel(k, lam, grid, tables, trained)
+    model = ContextModel(k, lam, grid, tuple(tables), trained)
     _check_underflow(model)
     # Only canonical files load, so these bytes are what save_model writes.
-    model._fingerprint = hashlib.blake2b(data, digest_size=8).hexdigest()
+    object.__setattr__(model, "_fingerprint", hashlib.blake2b(data, digest_size=8).hexdigest())
     return model
 
 

@@ -32,14 +32,15 @@ def _check_alphabets(*sizes: int) -> None:
 
 @dataclass(frozen=True)
 class JointMarkovSpec:
-    """P(x1, y1 | x0, y0) as an (ax, ay, ax, ay) table plus an initial law."""
+    """P(x1, y1 | x0, y0) as an (ax, ay, ax, ay) table plus an initial law,
+    both kept as read-only float64 copies of the caller's arrays."""
 
     transitions: np.ndarray
     initial: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.transitions, dtype=float)
-        init = np.asarray(self.initial, dtype=float)
+        t = np.array(self.transitions, dtype=float)
+        init = np.array(self.initial, dtype=float)
         if t.ndim != 4 or t.shape[0] != t.shape[2] or t.shape[1] != t.shape[3]:
             raise ValueError(f"transitions must be (ax, ay, ax, ay), got {t.shape}")
         ax, ay = t.shape[:2]
@@ -55,6 +56,7 @@ class JointMarkovSpec:
             raise ValueError("transition slices must each sum to 1")
         if abs(init.sum() - 1.0) > _PROB_TOL:
             raise ValueError("initial distribution must sum to 1")
+        t.flags.writeable = init.flags.writeable = False
         object.__setattr__(self, "transitions", t)
         object.__setattr__(self, "initial", init)
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import duetflow
 from duetflow.cli import _write_text, build_parser, main
-from duetflow.config import Config
+from duetflow.config import Config, load_config
 from duetflow.events import seq_from_text, seq_to_text, sequences_from_notes
 from duetflow.grid import GridSpec
 from duetflow.harness import training_encodings
@@ -240,8 +240,16 @@ def test_batch_rejects_malformed_manifest_notes(tmp_path, midi_dir, trained, cap
             ]},
             "pair 1 is not an object with keys pair_id, label, x_source, y_source, x, y",
         ),
+        (
+            {"seed": 0, "skipped": 0, "pairs": [
+                {"pair_id": "p", "label": "positive", "x_source": "s", "y_source": "s",
+                 "x": 5, "y": []},
+            ]},
+            "pair 'p': notes must be a list, got 5",
+        ),
     ],
-    ids=["top-level-list", "pairs-not-list", "pairs-missing", "pair-not-object", "pair-missing-keys"],
+    ids=["top-level-list", "pairs-not-list", "pairs-missing", "pair-not-object", "pair-missing-keys",
+         "notes-not-list"],
 )
 def test_batch_rejects_manifest_of_wrong_shape(tmp_path, trained, capsys, manifest, message):
     _, model = trained
@@ -1051,6 +1059,15 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     rc = main(["--config", str(cfg), "oracle", "exact"])
     assert rc == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_load_config_refuses_a_non_object_and_an_unknown_override(tmp_path):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[]")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}: config must be a JSON object$"):
+        load_config(cfg)
+    with pytest.raises(ValueError, match="^unknown config override 'bogus'$"):
+        load_config(None, {"bogus": 1})
 
 
 def test_malformed_config_and_model_files_are_named(tmp_path, trained, capsys):

@@ -346,6 +346,12 @@ def test_self_enhancement_skips_empty_primes(two_models):
     )
     assert report.skipped == 1
     assert report.n_primes == 2
+    # generate_many refuses a prime out of order, once for each generator.
+    swapped = EventSequence(good.events[[0, 1, 2, 4, 3, *range(5, len(good))]], GRID)
+    report = self_enhancement(
+        model_a, model_b, [swapped, good], steps=24, params=FlowParams(burn_in=4)
+    )
+    assert report.skipped == 2
 
 
 def test_self_enhancement_equals_prime_by_prime_scoring(two_models):
@@ -442,3 +448,15 @@ def test_markov_corpus_is_deterministic():
     assert a == b
     c = markov_corpus(independent_spec(), 4, 8, seed=10, grid=GRID)
     assert a != c
+
+
+# --- argument checks ----------------------------------------------------------
+
+def test_batch_calls_refuse_lists_of_different_lengths(two_models):
+    model, _ = two_models
+    piece = two_voice_piece("p", 8)
+    with pytest.raises(ValueError, match=r"^1 pieces but 0 piece ids$"):
+        information_flows(model, [piece.tracks], piece_ids=[])
+    prime = encode([piece.tracks[0]], GRID)
+    with pytest.raises(ValueError, match=r"^1 primes but 0 seeds$"):
+        generate_many(model, [prime], 4, [])

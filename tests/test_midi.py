@@ -255,10 +255,16 @@ def _mutation_bases() -> list[bytes]:
         midibuild.note_track(MELODY_NOTES, channel=0, program=5, with_tempo=True),
         midibuild.note_track(ACCOMP_NOTES, channel=1, program=33),
     ]
+    # A sysex message (F0) and a sysex escape (F7) around a note; each
+    # clears the running status.
+    sysex = midibuild.Track()
+    sysex.raw(0, bytes([0xF0, 0x03, 0x43, 0x12, 0xF7])).note_on(0, 60)
+    sysex.raw(10, bytes([0xF7, 0x02, 0x01, 0x02])).note_off(10, 60).end()
     return [
         midibuild.build(duet),
         midibuild.build([running], fmt=0),
         midibuild.build([mixed], fmt=0),
+        midibuild.build([sysex], fmt=0),
     ]
 
 
@@ -320,6 +326,48 @@ def test_event_crossing_its_chunk_end_is_truncated() -> None:
     assert str(err.value) == f"truncated variable-length quantity (at byte {track_end})"
     assert err.value.offset == track_end
     assert _parse_outcome(reference_parse_midi, data, False) == (str(err.value), track_end)
+
+
+def _chunk(body: bytes) -> bytes:
+    return b"MTrk" + len(body).to_bytes(4, "big") + body
+
+
+_TRACK = midibuild.note_track([(0, 480, 48)])
+_END_OF_TRACK = bytes([0x00, 0xFF, 0x2F, 0x00])
+
+
+def _file(*chunks: bytes, ticks_per_beat: int = 480) -> bytes:
+    """A format 1 header declaring one track a chunk, then the chunks."""
+    return midibuild.build([_TRACK] * len(chunks), ticks_per_beat)[:14] + b"".join(chunks)
+
+
+@pytest.mark.parametrize(
+    "data, message, offset",
+    [
+        (_file(_TRACK.data(), ticks_per_beat=0), "zero ticks per beat", 12),
+        # The first four bytes of the delta at byte 22 all say more follows.
+        (
+            _file(_chunk(bytes([0x81, 0x80, 0x80, 0x80, 0x00, 0x90, 60, 80]))),
+            "variable-length quantity longer than 4 bytes",
+            25,
+        ),
+        (_file(_chunk(bytes([0x00, 0xF1]) + _END_OF_TRACK)), "unexpected status 0xf1", 23),
+        # A program change whose data byte would be the next chunk's "M".
+        (_file(_chunk(bytes([0x00, 0xC0])), _TRACK.data()), "truncated data byte", 24),
+    ],
+)
+def test_malformed_files_are_refused_as_the_reference_refuses(data, message, offset) -> None:
+    with pytest.raises(MidiParseError) as err:
+        parse_midi(data)
+    assert (str(err.value), err.value.offset) == (f"{message} (at byte {offset})", offset)
+    assert _parse_outcome(reference_parse_midi, data, False) == (str(err.value), offset)
+
+
+def test_sysex_events_are_skipped() -> None:
+    data = MUTATION_BASES[-1]
+    parsed = parse_midi(data)
+    assert parsed.notes.tolist() == [[0, 20, 60, 0, 0]]
+    assert reference_parse_midi(data) == parsed
 
 
 def test_drum_notes_left_out_are_counted(grid: GridSpec) -> None:

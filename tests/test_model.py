@@ -171,6 +171,30 @@ def test_training_is_deterministic():
     assert a.fingerprint() == b.fingerprint()
 
 
+def test_a_model_is_immutable_and_replace_builds_a_new_one():
+    rng = np.random.default_rng(41)
+    corpus = [random_piece(rng, 12, programs=(0, 24)) for _ in range(3)]
+    model = train(corpus, k=2)
+    stream = corpus[0].events
+    before = score_sequence(model, stream, 64)  # builds and keeps the _root_row
+    digest = model.fingerprint()
+    other = dataclasses.replace(model, lam=3.0)
+    fresh = load_model(save_model(other))
+    # The new model works out its own fingerprint and _root_row.
+    assert other.fingerprint() == fresh.fingerprint() != digest
+    assert np.array_equal(score_sequence(other, stream, 64), score_sequence(fresh, stream, 64))
+    assert model.fingerprint() == digest
+    assert np.array_equal(score_sequence(model, stream, 64), before)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.lam = 3.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fresh._fingerprint = None
+    for table in (*model.tables, *fresh.tables, CountTable.empty()):
+        for a in (table.contexts, table.totals, table.offsets, table.codes, table.counts):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+
 @st.composite
 def corpora(draw):
     """A grid and a corpus on it: whole pieces, truncated prefixes and empties."""
@@ -282,9 +306,10 @@ def test_score_sequences_equals_per_stream_reference(case, mode):
     batch = score_sequences(model, streams, context_len, mode)
     assert len(batch) == len(streams)
     tables, _ = reference_train(corpus, k)
+    vocab = vocab_sizes(model.grid)
     for stream, got in zip(streams, batch):
         solo = score_sequence(model, stream, context_len, mode)
-        want = reference_scores(tables, k, model.lam, model.vocab, stream, context_len, mode)
+        want = reference_scores(tables, k, model.lam, vocab, stream, context_len, mode)
         assert got.shape == solo.shape == want.shape == (len(stream), 6)
         assert np.array_equal(got, solo) and np.array_equal(got, want)
 
@@ -414,12 +439,12 @@ def test_search_equals_plain_searchsorted(data):
 def test_find_and_point_counts_equal_plain_searchsorted(monkeypatch):
     rng = np.random.default_rng(29)
     model = train([random_piece(rng, 30, programs=(0, 40)) for _ in range(4)], k=3)
-    vocab = np.array(model.vocab)
+    vocab = np.array(vocab_sizes(model.grid))
     shift = model.layout.shift
 
     def outcomes():
         out = []
-        for table in model.tables + [CountTable.empty()]:
+        for table in [*model.tables, CountTable.empty()]:
             # Every context once, some twice, and hashes absent from the table,
             # shuffled; then a single needle.
             absent = rng.integers(0, 2**63, 8, dtype=np.int64).astype(np.uint64)
@@ -766,7 +791,7 @@ def test_load_refuses_a_header_grid_past_the_bound():
     at = 4 + struct.calcsize("<HIdI")  # where the header's max_beat is
     widest = MAX_VALUES - sum(vocab_sizes(GRID)) + GRID.max_beat
     model = load_model(blob[:at] + struct.pack("<I", widest) + blob[at + 4 :])
-    assert sum(model.vocab) == MAX_VALUES
+    assert sum(vocab_sizes(model.grid)) == MAX_VALUES
     refusal = f"^invalid grid in model header: .* more than {MAX_VALUES}$"
     with pytest.raises(ValueError, match=refusal):
         load_model(blob[:at] + struct.pack("<I", widest + 1) + blob[at + 4 :])
@@ -957,7 +982,7 @@ def test_model_files_move_without_a_whole_file_copy(large_model, tmp_path):
 def test_fingerprint_hashes_one_table_at_a_time(large_model):
     # About 0.78 of the file here; holding the last table's file layout
     # while the next is built reaches 1.03.
-    model = dataclasses.replace(large_model, _fingerprint=None)
+    model = dataclasses.replace(large_model)
     size = len(save_model(model))
     digest, _, peak = traced_peak(model.fingerprint)
     assert digest == hashlib.blake2b(save_model(model), digest_size=8).hexdigest()
@@ -1154,7 +1179,7 @@ def test_corrupted_blob_is_refused_or_loads_canonically(flips):
     assert model.fingerprint() == hashlib.blake2b(data, digest_size=8).hexdigest()
     # A flipped byte in the grid header can enlarge the grid; the format has
     # no checksum to notice, but a grid past the bound does not load.
-    assert sum(model.vocab) <= MAX_VALUES
+    assert sum(vocab_sizes(model.grid)) <= MAX_VALUES
     for context in SMALL_CONTEXTS:
         model.predict_next(context).validate()
     scores = score_sequence(model, SMALL_CORPUS[1].events, 64, mode="predictive")

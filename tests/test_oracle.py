@@ -320,6 +320,19 @@ def test_spec_rejects_nan_probabilities(where):
         JointMarkovSpec(trans, init)
 
 
+def test_spec_keeps_read_only_copies_of_the_callers_arrays():
+    trans, init = copy_spec(2).transitions.copy(), copy_spec(2).initial.copy()
+    spec = JointMarkovSpec(trans, init)
+    want = exact_flow(spec).info_flow
+    trans[0, 0, 0, 0] = 5.0  # the edit that would unbalance a checked spec
+    init[0, 0] = 5.0
+    assert spec.transitions[0, 0, 0, 0] != 5.0 and spec.initial[0, 0] != 5.0
+    assert exact_flow(spec).info_flow == want
+    for a in (spec.transitions, spec.initial):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+
+
 # --- sampling -----------------------------------------------------------------
 
 def test_sampling_is_deterministic_and_seed_sensitive():
