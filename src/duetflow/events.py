@@ -25,6 +25,19 @@ decides first, from one such key per event and a few whole-array checks
 on them. Only a sequence that fails goes on to the naming pass, which
 checks the parts of the encoding one after another and names the first
 bad event.
+
+``encode_many`` encodes a batch of items at once (``encode`` is its
+one-item case): the notes of every item in one array, checked against
+the grid field by field and sorted by one stable sort of the item's
+number times the note span plus the note's key; each item's sequence is
+then built in rows of its own.
+
+The writer copies each value's text from a table per digit width, with
+a sentinel byte for each leading zero that one ``bytes.translate``
+drops. The reader takes text of ASCII digits, spaces and newlines, six
+tokens of at most 18 digits a line, in a few numpy passes over its
+bytes, and leaves any other text to the token-by-token reader of
+``midi``.
 """
 from __future__ import annotations
 
@@ -94,24 +107,28 @@ class EventSequence(_ByValue):
 
 # Each note field's name and lowest value; its size comes from the layout.
 _NOTE_FIELDS = (("beat", 0), ("position", 0), ("pitch", 0), ("duration", 1), ("program", 0))
-_NOTE_LOW = np.array([low for _, low in _NOTE_FIELDS])
 
 
 def _outside(notes: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Which fields of an (n, 5) note array, or of one note, are off the grid."""
+    """Which notes of an (n, 5) array have a field off the grid."""
     # Less its lowest value and read as uint64, a field is in range exactly
-    # when it is below its size less that value: one compare for both ends.
-    limits = (layout(grid).sizes[1:] - _NOTE_LOW).view(np.uint64)
-    return (notes - _NOTE_LOW).view(np.uint64) >= limits
+    # when it is below its size less that value: one compare for both ends,
+    # made field by field along the notes (across each note's five fields,
+    # numpy's compare costs several times as much).
+    bad = np.zeros(len(notes), dtype=bool)
+    for f, ((_, low), size) in enumerate(zip(_NOTE_FIELDS, layout(grid).sizes[1:].tolist())):
+        bad |= (notes[:, f] - low).view(np.uint64) >= size - low
+    return bad
 
 
 def _off_grid(note: np.ndarray, grid: GridSpec) -> str:
     """What is wrong with an off-grid note: its first field outside the grid."""
-    f = int(_outside(note, grid).argmax())
-    (name, low), size = _NOTE_FIELDS[f], int(layout(grid).sizes[1 + f])
-    # Duration's range, from 1, is written with its last value, max_duration.
-    bound = f"{size - 1}]" if low else f"{size})"
-    return f"{name} {note[f]} outside [{low}, {bound}"
+    sizes = layout(grid).sizes[1:].tolist()
+    for value, (name, low), size in zip(note.tolist(), _NOTE_FIELDS, sizes):
+        if not low <= value < size:
+            # Duration's range, from 1, is written with its last value, max_duration.
+            bound = f"{size - 1}]" if low else f"{size})"
+            return f"{name} {value} outside [{low}, {bound}"
 
 
 def encode(
@@ -128,39 +145,111 @@ def encode(
     Tracks are any (n, 5) array-likes of integers (see ``midi.as_track``);
     anything else raises ValueError, as does a field outside the grid.
     """
-    if not 1 <= len(tracks) <= 2:
-        raise ValueError(f"expected 1 or 2 tracks, got {len(tracks)}")
-    parts = [as_track(t) for t in tracks]
-    notes = np.concatenate(parts)  # a copy, so the split may change it
-    if split_shared_programs and len(parts) == 2:
-        programs = notes[len(parts[0]) :, 4]
-        shared = np.isin(programs, parts[0][:, 4])
-        # int64 wraps by 2**64, a multiple of 128, so this is Python's result.
-        programs[shared] = (programs[shared] + 1) % 128
-    if not len(notes):
-        raise ValueError("cannot encode an empty note list")
-    if _outside(notes, grid).any():
-        # A note off the grid has no key that orders it: sort the rows
-        # themselves, and name the first bad note in that order.
-        notes = sort_notes(notes)
-        first = _outside(notes, grid).any(axis=1).argmax()
-        raise ValueError(_off_grid(notes[first], grid))
-    keys = notes @ layout(grid).weights[1:]
-    if (keys[1:] < keys[:-1]).any():
-        # Equal keys are equal notes, so any order of them is canonical;
-        # the stable sort merges the runs of two ordered tracks fastest.
-        notes = notes[keys.argsort(kind="stable")]
+    (seq,) = encode_many([tracks], grid, split_shared_programs=split_shared_programs)
+    if isinstance(seq, ValueError):
+        raise seq
+    return seq
 
-    programs = np.flatnonzero(np.bincount(notes[:, 4], minlength=128))
-    p = len(programs)
-    events = np.zeros((len(notes) + p + 3, N_FIELDS), dtype=np.int64)
-    events[1 : p + 1, 0] = TYPE_INSTRUMENT
-    events[1 : p + 1, 5] = programs
-    events[p + 1, 0] = TYPE_NOTES_BEGIN
-    events[p + 2 : -1, 0] = TYPE_NOTE
-    events[p + 2 : -1, 1:] = notes
-    events[-1, 0] = TYPE_END
-    return EventSequence(events, grid)
+
+# Notes one batch of encode_many holds, unless a single item has more.
+_BATCH_NOTES = 1 << 14
+
+
+def encode_many(
+    items: Sequence[Sequence],
+    grid: GridSpec,
+    *,
+    split_shared_programs: bool = False,
+) -> list[EventSequence | ValueError]:
+    """encode of every item, each one track or two, in bounded batches.
+
+    Each result equals ``encode(item, grid, ...)``; an item encode refuses
+    gets that ValueError in its place, and the other items are unaffected.
+    Every sequence owns its rows. A batch sorts its notes by one int64 per
+    note, the item's number times the grid's note span plus the note's key,
+    so it holds at most as many items as that keeps below 2**63.
+    """
+    most = 2**63 // int(layout(grid).weights[0])
+    results: list = [None] * len(items)
+    batch: list[tuple[int, list[np.ndarray]]] = []
+    held = 0
+    for i, tracks in enumerate(items):
+        try:
+            if not 1 <= len(tracks) <= 2:
+                raise ValueError(f"expected 1 or 2 tracks, got {len(tracks)}")
+            parts = [as_track(t) for t in tracks]
+        except ValueError as exc:
+            results[i] = exc
+            continue
+        if split_shared_programs and len(parts) == 2:
+            parts = _split_shared(*parts)
+        batch.append((i, parts))
+        held += sum(map(len, parts))
+        if held >= _BATCH_NOTES or len(batch) == most:
+            _encode_batch(batch, grid, results)
+            batch, held = [], 0
+    _encode_batch(batch, grid, results)
+    return results
+
+
+def _split_shared(first: np.ndarray, second: np.ndarray) -> list[np.ndarray]:
+    """The second track with each program the first also uses moved up by one, mod 128."""
+    programs = second[:, 4]
+    shared = np.isin(programs, first[:, 4])
+    second = second.copy()
+    # int64 wraps by 2**64, a multiple of 128, so this is Python's result.
+    second[shared, 4] = (programs[shared] + 1) % 128
+    return [first, second]
+
+
+def _encode_batch(batch: list, grid: GridSpec, results: list) -> None:
+    """Encode each (index, tracks) item of batch into results[index]."""
+    if not batch:
+        return
+    lay = layout(grid)
+    counts = [sum(map(len, parts)) for _, parts in batch]
+    notes = np.concatenate([p for _, parts in batch for p in parts])
+    item = np.repeat(np.arange(len(batch)), counts)
+    outside = _outside(notes, grid)
+    if outside.any() or not all(counts):
+        bad = set(item[outside].tolist()) | {b for b, n in enumerate(counts) if not n}
+        for b in bad:
+            results[batch[b][0]] = _refusal(batch[b][1], grid)
+        _encode_batch([entry for b, entry in enumerate(batch) if b not in bad], grid, results)
+        return
+    keys = notes @ lay.weights[1:]
+    keys += item * lay.weights[0]
+    if np.count_nonzero(keys[1:] < keys[:-1]):
+        # Equal keys are equal notes, so any order of them is canonical;
+        # the stable sort merges the runs of ordered tracks fastest.
+        notes = notes.take(keys.argsort(kind="stable"), axis=0)
+    present = np.zeros((len(batch), 128), dtype=bool)
+    present[item, notes[:, 4]] = True
+    # Each item's distinct programs, ascending, one item after another.
+    programs = np.nonzero(present)[1]
+    start = end = 0
+    for (i, _), m, p in zip(batch, counts, present.sum(axis=1).tolist()):
+        events = np.zeros((m + p + 3, N_FIELDS), dtype=np.int64)
+        events[1 : p + 1, 0] = TYPE_INSTRUMENT
+        events[1 : p + 1, 5] = programs[start : start + p]
+        events[p + 1, 0] = TYPE_NOTES_BEGIN
+        events[p + 2 : -1, 0] = TYPE_NOTE
+        events[p + 2 : -1, 1:] = notes[end : end + m]
+        events[-1, 0] = TYPE_END
+        events.flags.writeable = False
+        results[i] = EventSequence(events, grid)
+        start, end = start + p, end + m
+
+
+def _refusal(parts: list[np.ndarray], grid: GridSpec) -> ValueError:
+    """encode's error for an item with no notes or with a note off the grid."""
+    notes = np.concatenate(parts)
+    if not len(notes):
+        return ValueError("cannot encode an empty note list")
+    # A note off the grid has no key that orders it: sort the rows
+    # themselves, and name the first bad note in that order.
+    notes = sort_notes(notes)
+    return ValueError(_off_grid(notes[_outside(notes, grid).argmax()], grid))
 
 
 def _is_marker(row: np.ndarray, event_type: int) -> bool:
@@ -257,7 +346,7 @@ def _name_first_bad(seq: EventSequence) -> None:
     start = end + 1
     end = _run_end(types, start, TYPE_NOTE)
     notes = events[start:end, 1:]
-    outside = _outside(notes, grid).any(axis=1)
+    outside = _outside(notes, grid)
     # Header instruments are in [0, 128) by now; a note's instrument is
     # looked up only where it is in range too, as outside comes first.
     undeclared = ~_declared(instruments)[notes[:, 4] & 127]
@@ -298,29 +387,27 @@ def decode(seq: EventSequence) -> np.ndarray:
 _TABLE_DIGITS = 5
 # 1 for the last field of a row, which a newline follows instead of a space.
 _LAST_FIELD = np.array([0] * (N_FIELDS - 1) + [1])
+# Stands for a leading zero in a digit table; one translate drops them all.
+_PAD = b"\xff"
 
 
 @lru_cache(maxsize=_TABLE_DIGITS)
-def _digit_table(width: int) -> tuple[np.ndarray, np.ndarray]:
+def _digit_table(width: int) -> np.ndarray:
     """The text of every value below 10**width, followed by a space or a newline.
 
-    Row 2v holds the digits of v, zero-padded to width, and a space; row
-    2v + 1 the same digits and a newline. The mask of the same shape keeps
-    every byte but the leading zeros, and always the last digit. Both are
-    shared by every caller: read-only.
+    Row 2v holds the digits of v, its leading zeros as _PAD, and a space;
+    row 2v + 1 the same digits and a newline. Shared by every caller:
+    read-only.
     """
     places = 10 ** np.arange(width - 1, -1, -1)
-    digits = np.arange(10**width)[:, None] // places % 10
+    digits = np.repeat(np.arange(10**width)[:, None] // places % 10, 2, axis=0)
     table = np.empty((2 * 10**width, width + 1), dtype=np.uint8)
-    table[:, :width] = np.repeat(digits + ord("0"), 2, axis=0)
+    table[:, :width] = digits + ord("0")
+    table[:, : width - 1][np.logical_or.accumulate(digits[:, :-1] != 0, axis=1) == 0] = ord(_PAD)
     table[0::2, width] = ord(" ")
     table[1::2, width] = ord("\n")
-    keep = np.ones(table.shape, dtype=bool)
-    leading = np.logical_or.accumulate(digits[:, :-1] != 0, axis=1)
-    keep[:, : width - 1] = np.repeat(leading, 2, axis=0)
     table.flags.writeable = False
-    keep.flags.writeable = False
-    return table, keep
+    return table
 
 
 def seq_to_text(seq: EventSequence) -> str:
@@ -328,57 +415,77 @@ def seq_to_text(seq: EventSequence) -> str:
     events = seq.events
     if not len(events):
         return "\n"
-    low, high = int(events.min()), int(events.max())
-    if low < 0 or high >= 10**_TABLE_DIGITS:
+    # Read as uint64, a negative value is above every table.
+    high = int(events.view(np.uint64).max())
+    if high >= 10**_TABLE_DIGITS:
         # Never a valid sequence: a value off every grid.
         return (_ROW_FORMAT * len(events)) % tuple(events.ravel().tolist())
-    table, keep = _digit_table(len(str(high)))
-    at = (events * 2 + _LAST_FIELD).ravel()
-    return table.take(at, axis=0)[keep.take(at, axis=0)].tobytes().decode("ascii")
+    table = _digit_table(len(str(high)))
+    text = table.take((events * 2 + _LAST_FIELD).ravel(), axis=0).tobytes()
+    return text.translate(None, _PAD).decode("ascii")
 
 
-# What each byte of canonical event text is: 1 a digit, 2 a space, 3 a
-# newline, 0 anything else.
-_BYTE_KIND = np.zeros(256, dtype=np.uint8)
-_BYTE_KIND[ord("0") : ord("9") + 1] = 1
-_BYTE_KIND[ord(" ")] = 2
-_BYTE_KIND[ord("\n")] = 3
 # Digits of a token that int64 holds whatever they are.
 _MAX_DIGITS = 18
+# A token's digit places, the last digit's first, as a column.
+_PLACES = np.arange(_MAX_DIGITS)[:, None]
 
 
 def _canonical_events(text: str) -> np.ndarray | None:
-    """The read-only (n, 6) int64 events of canonical text, in one pass over
-    its bytes.
+    """The read-only (n, 6) int64 events of canonical text, in a few passes
+    over its bytes.
 
     Canonical text holds only ASCII digits, spaces and newlines, six tokens
     of at most 18 digits on every non-blank line. None for any other text.
     """
     if not text.isascii():
         return None
-    # A space at either end puts a non-digit on both sides of every token.
-    buf = np.frombuffer(b" %b " % text.encode("ascii"), dtype=np.uint8)
-    kind = _BYTE_KIND.take(buf)
-    if not kind.all():
+    raw = text.encode("ascii")
+    if raw.translate(None, b"0123456789 \n"):
         return None
-    digit = kind == 1
+    # A space at either end puts a non-digit on both sides of every token.
+    buf = np.frombuffer(b" %b " % raw, dtype=np.uint8)
+    digit = buf > ord(" ")
     # Token edges alternate: the byte before a token, a token's last byte.
     edges = np.flatnonzero(digit[1:] != digit[:-1])
     first, last = edges[0::2] + 1, edges[1::2]
-    size = last - first + 1
-    width = int(size.max(initial=0))
-    if width > _MAX_DIGITS or len(first) % N_FIELDS:
+    n = len(last)
+    if n % N_FIELDS:
         return None
-    # Six tokens a line: each group of six starts and ends on one line, and
-    # the next group starts on a later line.
-    lines = np.flatnonzero(kind == 3).searchsorted(first).reshape(-1, N_FIELDS)
-    if (lines[:, 0] != lines[:, -1]).any() or (lines[1:, 0] == lines[:-1, -1]).any():
+    if not n:
+        values = np.zeros((0, N_FIELDS), dtype=np.int64)
+        values.flags.writeable = False
+        return values
+    shorter = last - first  # each token's digits less one
+    width = int(shorter.max()) + 1
+    if width > _MAX_DIGITS:
         return None
-    zero = np.uint8(ord("0"))
-    values = (buf.take(last) - zero).astype(np.int64)
-    for place in range(1, width):  # the digits left of the last, one place a pass
-        digits = np.where(place < size, buf.take(last - place), zero) - zero
-        values += digits * np.int64(10**place)
+    # Six tokens a line: a newline in every sixth gap between tokens, and
+    # in no other. The n - 1 gaps are one byte each exactly when the text
+    # from the first token to the last has n - 1 bytes besides digits.
+    rows, start, stop = n // N_FIELDS, int(first[0]), int(last[-1]) + 1
+    if stop - start - int(shorter.sum()) - n == n - 1:
+        # Each gap is a space (32) or a newline (10): the row ends are all
+        # newlines when they sum to 10 each, and no other gap is one when
+        # the span holds no more newlines.
+        row_ends = buf.take(last[N_FIELDS - 1 : -1 : N_FIELDS] + 1)
+        if raw.count(b"\n", start - 1, stop - 1) != rows - 1 or row_ends.sum() != 10 * (rows - 1):
+            return None
+    else:
+        # Each token's line: each group of six starts and ends on one line,
+        # and the next group starts on a later line.
+        lines = np.flatnonzero(buf == ord("\n")).searchsorted(first).reshape(-1, N_FIELDS)
+        if (lines[:, 0] != lines[:, -1]).any() or (lines[1:, 0] == lines[:-1, -1]).any():
+            return None
+    # Each token's last width bytes, one row per digit place. Bytes left of
+    # a token are masked; a negative index, for a place left of the text,
+    # reads its far end, which the mask drops too.
+    places = _PLACES[:width]
+    digits = buf.take(last - places) - np.uint8(ord("0"))
+    digits *= places <= shorter
+    values = digits[0].astype(np.int64)
+    for place in range(1, width):
+        values += digits[place] * np.int64(10**place)
     values.flags.writeable = False  # so EventSequence keeps it without a copy
     return values.reshape(-1, N_FIELDS)
 
@@ -401,9 +508,10 @@ def sequences_from_notes(
     *,
     split_shared_programs: bool = False,
 ) -> tuple[EventSequence, EventSequence, EventSequence]:
-    """The (X, Y, merged XY) encodings of two tracks, scored by the flow estimator."""
-    return (
-        encode([x], grid),
-        encode([y], grid),
-        encode([x, y], grid, split_shared_programs=split_shared_programs),
-    )
+    """The (X, Y, merged XY) encodings of two tracks, scored by the flow
+    estimator; the first that encode refuses raises its error."""
+    seqs = encode_many([[x], [y], [x, y]], grid, split_shared_programs=split_shared_programs)
+    for seq in seqs:
+        if isinstance(seq, ValueError):
+            raise seq
+    return tuple(seqs)

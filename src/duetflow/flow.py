@@ -25,7 +25,7 @@ from .events import (
     FIELD_NAMES,
     N_FIELDS,
     TYPE_NOTE,
-    sequences_from_notes,
+    encode_many,
     validate_sequence,
 )
 from .midi import as_track
@@ -216,21 +216,38 @@ def information_flows(
     *,
     piece_ids: Sequence[str] | None = None,
 ) -> list[FlowReport | ValueError]:
-    """information_flow of every (x, y) piece, all scored in one batch.
+    """information_flow of every (x, y) piece, encoded and scored in batches.
 
-    Pieces are scored together, _BATCH_EVENTS events per call. A piece
-    that cannot be scored gets the ValueError information_flow would raise
-    for it (a TooShortError names the view) in place of its report; the
-    other pieces are unaffected.
+    Each batch, pieces of about _BATCH_EVENTS events in all, is encoded by
+    one encode_many and scored by one score_sequences. A piece that cannot
+    be scored gets the ValueError information_flow would raise for it (a
+    TooShortError names the view) in place of its report; the other pieces
+    are unaffected.
     """
     ids = [""] * len(pieces) if piece_ids is None else list(piece_ids)
     if len(ids) != len(pieces):
         raise ValueError(f"{len(pieces)} pieces but {len(ids)} piece ids")
-    results: list[FlowReport | ValueError | None] = []
-    pending: list[tuple[int, list[np.ndarray]]] = []
-    streams: list[np.ndarray] = []
+    results: list[FlowReport | ValueError | None] = [None] * len(pieces)
+    owners: list[int] = []  # the piece of each three items
+    items: list[list[np.ndarray]] = []
+    held = 0
 
     def score_pending() -> None:
+        seqs = encode_many(items, model.grid, split_shared_programs=params.split_shared_programs)
+        pending: list[tuple[int, list[np.ndarray]]] = []
+        streams: list[np.ndarray] = []
+        for n, i in enumerate(owners):
+            views = seqs[3 * n : 3 * n + 3]
+            try:
+                for seq in views:
+                    if isinstance(seq, ValueError):
+                        raise seq
+                keeps = [_scored_rows(s, params.burn_in, v) for s, v in zip(views, _VIEWS)]
+            except ValueError as exc:
+                results[i] = exc
+                continue
+            pending.append((i, keeps))
+            streams += [s.events for s in views]
         scores = score_sequences(model, streams, params.context_len, params.mode)
         for n, (i, keeps) in enumerate(pending):
             h_x, h_y, h_xy = (
@@ -250,27 +267,24 @@ def information_flows(
                 h_second=h_y,
                 h_merged=h_xy,
             )
-        pending.clear()
-        streams.clear()
+        owners.clear()
+        items.clear()
 
     for i, (x, y) in enumerate(pieces):
         try:
             # The voices in an order fixed by their notes, so the report is
             # symmetric in x and y.
             first, second = _voice_order(as_track(x), as_track(y))
-            # encode returns only valid sequences: no need to validate them.
-            seqs = sequences_from_notes(
-                first, second, model.grid, split_shared_programs=params.split_shared_programs
-            )
-            keeps = [_scored_rows(s, params.burn_in, v) for s, v in zip(seqs, _VIEWS)]
         except ValueError as exc:
-            results.append(exc)
+            results[i] = exc
             continue
-        results.append(None)
-        pending.append((i, keeps))
-        streams += [s.events for s in seqs]
-        if sum(map(len, streams)) >= _BATCH_EVENTS:
+        owners.append(i)
+        items += [[first], [second], [first, second]]
+        # Each note is an event of its own view and of the merged one.
+        held += 2 * (len(first) + len(second))
+        if held >= _BATCH_EVENTS:
             score_pending()
+            held = 0
     score_pending()
     return results
 

@@ -11,12 +11,14 @@ import json
 import statistics
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from . import oracle
-from .events import EventSequence, FIELD_NAMES, N_FIELDS, sequence_notes, sequences_from_notes
+from .events import EventSequence, FIELD_NAMES, N_FIELDS, encode_many, sequence_notes
 # encode, information_flow and generate are no longer called here; they stay
 # importable from this module because bench/tracing.py wraps them here.
 from .events import encode  # noqa: F401
@@ -490,10 +492,24 @@ def training_encodings(
 
     Train with the ``split_shared_programs`` of the ``FlowParams`` that
     will score, so the model learns the merged view it is asked about.
+    Each run of pieces on one grid is encoded by one ``encode_many``; the
+    first piece in order that cannot be encoded, or is not a duet, raises.
     """
-    corpus: list[EventSequence] = []
+    items, ineligible = [], None
     for piece in pieces:
-        corpus += sequences_from_notes(
-            *split_tracks(piece), piece.grid, split_shared_programs=split_shared_programs
-        )
+        try:
+            x, y = split_tracks(piece)
+        except IneligiblePieceError as exc:
+            ineligible = exc
+            break
+        items += [(piece.grid, [x]), (piece.grid, [y]), (piece.grid, [x, y])]
+    corpus: list[EventSequence] = []
+    for grid, run in groupby(items, key=itemgetter(0)):
+        tracks = [t for _, t in run]
+        for seq in encode_many(tracks, grid, split_shared_programs=split_shared_programs):
+            if isinstance(seq, ValueError):
+                raise seq
+            corpus.append(seq)
+    if ineligible is not None:
+        raise ineligible
     return corpus

@@ -73,9 +73,12 @@ from .events import (
     TYPE_NOTE,
     TYPE_NOTES_BEGIN,
     SequenceStructureError,
-    encode,
+    encode_many,
     validate_sequence,
 )
+# encode is no longer called here; it stays importable from this module
+# because bench/tracing.py wraps it here.
+from .events import encode  # noqa: F401
 from .grid import GridSpec, Layout, layout
 from .midi import QuantNote, as_rows
 
@@ -391,7 +394,12 @@ class FieldDistributions:
 @dataclass(frozen=True, eq=False)
 class ContextModel:
     """Immutable, down to its tables' arrays, so the fingerprint and _root_row
-    it keeps stay its own; ``dataclasses.replace`` builds a new model."""
+    it keeps stay its own; ``dataclasses.replace`` builds a new model.
+
+    Every model is checked as it is built, however it is built: k and lambda
+    as train checks them, one table per context length 0..k, and a lambda
+    large enough that no probability underflows to 0.
+    """
 
     k: int
     lam: float
@@ -400,6 +408,14 @@ class ContextModel:
     tables: tuple[CountTable, ...]
     trained_events: int = 0
     _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_params(self.k, self.lam)
+        if len(self.tables) != self.k + 1:
+            raise ValueError(
+                f"a model of k = {self.k} needs {self.k + 1} tables, got {len(self.tables)}"
+            )
+        _check_underflow(self)
 
     @property
     def layout(self) -> Layout:
@@ -598,7 +614,6 @@ def _check_underflow(model: ContextModel) -> None:
 
 def empty_model(grid: GridSpec, k: int = 4, lam: float = 1.0) -> ContextModel:
     """A model with no counts; every prediction is uniform."""
-    _check_params(k, lam)
     return ContextModel(k, lam, grid, (CountTable.empty(),) * (k + 1), 0)
 
 
@@ -634,9 +649,7 @@ def train(corpus: Sequence[EventSequence], k: int, lam: float = 1.0) -> ContextM
             # Event j - 1 of a sequence has fewer than j events before it.
             usable[(starts + j - 1)[lengths >= j]] = False
         tables.append(_count_table(contexts, np.flatnonzero(usable), ids, keys, lay.shift))
-    model = ContextModel(k, lam, grid, tuple(tables), n)
-    _check_underflow(model)
-    return model
+    return ContextModel(k, lam, grid, tuple(tables), n)
 
 
 def score_sequences(
@@ -829,16 +842,21 @@ def generate_many(
                 sampled[b].append(values)
                 ctx[b] = _push(ctx[b], _fold(_NOTE_STATE, values), k)
     results: list[GenerationResult | SequenceStructureError] = list(prefixes)
-    for b, i in enumerate(live):
-        if not steps:
+    if not steps:
+        for b, i in enumerate(live):
             end = np.vstack([prefixes[i], [TYPE_END, 0, 0, 0, 0, 0]])
             results[i] = GenerationResult(EventSequence(end, model.grid), (), tuple(depths[b]))
-            continue
+        return results
+    tracks = []
+    for b, i in enumerate(live):
         events = prefixes[i]
-        notes = np.vstack([events[events[:, 0] == TYPE_NOTE, 1:], sampled[b]])
+        tracks.append([np.vstack([events[events[:, 0] == TYPE_NOTE, 1:], sampled[b]])])
+    for b, (i, seq) in enumerate(zip(live, encode_many(tracks, model.grid))):
+        if isinstance(seq, ValueError):
+            raise seq
         # Python integers, not numpy ones, in the notes callers print.
         new = tuple(sorted(map(QuantNote._make, sampled[b])))
-        results[i] = GenerationResult(encode([notes], model.grid), new, tuple(depths[b]))
+        results[i] = GenerationResult(seq, new, tuple(depths[b]))
     return results
 
 
@@ -1007,7 +1025,6 @@ def load_model(data: _Buffer) -> ContextModel:
             f"trained_events {trained} differs from the table 0 total {root.totals[0]}"
         )
     model = ContextModel(k, lam, grid, tuple(tables), trained)
-    _check_underflow(model)
     # Only canonical files load, so these bytes are what save_model writes.
     object.__setattr__(model, "_fingerprint", hashlib.blake2b(data, digest_size=8).hexdigest())
     return model

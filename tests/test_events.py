@@ -12,6 +12,7 @@ from duetflow.events import (
     SequenceStructureError,
     decode,
     encode,
+    encode_many,
     seq_from_text,
     seq_to_text,
     sequences_from_notes,
@@ -206,8 +207,11 @@ def _outcome(fn, *args, **kwargs):
 
 
 @st.composite
-def note_lists(draw):
-    grid = draw(grids)
+def track_lists(draw, grid):
+    """0-3 tracks for encode: unsorted notes on the grid, programs from one
+    small pool, so tracks share them; notes whose program is one of the
+    pool's off by 128; and wild notes, off the grid or beyond int64. A
+    track may be empty."""
     programs = draw(st.lists(st.integers(0, 127), min_size=1, max_size=3))
     valid = st.builds(
         QuantNote,
@@ -217,10 +221,26 @@ def note_lists(draw):
         st.integers(1, grid.max_duration),
         st.sampled_from(programs),
     )
+    aliased = st.builds(
+        lambda n, shift: n._replace(program=n.program + shift), valid, st.sampled_from([-128, 128])
+    )
     wild = st.builds(QuantNote, wild_value, wild_value, wild_value, wild_value, wild_value)
-    note = st.one_of(valid, valid, valid, wild)
-    tracks = [draw(st.lists(note, max_size=12)) for _ in range(draw(st.integers(0, 3)))]
-    return tracks, grid, draw(st.booleans())
+    note = st.one_of(valid, valid, valid, aliased, wild)
+    return [draw(st.lists(note, max_size=12)) for _ in range(draw(st.integers(0, 3)))]
+
+
+@st.composite
+def note_lists(draw):
+    grid = draw(grids)
+    return draw(track_lists(grid)), grid, draw(st.booleans())
+
+
+def _encoded_by_reference(tracks, grid, split):
+    """reference_encode's outcome, or the refusal of a field beyond int64."""
+    if 1 <= len(tracks) <= 2 and any(_beyond_int64(note) for t in tracks for note in t):
+        # Refused where it enters, before any note is checked against the grid.
+        return ValueError, "note fields must fit in int64", None
+    return _outcome(reference_encode, tracks, grid, split_shared_programs=split)
 
 
 @settings(max_examples=400, deadline=None)
@@ -228,11 +248,46 @@ def note_lists(draw):
 def test_encode_matches_reference(case):
     tracks, grid, split = case
     got = _outcome(encode, tracks, grid, split_shared_programs=split)
-    if 1 <= len(tracks) <= 2 and any(_beyond_int64(note) for t in tracks for note in t):
-        # Refused where it enters, before any note is checked against the grid.
-        assert got == (ValueError, "note fields must fit in int64", None)
-    else:
-        assert got == _outcome(reference_encode, tracks, grid, split_shared_programs=split)
+    assert got == _encoded_by_reference(tracks, grid, split)
+
+
+@st.composite
+def encode_batches(draw):
+    grid = draw(grids)
+    items = draw(st.lists(track_lists(grid), max_size=8))
+    return items, grid, draw(st.booleans())
+
+
+def _raise_or_return(result):
+    if isinstance(result, ValueError):
+        raise result
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(encode_batches())
+def test_encode_many_matches_reference_item_by_item(case):
+    items, grid, split = case
+    got = encode_many(items, grid, split_shared_programs=split)
+    assert len(got) == len(items)
+    for tracks, result in zip(items, got):
+        want = _encoded_by_reference(tracks, grid, split)
+        assert _outcome(_raise_or_return, result) == want
+    seqs = [r for r in got if isinstance(r, EventSequence)]
+    for i, a in enumerate(seqs):
+        assert not a.events.flags.writeable
+        for b in seqs[i + 1 :]:
+            assert not np.shares_memory(a.events, b.events)
+
+
+def test_encode_many_keeps_packed_keys_inside_int64():
+    # On the balanced widest grid the top note's key is just below 2**58, so
+    # item * span + key leaves int64 from the 33rd item of a batch on.
+    grid = KEY_EDGE_GRIDS[-1]
+    top = QuantNote(grid.max_beat - 1, grid.resolution - 1, 127, grid.max_duration, 127)
+    items = [[[top, QuantNote(0, 0, i, 1, 0)]] for i in range(70)]  # each out of order
+    got = encode_many(items, grid)
+    assert [event_rows(seq) for seq in got] == [list(reference_encode(t, grid)) for t in items]
 
 
 @st.composite
@@ -437,14 +492,22 @@ def test_to_text_matches_reference_on_any_int64_rows(grid, rows):
 
 
 # The writer's digit tables hold 0..99999: values at each digit-width edge,
-# and values outside the tables, which take the %-formatting path.
-TABLE_EDGES = (0, 9, 10, 99, 100, 9999, 10000, 65535, 99999)
-OFF_TABLE = (100000, -1, -10, *INT64_EDGES)
+# values whose zeros are not leading ones, and values outside the tables,
+# which take the %-formatting path.
+TABLE_EDGES = (0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 65535, 99999)
+INNER_ZEROS = (101, 1001, 10001, 10010, 90000)
+OFF_TABLE = (100000, 100001, 10**6, -1, -10, -99999, *INT64_EDGES)
+# A value of 1 to 5 digits, so each table width meets narrower values.
+of_digits = st.integers(1, 5).flatmap(
+    lambda d: st.integers(0 if d == 1 else 10 ** (d - 1), 10**d - 1)
+)
 
 
 @st.composite
 def text_rows(draw):
-    inside = st.one_of(st.sampled_from(TABLE_EDGES), st.integers(0, 10**5 - 1))
+    inside = st.one_of(
+        st.sampled_from(TABLE_EDGES + INNER_ZEROS), of_digits, st.integers(0, 10**5 - 1)
+    )
     value = inside if draw(st.booleans()) else st.one_of(inside, st.sampled_from(OFF_TABLE))
     n = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 60)))
     return draw(st.lists(st.tuples(*[value] * N_FIELDS), min_size=n, max_size=n))
@@ -475,7 +538,17 @@ def test_to_text_golden_bytes():
     )
 
 
-TEXT_EDITS = ["drop", "extra", "blank", "crlf", "tab", "plus", "word", "float", "wide", "spaces"]
+TEXT_EDITS = [
+    "drop", "extra", "blank", "crlf", "tab", "plus", "word", "float", "wide", "spaces",
+    "zeros", "digits", "double", "lead", "trail",
+]
+# Tokens of 18 digits, which the one-pass reader takes, and of 19, which it
+# leaves to the token-by-token reader whether or not int64 holds them.
+LONG_TOKENS = (
+    "999999999999999999", "000000000000000007", "100000000000000000",
+    "1000000000000000000", "0000000000000000005", "9223372036854775807",
+    "9223372036854775808",
+)
 
 
 @st.composite
@@ -506,8 +579,13 @@ def mutated_texts(draw):
             tokens[t] = str(draw(st.sampled_from(WIDE)))
         elif edit == "spaces":
             tokens[t] = f"  {tokens[t]} "
-        sep = "\t" if edit == "tab" else " "
-        lines[i] = sep.join(tokens) + ("\r" if edit == "crlf" else "")
+        elif edit == "zeros":
+            tokens[t] = "0" * draw(st.integers(1, 20)) + tokens[t]
+        elif edit == "digits":
+            tokens[t] = draw(st.sampled_from(LONG_TOKENS))
+        sep = {"tab": "\t", "double": "  "}.get(edit, " ")
+        line = sep.join(tokens) + ("\r" if edit == "crlf" else "")
+        lines[i] = {"lead": " " + line, "trail": line + "  "}.get(edit, line)
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n", "\n\n"])), grid
 
 

@@ -278,6 +278,35 @@ def test_positional_bias_raises_the_first_error_in_piece_order(echo_setup):
         positional_bias(model, [good[0], short, solo, good[1]])
 
 
+def test_training_encodings_raise_the_first_failing_piece_in_order():
+    good = two_voice_piece("good", 4)
+    coarse = Piece(  # on a grid of its own, so encoded in a run of its own
+        "coarse", GridSpec(4, 8, 2), ([QuantNote(1, 3, 60, 2, 0)], [QuantNote(0, 0, 40, 1, 3)])
+    )
+    solo = Piece("solo", GRID, (good.tracks[0],))
+    empty = Piece("empty", GRID, (good.tracks[0], ()))
+    off = Piece("off", GRID, (good.tracks[0], [QuantNote(GRID.max_beat, 0, 60, 1, 0)]))
+    wide = Piece("wide", GridSpec(4, 8, 2), ([QuantNote(0, 0, 60, 9, 0)], good.tracks[1]))
+
+    def first_error(pieces):
+        for piece in pieces:
+            try:
+                harness_module.split_tracks(piece)
+                for tracks in ([piece.tracks[0]], [piece.tracks[1]], piece.tracks):
+                    encode(tracks, piece.grid)
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+    for order in ([good, solo, off], [good, off, solo], [coarse, wide, empty], [empty, wide],
+                  [good, coarse, good, wide, off], [off, coarse]):
+        with pytest.raises(ValueError) as err:
+            training_encodings(order)
+        assert (type(err.value), str(err.value)) == first_error(order)
+    got = training_encodings([good, coarse, good])
+    assert got == [encode(t, p.grid) for p in (good, coarse, good)
+                   for t in ([p.tracks[0]], [p.tracks[1]], p.tracks)]
+
+
 # --- self enhancement -------------------------------------------------------------
 
 @pytest.fixture(scope="module")

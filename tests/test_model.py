@@ -1129,6 +1129,22 @@ def test_lambda_too_small_for_the_counts_is_rejected():
     train([simple_piece([60, 64, 67] * 40)], k=4, lam=1e-30).predict_next([]).validate()
 
 
+def test_a_model_built_by_replace_is_checked_like_a_trained_one():
+    model = train([simple_piece(list(range(40, 60)))], k=2)
+    bad = {
+        "lam": [-1.0, float("nan"), 0.0, 1e-300, float("inf")],
+        "k": [-1, 0, 1, 3, 5],
+    }
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ValueError):
+                dataclasses.replace(model, **{name: value})
+    with pytest.raises(ValueError, match="^a model of k = 5 needs 6 tables, got 3$"):
+        dataclasses.replace(model, k=5)
+    same = dataclasses.replace(model, lam=2.0)
+    assert same.tables is model.tables and same.fingerprint() != model.fingerprint()
+
+
 SMALL_GRID = GridSpec(resolution=4, max_beat=16, max_duration=8)
 _SMALL_RNG = np.random.default_rng(23)
 SMALL_CORPUS = [
