@@ -247,7 +247,11 @@ def cmd_selfbias(args: argparse.Namespace, cfg: Config) -> int:
     report = harness.self_enhancement(
         model_a, model_b, primes, args.steps, cfg.flow_params, seed=cfg.seed
     )
-    sys.stdout.write(report.to_text())
+    if args.json:
+        summary = {**report.to_dict(), "config": cfg.to_dict()}
+        print(json.dumps(summary, indent=2, allow_nan=False))
+    else:
+        sys.stdout.write(report.to_text())
     return EXIT_OK
 
 
@@ -365,6 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-b", required=True)
     p.add_argument("--primes", required=True, help="directory of prime .events files")
     p.add_argument("--steps", type=int, default=200)
+    p.add_argument(
+        "--json", action="store_true", help="the matrix at full precision; null for an empty cell"
+    )
     p.set_defaults(func=cmd_selfbias)
 
     p = sub.add_parser("generate", help="sample a continuation of a prime")

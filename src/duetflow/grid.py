@@ -72,6 +72,10 @@ class Layout(NamedTuple):
     # Whether each key below 2**shift is in the vocabulary, then one slot,
     # False, for every larger key.
     known: np.ndarray
+    # int32, the column of each key below 2**shift in a row of whole
+    # distributions; a key outside the vocabulary gets 2**31 - 1, past
+    # the end of any row.
+    columns: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -92,9 +96,11 @@ def layout(grid: GridSpec) -> Layout:
     keys = np.arange(1 << shift)
     limits = np.array([*vocab, 0, 0])  # fields 6 and 7 hold no value
     known = np.append((keys >> 3) < limits[keys & 7], False)
-    for a in (sizes, weights, starts, lasts, known):
+    at = np.append(starts, [0, 0])[keys & 7] + (keys >> 3)
+    columns = np.where(known[:-1], at, 2**31 - 1).astype(np.int32)
+    for a in (sizes, weights, starts, lasts, known, columns):
         a.flags.writeable = False
-    return Layout(sizes, weights, starts, int(sizes.sum()), spans, lasts, shift, known)
+    return Layout(sizes, weights, starts, int(sizes.sum()), spans, lasts, shift, known, columns)
 
 
 def round_half_away(numerator, denominator: int):

@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import statistics
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
@@ -200,7 +200,7 @@ def _summary(values: np.ndarray) -> dict:
     """Mean, median and sample standard deviation (0 for one value)."""
     return {
         "mean": float(values.mean()),
-        "median": float(statistics.median(values.tolist())),
+        "median": float(np.median(values)),
         "std": float(values.std(ddof=1)) if len(values) > 1 else 0.0,
     }
 
@@ -393,6 +393,20 @@ class SelfBiasReport:
             lines.append(f"scorer_{scorer}_prefers_own: {own}")
         return "\n".join(lines) + "\n"
 
+    def to_dict(self) -> dict:
+        """The report for JSON: every cell at full precision, and None for a
+        cell that no piece was scored into (NaN in the matrix)."""
+        return {
+            "matrix": {
+                scorer: {g: None if math.isnan(v) else v for g, v in row.items()}
+                for scorer, row in self.matrix.items()
+            },
+            "prefers_own": dict(self.prefers_own),
+            "n_primes": self.n_primes,
+            "skipped": self.skipped,
+            "steps": self.steps,
+        }
+
 
 def self_enhancement(
     model_a: ContextModel,
@@ -437,9 +451,9 @@ def self_enhancement(
             if isinstance(r, ValueError):
                 skipped += 1
             else:
-                # One array per continuation, not its QuantNote tuple, which
+                # The continuation's track, not its QuantNote tuple, which
                 # each scorer would convert again.
-                pieces.append((notes, as_track(r.sampled_notes)))
+                pieces.append((notes, r.sampled_track))
                 makers.append(g_name)
     for s_name, s_model in models.items():
         for g_name, report in zip(makers, information_flows(s_model, pieces, params)):

@@ -36,10 +36,16 @@ scalars: each call draws every uniform up front; at each step a prime's
 chain is found with one bisect per context length, each field is drawn
 with one bisect of its chain's cumulative sums, and the prime's context
 hashes move on by the drawn event with ``_push``, the scalar step of
-``_rolling_hashes``. Only a step's new chains go through ``_dense_blocks``
-and ``_cdfs``, together, and their sampling rows are kept up to a fixed
-size. The file format writes the same arrays entry by entry, and
-``load_model`` accepts only files that ``save_model`` could have written.
+``_rolling_hashes``. Only a step that meets a chain the call has not yet
+built calls the row builder, and then only for its new chains, together
+through ``_dense_blocks`` and ``_cdfs``; their sampling rows are kept up to
+a fixed size. A context length that one row alone reaches, as every
+length of a lone new chain, is stepped on scalars and a 1-D view of the
+row, with the float operations of the block path in the same order. The
+finish sorts each continuation's notes once, as one array that the
+result keeps beside its ``QuantNote`` tuple. The file format writes the
+same arrays entry by entry, and ``load_model`` accepts only files that
+``save_model`` could have written.
 ``save_model`` joins the file's parts into bytes; ``save_model_file`` and
 the fingerprint take them one table at a time and never join them, and
 ``load_model_file`` parses a mapping of a regular file, of which the model
@@ -80,7 +86,7 @@ from .events import (
 # because bench/tracing.py wraps it here.
 from .events import encode  # noqa: F401
 from .grid import GridSpec, Layout, layout
-from .midi import QuantNote, as_rows
+from .midi import QuantNote, as_rows, sort_notes
 
 _MASK64 = (1 << 64) - 1
 _CTX_MULT = 0x100000001B3
@@ -264,21 +270,21 @@ class CountTable:
         return np.where(self.codes[at] == codes, self.counts[at], 0).astype(np.float64)
 
     def pairs(
-        self, entries: list[int], lay: Layout
-    ) -> tuple[int | np.ndarray, np.ndarray, np.ndarray]:
-        """The pairs under every entries[i] as (i, column, count), where
-        column is the key's place in a row of all fields' values side by
-        side, on a grid of layout lay. A lone entry's pairs are one slice of
-        the arrays."""
-        if len(entries) == 1:
-            owner, at = 0, slice(self.offsets[entries[0]], self.offsets[entries[0] + 1])
+        self, entries: int | list[int], lay: Layout
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The pairs under entries as (column, count, owner), where column
+        is the key's place in a row of all fields' values side by side, on a
+        grid of layout lay. For a list, owner[p] is the i of pair p's
+        entries[i]; a lone entry, an int, has one slice of the arrays and
+        no owner."""
+        if isinstance(entries, int):
+            owner, at = None, slice(self.offsets[entries], self.offsets[entries + 1])
         else:
             first = self.offsets[entries]
             lengths = self.offsets[np.add(entries, 1)] - first
             owner = np.repeat(np.arange(len(entries)), lengths)
             at = np.arange(len(owner)) + np.repeat(first - np.cumsum(lengths) + lengths, lengths)
-        keys = self.keys(lay.shift, at).view(np.int64)
-        return owner, lay.starts[keys & 7] + (keys >> 3), self.counts[at]
+        return lay.columns[self.keys(lay.shift, at).view(np.int64)], self.counts[at], owner
 
     def file_parts(self, shift: int) -> tuple[bytes, np.ndarray]:
         """This table in the file layout, under key width shift: its size,
@@ -397,8 +403,11 @@ class ContextModel:
     it keeps stay its own; ``dataclasses.replace`` builds a new model.
 
     Every model is checked as it is built, however it is built: k and lambda
-    as train checks them, one table per context length 0..k, and a lambda
-    large enough that no probability underflows to 0.
+    as train checks them, one table per context length 0..k, table 0 empty
+    in a model with no counts and otherwise holding the empty context
+    alone, seen trained_events times, and a lambda large enough that no
+    probability underflows to 0. So every model save_model writes is one
+    load_model accepts, with the same messages.
     """
 
     k: int
@@ -414,6 +423,16 @@ class ContextModel:
         if len(self.tables) != self.k + 1:
             raise ValueError(
                 f"a model of k = {self.k} needs {self.k + 1} tables, got {len(self.tables)}"
+            )
+        root, trained = self.tables[0], self.trained_events
+        if not len(root):
+            if trained or any(len(t) for t in self.tables):
+                raise ValueError("table 0 is empty but the model holds counts")
+        elif len(root) != 1 or root.contexts[0] != 0:
+            raise ValueError("table 0 must hold exactly the empty context")
+        elif int(root.totals[0]) != trained:
+            raise ValueError(
+                f"trained_events {trained} differs from the table 0 total {root.totals[0]}"
             )
         _check_underflow(self)
 
@@ -527,7 +546,9 @@ def _backoff(
     An entry's columns are distinct, so one indexed add places all pairs
     of a length. The rows that reach a length are picked in Python, as
     generation builds few at a time; when all do, the whole array is
-    scaled in place.
+    scaled in place. A length that one row alone reaches, as each length
+    of a lone row, takes the same float steps on scalars and a 1-D view of
+    the row, which costs less.
     """
     lay = model.layout
     lam = model.lam
@@ -535,9 +556,17 @@ def _backoff(
         rows = [i for i, c in enumerate(chains) if len(c) > n]
         if not rows:
             break
+        if len(rows) == 1:
+            (i,) = rows
+            denom = float(table.totals[chains[i][n]]) + lam
+            columns, counts, _ = table.pairs(chains[i][n], lay)
+            row = probs[i]
+            row *= lam / denom
+            row[columns] += counts / denom
+            continue
         entries = [chains[i][n] for i in rows]
         denom = table.totals[entries].astype(np.float64) + lam
-        owner, columns, counts = table.pairs(entries, lay)
+        columns, counts, owner = table.pairs(entries, lay)
         if len(rows) == len(chains):
             probs *= (lam / denom)[:, None]
             at = owner
@@ -558,7 +587,7 @@ def _dense_blocks(
     for start in range(0, len(chains), _DENSE_ROWS):
         block = slice(start, start + _DENSE_ROWS)
         part = chains[block]
-        yield block, _backoff(model, np.tile(root, (len(part), 1)), part, 1)
+        yield block, _backoff(model, root[None].repeat(len(part), axis=0), part, 1)
 
 
 def _entropies(model: ContextModel, chains: np.ndarray) -> np.ndarray:
@@ -709,6 +738,9 @@ class GenerationResult:
     # has j events, for j = 0..k; 0 also counts the steps of a model with no
     # counts, which samples from the uniform distribution.
     context_depths: tuple[int, ...]
+    # The sampled notes as one read-only (n, 5) int64 track, in the same
+    # order; it adds nothing to what the notes say, so equality skips it.
+    sampled_track: np.ndarray = field(compare=False, repr=False)
 
 
 def _validate_prime(prime: EventSequence, grid: GridSpec) -> np.ndarray:
@@ -821,7 +853,7 @@ def generate_many(
         # A chain is its entries at lengths 1.. up to its first miss.
         rows: dict[tuple[int, ...], memoryview] = {}
         for step in range(steps):
-            chains = []
+            chains, new = [], []
             for b, h in enumerate(ctx):
                 found = []
                 for view, x in zip(views, h):
@@ -829,34 +861,44 @@ def generate_many(
                     if at == len(view) or view[at] != x:
                         break
                     found.append(at)
-                chains.append(tuple(found))
+                chain = tuple(found)
+                chains.append(chain)
                 depths[b][len(found)] += 1
-            new = list(dict.fromkeys(c for c in chains if c not in rows))
-            if len(rows) + len(new) > limit:
-                rows.clear()
-                new = list(dict.fromkeys(chains))
-            for block, probs in _dense_blocks(model, new):
-                rows.update(zip(new[block], map(memoryview, _cdfs(probs, lay))))
+                if chain not in rows:
+                    new.append(chain)
+            if new:
+                new = list(dict.fromkeys(new))
+                if len(rows) + len(new) > limit:
+                    rows.clear()
+                    new = list(dict.fromkeys(chains))
+                for block, probs in _dense_blocks(model, new):
+                    rows.update(zip(new[block], map(memoryview, _cdfs(probs, lay))))
             for b, c in enumerate(chains):
                 values = _draw(rows[c], spans, draws[b][step])
                 sampled[b].append(values)
                 ctx[b] = _push(ctx[b], _fold(_NOTE_STATE, values), k)
     results: list[GenerationResult | SequenceStructureError] = list(prefixes)
     if not steps:
+        none = np.zeros((0, N_FIELDS - 1), dtype=np.int64)
+        none.flags.writeable = False
         for b, i in enumerate(live):
             end = np.vstack([prefixes[i], [TYPE_END, 0, 0, 0, 0, 0]])
-            results[i] = GenerationResult(EventSequence(end, model.grid), (), tuple(depths[b]))
+            results[i] = GenerationResult(EventSequence(end, model.grid), (), tuple(depths[b]), none)
         return results
-    tracks = []
+    tracks, notes = [], []
     for b, i in enumerate(live):
+        track = sort_notes(np.array(sampled[b], dtype=np.int64))
+        track.flags.writeable = False
         events = prefixes[i]
-        tracks.append([np.vstack([events[events[:, 0] == TYPE_NOTE, 1:], sampled[b]])])
+        tracks.append([np.vstack([events[events[:, 0] == TYPE_NOTE, 1:], track])])
+        notes.append(track)
     for b, (i, seq) in enumerate(zip(live, encode_many(tracks, model.grid))):
         if isinstance(seq, ValueError):
             raise seq
         # Python integers, not numpy ones, in the notes callers print.
-        new = tuple(sorted(map(QuantNote._make, sampled[b])))
-        results[i] = GenerationResult(seq, new, tuple(depths[b]))
+        results[i] = GenerationResult(
+            seq, tuple(map(QuantNote._make, notes[b].tolist())), tuple(depths[b]), notes[b]
+        )
     return results
 
 
@@ -1014,16 +1056,6 @@ def load_model(data: _Buffer) -> ContextModel:
         raise ValueError(error)
     if offset != len(data):
         raise ValueError(f"{len(data) - offset} trailing bytes after model tables")
-    root = tables[0]
-    if not len(root):
-        if trained or any(len(t) for t in tables):
-            raise ValueError("table 0 is empty but the model holds counts")
-    elif len(root) != 1 or root.contexts[0] != 0:
-        raise ValueError("table 0 must hold exactly the empty context")
-    elif int(root.totals[0]) != trained:
-        raise ValueError(
-            f"trained_events {trained} differs from the table 0 total {root.totals[0]}"
-        )
     model = ContextModel(k, lam, grid, tuple(tables), trained)
     # Only canonical files load, so these bytes are what save_model writes.
     object.__setattr__(model, "_fingerprint", hashlib.blake2b(data, digest_size=8).hexdigest())

@@ -19,9 +19,9 @@ from duetflow.cli import _write_text, build_parser, main
 from duetflow.config import Config, load_config
 from duetflow.events import seq_from_text, seq_to_text, sequences_from_notes
 from duetflow.grid import GridSpec
-from duetflow.harness import training_encodings
+from duetflow.harness import self_enhancement, training_encodings
 from duetflow.midi import QuantNote, piece_from_bytes, track_to_text
-from duetflow.model import empty_model, save_model, train
+from duetflow.model import empty_model, load_model_file, save_model, train
 from duetflow.oracle import (
     copy_spec,
     embed_pieces,
@@ -469,6 +469,47 @@ def test_selfbias_command(tmp_path, midi_dir, trained, capsys):
     out = capsys.readouterr().out
     assert "primes: 2 (skipped 0), steps: 24" in out
     assert "scorer_a_prefers_own:" in out
+
+
+@pytest.mark.parametrize("mode", ["nll", "predictive"])
+def test_selfbias_json_holds_the_matrix_at_full_precision(tmp_path, trained, capsys, mode):
+    tok, model = trained
+    primes = tmp_path / "primes"
+    primes.mkdir()
+    for name in ("piece0.x.events", "piece1.y.events"):
+        (primes / name).write_text((tok / name).read_text())
+    args = ["--mode", mode, "--burn-in", "4", "--seed", "3", "selfbias",
+            "--model-a", str(model), "--model-b", str(model), "--primes", str(primes),
+            "--steps", "20"]
+    cfg = Config(burn_in=4, mode=mode, seed=3)
+    prime_seqs = [seq_from_text(p.read_text(), cfg.grid) for p in sorted(primes.iterdir())]
+    loaded = load_model_file(model)
+    report = self_enhancement(loaded, loaded, prime_seqs, 20, cfg.flow_params, seed=3)
+    capsys.readouterr()
+    assert main([*args, "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["matrix"] == report.matrix  # every cell, bit for bit
+    assert all(isinstance(v, float) for row in got["matrix"].values() for v in row.values())
+    assert got["prefers_own"] == report.prefers_own
+    assert (got["n_primes"], got["skipped"], got["steps"]) == (2, 0, 20)
+    assert got["config"] == cfg.to_dict()
+    # The text output is the report's to_text, as it was before --json.
+    assert main(args) == 0
+    assert capsys.readouterr().out == report.to_text()
+
+
+def test_selfbias_json_writes_an_empty_cell_as_null(tmp_path, trained, capsys):
+    _, model = trained
+    primes = tmp_path / "primes"
+    primes.mkdir()
+    # A prime without notes is skipped, so no piece is scored into any cell.
+    (primes / "silent.events").write_text("0 0 0 0 0 0\n1 0 0 0 0 5\n2 0 0 0 0 0\n4 0 0 0 0 0\n")
+    rc = main(["--burn-in", "4", "selfbias", "--model-a", str(model), "--model-b", str(model),
+               "--primes", str(primes), "--steps", "20", "--json"])
+    assert rc == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["matrix"] == {"a": {"a": None, "b": None}, "b": {"a": None, "b": None}}
+    assert (got["n_primes"], got["skipped"]) == (1, 1)
 
 
 @pytest.mark.parametrize("steps, code", [(-1, 1), (0, 1), (16, 1), (17, 0)])

@@ -45,6 +45,12 @@ def test_known_keys_and_key_width(grid):
     assert max(legal) < 1 << lay.shift
     want = [key in legal for key in range(1 << lay.shift)] + [False]
     assert lay.known.tolist() == want
+    # A count key's column in a row of whole distributions, every field's
+    # values side by side; any other key's column is past every row's end.
+    starts = [sum(vocab[:f]) for f in range(6)]
+    column = {v * 8 + f: starts[f] + v for f, size in enumerate(vocab) for v in range(size)}
+    assert lay.columns.dtype == np.int32
+    assert lay.columns.tolist() == [column.get(key, 2**31 - 1) for key in range(1 << lay.shift)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -60,6 +66,6 @@ def test_layout_is_shared_and_read_only(grid):
     assert lay.spans == tuple(zip([0, *stops[:-1]], stops))
     assert lay.lasts.tolist() == [hi - 1 for _, hi in lay.spans]
     arrays = [a for a in lay if isinstance(a, np.ndarray)]
-    assert len(arrays) == 5
+    assert len(arrays) == 6
     for a in arrays:
         assert not a.flags.writeable

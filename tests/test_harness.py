@@ -2,6 +2,7 @@
 import csv
 import io
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -192,6 +193,20 @@ def test_t_statistic_is_none_for_a_zero_standard_error():
     welch = (pos.mean() - neg.mean()) / np.sqrt(pos.var(ddof=1) / 3 + neg.var(ddof=1) / 2)
     assert report_of_flows(pos, neg).t_statistic() == float(welch)
     assert report_of_flows(pos, neg).t_statistic(0) == float(welch)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 59])
+def test_aggregate_medians_equal_the_statistics_module(n):
+    # Odd lengths take the middle flow, even ones the mean of the middle two;
+    # the aggregates take it from numpy, which must agree bit for bit.
+    rng = np.random.default_rng(n)
+    positives = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 8, n)
+    negatives = np.repeat(rng.normal(0.0, 1e-3, (n + 1) // 2), 2)[:n]
+    agg = report_of_flows(positives, negatives).aggregates()
+    for label, flows in ((POSITIVE, positives), (NEGATIVE, negatives)):
+        want = statistics.median(flows.tolist())
+        assert agg[label]["median"] == want
+        assert agg[label]["fields"][FIELD_NAMES[0]]["median"] == want
 
 
 def test_t_statistic_is_none_for_fewer_than_two_flows_of_a_label():

@@ -381,6 +381,38 @@ def test_whole_rows_and_sampling_rows_equal_the_references(corpus, k, lam, per_c
         assert probs.tobytes() == before.tobytes()
 
 
+def test_lone_row_steps_equal_the_reference_at_every_depth():
+    # A row that alone reaches a context length takes that step on scalars
+    # and a 1-D view: built alone, or in a block whose other rows stop
+    # sooner, a chain of each depth 0..k must give reference_predict's
+    # vectors and reference_cdfs' sampling row, bit for bit.
+    rng = np.random.default_rng(7)
+    corpus = [random_piece(rng, 30, programs=(0, 5)) for _ in range(6)]
+    k, lam = 4, 0.7
+    model = train(corpus, k=k, lam=lam)
+    tables, _ = reference_train(corpus, k)
+    vocab = vocab_sizes(GRID)
+    starts = np.cumsum(vocab)[:-1]
+    # The d events before event 12 of a training piece: seen at lengths 1..d.
+    contexts = [corpus[0].events[12 - d : 12] for d in range(k + 1)]
+    chains = []
+    for context in contexts:
+        hashes = np.array([0, *_last_hashes(context, k)], dtype=np.uint64)[:, None]
+        chains += _chain_tuples(_match(model, hashes, np.array([len(context)])))
+    assert [len(c) for c in chains] == list(range(k + 1))
+    blocks = [[d] for d in range(k + 1)]
+    blocks += [[a, b] for a in range(k + 1) for b in range(k + 1) if a != b]
+    blocks += [list(range(k, -1, -1)), [k, 0, 0, 1]]
+    for depths in blocks:
+        ((_, probs),) = _dense_blocks(model, [chains[d] for d in depths])
+        for d, row in zip(depths, probs):
+            want = reference_predict(tables, k, lam, vocab, contexts[d])
+            for got, vec in zip(np.split(row, starts), want, strict=True):
+                assert got.tobytes() == vec.tobytes()
+        cdfs = _cdfs(probs, model.layout)
+        assert cdfs.tobytes() == reference_cdfs(probs, vocab).tobytes()
+
+
 def test_score_sequences_of_no_streams_is_empty():
     trained = train([simple_piece([60, 64, 67])], k=2)
     for model in (empty_model(GRID), trained):
@@ -1143,6 +1175,64 @@ def test_a_model_built_by_replace_is_checked_like_a_trained_one():
         dataclasses.replace(model, k=5)
     same = dataclasses.replace(model, lam=2.0)
     assert same.tables is model.tables and same.fingerprint() != model.fingerprint()
+    # Table 0 and trained_events are checked as load_model checks them, in
+    # the same words.
+    checks = {
+        "trained_events 5 differs from the table 0 total 24": {"trained_events": 5},
+        "table 0 is empty but the model holds counts": {
+            "tables": (CountTable.empty(), *model.tables[1:])
+        },
+        "table 0 must hold exactly the empty context": {
+            "tables": (model.tables[1], *model.tables[1:])
+        },
+    }
+    for message, change in checks.items():
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(model, **change)
+    with pytest.raises(ValueError, match="^table 0 is empty but the model holds counts$"):
+        dataclasses.replace(empty_model(GRID, k=2), trained_events=1)
+
+
+# Models on one grid whose fields replace draws from: trained ones of every
+# k from 0 to 3, a corpus run twice (other totals), and the empty model.
+_REPLACE_RNG = np.random.default_rng(41)
+_REPLACE_CORPUS = [random_piece(_REPLACE_RNG, 12, programs=(0, 9)) for _ in range(3)]
+REPLACE_POOL = [train(_REPLACE_CORPUS, k=k) for k in range(4)]
+REPLACE_POOL += [train(_REPLACE_CORPUS * 2, k=3, lam=0.5), empty_model(GRID, k=2)]
+_REPLACE_TABLES = [t for m in REPLACE_POOL for t in m.tables]
+
+
+@st.composite
+def replaced_fields(draw):
+    """A pool model and new values for some of its fields, legal or not."""
+    model = draw(st.sampled_from(REPLACE_POOL))
+    totals = [m.trained_events for m in REPLACE_POOL]
+    options = {
+        "k": st.integers(-1, 5),
+        "lam": st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([1e-300, 1e-30, 0.0, -1.0, 2, 1]),
+        ),
+        "trained_events": st.one_of(st.sampled_from(totals), st.integers(-2, 200)),
+        "tables": st.lists(st.sampled_from(_REPLACE_TABLES), max_size=6).map(tuple),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(options)), min_size=1, unique=True))
+    return model, {name: draw(options[name]) for name in names}
+
+
+@settings(max_examples=300, deadline=None)
+@given(replaced_fields())
+def test_replace_builds_no_model_that_load_model_refuses(case):
+    model, fields = case
+    try:
+        built = dataclasses.replace(model, **fields)
+    except ValueError:
+        return
+    blob = save_model(built)
+    back = load_model(blob)
+    assert save_model(back) == blob
+    assert back.fingerprint() == built.fingerprint()
+    assert (back.k, back.lam, back.trained_events) == (built.k, built.lam, built.trained_events)
 
 
 SMALL_GRID = GridSpec(resolution=4, max_beat=16, max_duration=8)
@@ -1434,6 +1524,78 @@ def test_the_length_zero_row_is_built_once_per_model(alternating_prime, monkeypa
     assert roots == [model, fresh]
     monkeypatch.undo()
     assert results == [generate(model, p, 60, s) for p, s in zip(primes, [5, 6, 7])]
+
+
+# A model with contexts to match at every length, and primes cut from its
+# training pieces, so that continuations meet chains of every depth.
+_LOCKSTEP_RNG = np.random.default_rng(29)
+LOCKSTEP_CORPUS = [random_piece(_LOCKSTEP_RNG, 24, programs=(0, 5)) for _ in range(30)]
+
+
+@pytest.fixture(scope="module")
+def lockstep_model():
+    return train(LOCKSTEP_CORPUS, k=3)
+
+
+def lockstep_primes(n):
+    return [EventSequence(LOCKSTEP_CORPUS[i % 30].events[: 3 + i % 11], GRID) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 18, 64])
+def test_generate_many_equals_generate_and_the_reference(lockstep_model, n, monkeypatch):
+    model, primes = lockstep_model, lockstep_primes(n)
+    seeds = [1000 + 7 * i for i in range(n)]
+    steps = 25
+    results = generate_many(model, primes, steps, seeds)
+    assert results == [generate(model, p, steps, s) for p, s in zip(primes, seeds)]
+    for prime, seed, result in zip(primes, seeds, results):
+        sampled = reference_generate(model, _validate_prime(prime, GRID), steps, seed)
+        assert result.sampled_notes == tuple(sorted(QuantNote(*v) for v in sampled))
+        track = result.sampled_track
+        assert track.dtype == np.int64 and not track.flags.writeable
+        assert track.tolist() == [list(note) for note in result.sampled_notes]
+    assert sum(r.context_depths[-1] for r in results) > 0
+    # Dropping every kept row whenever a step meets a new chain changes nothing.
+    monkeypatch.setattr(model_module, "_SAMPLE_CACHE_BYTES", 1)
+    assert generate_many(model, primes, steps, seeds) == results
+
+
+def test_generate_many_builds_each_chain_once_on_the_step_that_meets_it(
+    lockstep_model, monkeypatch
+):
+    # Replayed from the reference sampler: each prime's chain at every step.
+    # A step builds rows only if it meets a chain no earlier step met, and
+    # then only those chains, in prime order, in one call.
+    model, primes = lockstep_model, lockstep_primes(6)
+    seeds, steps = list(range(6)), 40
+    chains = []
+    for prime, seed in zip(primes, seeds):
+        prefix = _validate_prime(prime, GRID)
+        sampled = reference_generate(model, prefix, steps, seed)
+        stream = np.vstack([prefix, [[TYPE_NOTE, *v] for v in sampled]])
+        contexts = [_last_hashes(stream[: len(prefix) + t], model.k) for t in range(steps)]
+        hashes = np.zeros((model.k + 1, steps), dtype=np.uint64)
+        for t, ctx in enumerate(contexts):
+            hashes[1 : len(ctx) + 1, t] = ctx
+        avail = np.array([len(ctx) for ctx in contexts])
+        chains.append(_chain_tuples(_match(model, hashes, avail)))
+    want, met = [], set()
+    for step in range(steps):
+        new = list(dict.fromkeys(c[step] for c in chains if c[step] not in met))
+        met.update(new)
+        if new:
+            want.append(new)
+    built = []
+    dense_blocks = model_module._dense_blocks
+
+    def recording(model, chains):
+        built.append(list(chains))
+        return dense_blocks(model, chains)
+
+    monkeypatch.setattr(model_module, "_dense_blocks", recording)
+    generate_many(model, primes, steps, seeds)
+    assert built == want
+    assert len(want) < steps and max(map(len, want)) > 1
 
 
 def test_generate_many_past_one_block_without_a_cache(monkeypatch):
