@@ -32,12 +32,16 @@ the grid field by field and sorted by one stable sort of the item's
 number times the note span plus the note's key; each item's sequence is
 then built in rows of its own.
 
+``encode_views`` gives each (x, y) piece its X, Y and merged XY views,
+the ones the model trains on and the flow estimator scores, from one
+``encode_many``; ``sequences_from_notes`` is its one-piece case.
+
 The writer copies each value's text from a table per digit width, with
 a sentinel byte for each leading zero that one ``bytes.translate``
 drops. The reader takes text of ASCII digits, spaces and newlines, six
-tokens of at most 18 digits a line, in a few numpy passes over its
-bytes, and leaves any other text to the token-by-token reader of
-``midi``.
+tokens of at most 18 digits a line and one byte between tokens, in a
+few numpy passes over its bytes, and leaves any other text, blank lines
+and wider gaps too, to the token-by-token reader of ``midi``.
 """
 from __future__ import annotations
 
@@ -145,10 +149,16 @@ def encode(
     Tracks are any (n, 5) array-likes of integers (see ``midi.as_track``);
     anything else raises ValueError, as does a field outside the grid.
     """
-    (seq,) = encode_many([tracks], grid, split_shared_programs=split_shared_programs)
-    if isinstance(seq, ValueError):
-        raise seq
+    (seq,) = raise_first(encode_many([tracks], grid, split_shared_programs=split_shared_programs))
     return seq
+
+
+def raise_first(results: list) -> list:
+    """The results of a batch call, or the first ValueError among them raised."""
+    for result in results:
+        if isinstance(result, ValueError):
+            raise result
+    return results
 
 
 # Notes one batch of encode_many holds, unless a single item has more.
@@ -436,7 +446,8 @@ def _canonical_events(text: str) -> np.ndarray | None:
     over its bytes.
 
     Canonical text holds only ASCII digits, spaces and newlines, six tokens
-    of at most 18 digits on every non-blank line. None for any other text.
+    of at most 18 digits a line and one byte between tokens. None for any
+    other text, and for text without tokens.
     """
     if not text.isascii():
         return None
@@ -450,33 +461,21 @@ def _canonical_events(text: str) -> np.ndarray | None:
     edges = np.flatnonzero(digit[1:] != digit[:-1])
     first, last = edges[0::2] + 1, edges[1::2]
     n = len(last)
-    if n % N_FIELDS:
+    if not n or n % N_FIELDS:
         return None
-    if not n:
-        values = np.zeros((0, N_FIELDS), dtype=np.int64)
-        values.flags.writeable = False
-        return values
     shorter = last - first  # each token's digits less one
     width = int(shorter.max()) + 1
-    if width > _MAX_DIGITS:
-        return None
-    # Six tokens a line: a newline in every sixth gap between tokens, and
-    # in no other. The n - 1 gaps are one byte each exactly when the text
-    # from the first token to the last has n - 1 bytes besides digits.
+    # Six tokens a line, one byte between tokens: the n - 1 gaps are one
+    # byte each exactly when the text from the first token to the last has
+    # n - 1 bytes besides digits. Each gap is then a space (32) or a newline
+    # (10): the row ends are all newlines when they sum to 10 each, and no
+    # other gap is one when the span holds no more newlines.
     rows, start, stop = n // N_FIELDS, int(first[0]), int(last[-1]) + 1
-    if stop - start - int(shorter.sum()) - n == n - 1:
-        # Each gap is a space (32) or a newline (10): the row ends are all
-        # newlines when they sum to 10 each, and no other gap is one when
-        # the span holds no more newlines.
-        row_ends = buf.take(last[N_FIELDS - 1 : -1 : N_FIELDS] + 1)
-        if raw.count(b"\n", start - 1, stop - 1) != rows - 1 or row_ends.sum() != 10 * (rows - 1):
-            return None
-    else:
-        # Each token's line: each group of six starts and ends on one line,
-        # and the next group starts on a later line.
-        lines = np.flatnonzero(buf == ord("\n")).searchsorted(first).reshape(-1, N_FIELDS)
-        if (lines[:, 0] != lines[:, -1]).any() or (lines[1:, 0] == lines[:-1, -1]).any():
-            return None
+    if width > _MAX_DIGITS or stop - start - int(shorter.sum()) - n != n - 1:
+        return None
+    row_ends = buf.take(last[N_FIELDS - 1 : -1 : N_FIELDS] + 1)
+    if raw.count(b"\n", start - 1, stop - 1) != rows - 1 or row_ends.sum() != 10 * (rows - 1):
+        return None
     # Each token's last width bytes, one row per digit place. Bytes left of
     # a token are masked; a negative index, for a place left of the text,
     # reads its far end, which the mask drops too.
@@ -501,17 +500,45 @@ def seq_from_text(text: str, grid: GridSpec, *, validate: bool = True) -> EventS
     return seq
 
 
-def sequences_from_notes(
-    x,
-    y,
+def _voice_order(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two tracks in the order sorted((tuple(x), tuple(y))) puts their rows:
+    with five fields a row, that is the order of their flattened values."""
+    n = min(len(x), len(y))
+    head_x, head_y = x[:n].ravel(), y[:n].ravel()
+    differ = head_x != head_y
+    if differ.any():
+        i = differ.argmax()
+        swap = head_x[i] > head_y[i]
+    else:
+        swap = len(x) > len(y)
+    return (y, x) if swap else (x, y)
+
+
+def encode_views(
+    pieces: Sequence[tuple],
     grid: GridSpec,
     *,
     split_shared_programs: bool = False,
-) -> tuple[EventSequence, EventSequence, EventSequence]:
-    """The (X, Y, merged XY) encodings of two tracks, scored by the flow
-    estimator; the first that encode refuses raises its error."""
-    seqs = encode_many([[x], [y], [x, y]], grid, split_shared_programs=split_shared_programs)
-    for seq in seqs:
-        if isinstance(seq, ValueError):
-            raise seq
-    return tuple(seqs)
+) -> list[tuple | ValueError]:
+    """The (X, Y, merged XY) views of every (x, y) piece, from one encode_many.
+
+    XY merges the voices in _voice_order, so under ``split_shared_programs``
+    too it is the same whichever voice comes first. A piece gets the
+    ValueError of its first view that encode refuses in place of its views.
+    """
+    items = []
+    for x, y in pieces:
+        try:
+            merged = list(_voice_order(as_track(x), as_track(y)))
+        except ValueError:
+            merged = [x, y]  # X or Y is refused with this same error
+        items += [[x], [y], merged]
+    seqs = encode_many(items, grid, split_shared_programs=split_shared_programs)
+    triples = (tuple(seqs[i : i + 3]) for i in range(0, len(seqs), 3))
+    return [next((s for s in t if isinstance(s, ValueError)), t) for t in triples]
+
+
+def sequences_from_notes(x, y, grid: GridSpec, *, split_shared_programs: bool = False) -> tuple:
+    """encode_views of one piece; the first view that encode refuses raises its error."""
+    views = encode_views([(x, y)], grid, split_shared_programs=split_shared_programs)
+    return raise_first(views)[0]

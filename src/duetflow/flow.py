@@ -25,7 +25,9 @@ from .events import (
     FIELD_NAMES,
     N_FIELDS,
     TYPE_NOTE,
-    encode_many,
+    _voice_order,
+    encode_views,
+    raise_first,
     validate_sequence,
 )
 from .midi import as_track
@@ -195,20 +197,6 @@ _VIEWS = ("X", "Y", "XY")
 _BATCH_EVENTS = 1 << 13
 
 
-def _voice_order(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two tracks in the order sorted((tuple(x), tuple(y))) puts their rows:
-    with five fields a row, that is the order of their flattened values."""
-    n = min(len(x), len(y))
-    head_x, head_y = x[:n].ravel(), y[:n].ravel()
-    differ = head_x != head_y
-    if differ.any():
-        i = differ.argmax()
-        swap = head_x[i] > head_y[i]
-    else:
-        swap = len(x) > len(y)
-    return (y, x) if swap else (x, y)
-
-
 def information_flows(
     model: ContextModel,
     pieces: Sequence[tuple],
@@ -219,40 +207,39 @@ def information_flows(
     """information_flow of every (x, y) piece, encoded and scored in batches.
 
     Each batch, pieces of about _BATCH_EVENTS events in all, is encoded by
-    one encode_many and scored by one score_sequences. A piece that cannot
-    be scored gets the ValueError information_flow would raise for it (a
-    TooShortError names the view) in place of its report; the other pieces
-    are unaffected.
+    one encode_views, with the voices in _voice_order so that the report is
+    symmetric in x and y, and scored by one score_sequences. A piece that
+    cannot be scored gets the ValueError information_flow would raise for
+    it (a TooShortError names the view) in place of its report; the other
+    pieces are unaffected.
     """
     ids = [""] * len(pieces) if piece_ids is None else list(piece_ids)
     if len(ids) != len(pieces):
         raise ValueError(f"{len(pieces)} pieces but {len(ids)} piece ids")
     results: list[FlowReport | ValueError | None] = [None] * len(pieces)
-    owners: list[int] = []  # the piece of each three items
-    items: list[list[np.ndarray]] = []
+    batch: list[tuple[int, tuple]] = []  # each piece and its ordered voices
     held = 0
 
     def score_pending() -> None:
-        seqs = encode_many(items, model.grid, split_shared_programs=params.split_shared_programs)
         pending: list[tuple[int, list[np.ndarray]]] = []
         streams: list[np.ndarray] = []
-        for n, i in enumerate(owners):
-            views = seqs[3 * n : 3 * n + 3]
+        split = params.split_shared_programs
+        encoded = encode_views([d for _, d in batch], model.grid, split_shared_programs=split)
+        for (i, _), views in zip(batch, encoded):
             try:
-                for seq in views:
-                    if isinstance(seq, ValueError):
-                        raise seq
+                if isinstance(views, ValueError):
+                    raise views
                 keeps = [_scored_rows(s, params.burn_in, v) for s, v in zip(views, _VIEWS)]
             except ValueError as exc:
                 results[i] = exc
                 continue
             pending.append((i, keeps))
             streams += [s.events for s in views]
-        scores = score_sequences(model, streams, params.context_len, params.mode)
-        for n, (i, keeps) in enumerate(pending):
+        scores = iter(score_sequences(model, streams, params.context_len, params.mode))
+        for i, keeps in pending:
+            # zip takes a keep before a score, so each piece takes its three.
             h_x, h_y, h_xy = (
-                tuple(float(v) for v in s[keep].mean(axis=0))
-                for s, keep in zip(scores[3 * n : 3 * n + 3], keeps)
+                tuple(float(v) for v in s[keep].mean(axis=0)) for keep, s in zip(keeps, scores)
             )
             if params.xy_norm == XY_NORM_PER_PAIR:
                 h_xy = tuple(2.0 * v for v in h_xy)
@@ -267,21 +254,17 @@ def information_flows(
                 h_second=h_y,
                 h_merged=h_xy,
             )
-        owners.clear()
-        items.clear()
+        batch.clear()
 
     for i, (x, y) in enumerate(pieces):
         try:
-            # The voices in an order fixed by their notes, so the report is
-            # symmetric in x and y.
-            first, second = _voice_order(as_track(x), as_track(y))
+            duet = _voice_order(as_track(x), as_track(y))
         except ValueError as exc:
             results[i] = exc
             continue
-        owners.append(i)
-        items += [[first], [second], [first, second]]
+        batch.append((i, duet))
         # Each note is an event of its own view and of the merged one.
-        held += 2 * (len(first) + len(second))
+        held += 2 * sum(map(len, duet))
         if held >= _BATCH_EVENTS:
             score_pending()
             held = 0
@@ -298,7 +281,5 @@ def information_flow(
     piece_id: str = "",
 ) -> FlowReport:
     """Flow between two voices under one model. Symmetric in x and y."""
-    (result,) = information_flows(model, [(x, y)], params, piece_ids=[piece_id])
-    if isinstance(result, ValueError):
-        raise result
+    (result,) = raise_first(information_flows(model, [(x, y)], params, piece_ids=[piece_id]))
     return result

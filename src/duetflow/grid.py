@@ -69,9 +69,6 @@ class Layout(NamedTuple):
     spans: tuple[tuple[int, int], ...]  # (start, stop) of fields 1..5 in a sampling row
     lasts: np.ndarray  # int64, the last column of fields 1..5 in a sampling row
     shift: int  # bits that hold any count key (value * 8 + field)
-    # Whether each key below 2**shift is in the vocabulary, then one slot,
-    # False, for every larger key.
-    known: np.ndarray
     # int32, the column of each key below 2**shift in a row of whole
     # distributions; a key outside the vocabulary gets 2**31 - 1, past
     # the end of any row.
@@ -95,12 +92,11 @@ def layout(grid: GridSpec) -> Layout:
     shift = (8 * max(vocab) - 1).bit_length()
     keys = np.arange(1 << shift)
     limits = np.array([*vocab, 0, 0])  # fields 6 and 7 hold no value
-    known = np.append((keys >> 3) < limits[keys & 7], False)
     at = np.append(starts, [0, 0])[keys & 7] + (keys >> 3)
-    columns = np.where(known[:-1], at, 2**31 - 1).astype(np.int32)
-    for a in (sizes, weights, starts, lasts, known, columns):
+    columns = np.where((keys >> 3) < limits[keys & 7], at, 2**31 - 1).astype(np.int32)
+    for a in (sizes, weights, starts, lasts, columns):
         a.flags.writeable = False
-    return Layout(sizes, weights, starts, int(sizes.sum()), spans, lasts, shift, known, columns)
+    return Layout(sizes, weights, starts, int(sizes.sum()), spans, lasts, shift, columns)
 
 
 def round_half_away(numerator, denominator: int):

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from .events import EventSequence, FIELD_NAMES, N_FIELDS, encode_many, sequence_notes
+from .events import EventSequence, FIELD_NAMES, N_FIELDS, encode_views, raise_first, sequence_notes
 # encode, information_flow and generate are no longer called here; they stay
 # importable from this module because bench/tracing.py wraps them here.
 from .events import encode  # noqa: F401
@@ -502,28 +502,25 @@ def echo_corpus(n_pieces: int, piece_len: int, seed: int, grid: GridSpec) -> lis
 def training_encodings(
     pieces: Sequence[Piece], *, split_shared_programs: bool = False
 ) -> list[EventSequence]:
-    """Solo and merged encodings of each piece, the standard training diet.
+    """The X, Y and XY views of each piece, the standard training diet.
 
     Train with the ``split_shared_programs`` of the ``FlowParams`` that
     will score, so the model learns the merged view it is asked about.
-    Each run of pieces on one grid is encoded by one ``encode_many``; the
+    Each run of pieces on one grid is encoded by one ``encode_views``; the
     first piece in order that cannot be encoded, or is not a duet, raises.
     """
-    items, ineligible = [], None
+    duets, ineligible = [], None
     for piece in pieces:
         try:
-            x, y = split_tracks(piece)
+            duets.append((piece.grid, split_tracks(piece)))
         except IneligiblePieceError as exc:
             ineligible = exc
             break
-        items += [(piece.grid, [x]), (piece.grid, [y]), (piece.grid, [x, y])]
     corpus: list[EventSequence] = []
-    for grid, run in groupby(items, key=itemgetter(0)):
-        tracks = [t for _, t in run]
-        for seq in encode_many(tracks, grid, split_shared_programs=split_shared_programs):
-            if isinstance(seq, ValueError):
-                raise seq
-            corpus.append(seq)
+    for grid, run in groupby(duets, key=itemgetter(0)):
+        tracks = [duet for _, duet in run]
+        views = encode_views(tracks, grid, split_shared_programs=split_shared_programs)
+        corpus += [seq for triple in raise_first(views) for seq in triple]
     if ineligible is not None:
         raise ineligible
     return corpus

@@ -80,6 +80,7 @@ from .events import (
     TYPE_NOTES_BEGIN,
     SequenceStructureError,
     encode_many,
+    raise_first,
     validate_sequence,
 )
 # encode is no longer called here; it stays importable from this module
@@ -892,9 +893,7 @@ def generate_many(
         events = prefixes[i]
         tracks.append([np.vstack([events[events[:, 0] == TYPE_NOTE, 1:], track])])
         notes.append(track)
-    for b, (i, seq) in enumerate(zip(live, encode_many(tracks, model.grid))):
-        if isinstance(seq, ValueError):
-            raise seq
+    for b, (i, seq) in enumerate(zip(live, raise_first(encode_many(tracks, model.grid)))):
         # Python integers, not numpy ones, in the notes callers print.
         results[i] = GenerationResult(
             seq, tuple(map(QuantNote._make, notes[b].tolist())), tuple(depths[b]), notes[b]
@@ -912,9 +911,7 @@ def generate(
     consumers see a valid encoding. With steps == 0 the prime itself is
     returned, terminated.
     """
-    (result,) = generate_many(model, [prime], steps, [seed])
-    if isinstance(result, SequenceStructureError):
-        raise result
+    (result,) = raise_first(generate_many(model, [prime], steps, [seed]))
     return result
 
 
@@ -960,7 +957,7 @@ def _read_table(data: _Buffer, offset: int, lay: Layout) -> tuple[CountTable, in
     copied entry records go before the pair records are copied, and the
     pair records before the per-field sums are taken.
     """
-    shift, known = lay.shift, lay.known
+    shift, columns = lay.shift, lay.columns
     (n,) = _TABLE_SIZE.unpack_from(data, offset)
     start = offset + _TABLE_SIZE.size
     ints = _words(data, start)
@@ -996,7 +993,8 @@ def _read_table(data: _Buffer, offset: int, lay: Layout) -> tuple[CountTable, in
         raise ValueError("context hashes are not strictly ascending")
     if np.any(totals == 0) or np.any(counts == 0):
         raise ValueError("a total or a count is 0")
-    if not known[np.minimum(body["key"], np.uint64(len(known) - 1))].all():
+    # A key past every column reads the last, a field-7 key: never in the vocabulary.
+    if (columns[np.minimum(body["key"], np.uint64(len(columns) - 1))] >= lay.width).any():
         raise ValueError("a key is outside the vocabulary")
     codes = np.repeat(np.arange(len(heads), dtype=np.uint64) << np.uint64(shift), lengths)
     codes |= body["key"]

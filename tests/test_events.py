@@ -614,14 +614,14 @@ BASE_TEXT = seq_to_text(encode([[QuantNote(0, 0, 60, 1, 0), QuantNote(1, 3, 62, 
 CANONICAL_TEXTS = [
     BASE_TEXT,
     BASE_TEXT.rstrip("\n"),  # no final newline
+    BASE_TEXT.replace("3 0 0 60 1 0", "3 000000000000000000 00 060 001 0"),  # leading zeros
+    BASE_TEXT.replace("3 0 0 60 1 0", "3 999999999999999999 0 60 1 0"),  # 18 digits
+]
+OTHER_TEXTS = [
     "\n\n" + BASE_TEXT.replace("\n", "\n\n \n", 2) + "  \n",  # blank lines
     "",
     "\n",
-    BASE_TEXT.replace("3 0 0 60 1 0", "3 000000000000000000 00 060 001 0"),  # leading zeros
-    BASE_TEXT.replace("3 0 0 60 1 0", "3 999999999999999999 0 60 1 0"),  # 18 digits
     BASE_TEXT.replace("0 0 0 0 0 0", "0  0 0 0 0   0", 1),
-]
-OTHER_TEXTS = [
     BASE_TEXT.replace("3 0 0 60 1 0", "3 0000000000000000000 0 60 1 0"),  # 19 digits
     BASE_TEXT.replace("3 0 0 60 1 0", "3 1000000000000000000 0 60 1 0"),  # 19 digits, 10**18
     BASE_TEXT.replace("3 0 0 60 1 0", "3 9999999999999999999 0 60 1 0"),  # beyond int64

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from duetflow.events import Event, EventSequence, FIELD_NAMES, encode, sequence_notes
+from duetflow.events import (
+    Event,
+    EventSequence,
+    FIELD_NAMES,
+    encode,
+    sequence_notes,
+    sequences_from_notes,
+)
 import duetflow.harness as harness_module
 from duetflow.flow import FlowParams, FlowReport, information_flow, information_flows
 from duetflow.grid import GridSpec
@@ -320,6 +327,20 @@ def test_training_encodings_raise_the_first_failing_piece_in_order():
     got = training_encodings([good, coarse, good])
     assert got == [encode(t, p.grid) for p in (good, coarse, good)
                    for t in ([p.tracks[0]], [p.tracks[1]], p.tracks)]
+
+
+def test_split_training_encodings_merge_the_voices_as_scoring_does():
+    # Both voices play program 5 and the bass's first note sorts first, so
+    # the split moves the melody's program whichever voice is given first.
+    melody = tuple(QuantNote(i, 0, 60 + i % 5, 6, 5) for i in range(12))
+    bass = tuple(QuantNote(2 * i, 0, 36 + i % 3, 12, 5) for i in range(6))
+    merged = sequences_from_notes(melody, bass, GRID, split_shared_programs=True)[2]
+    assert merged == sequences_from_notes(bass, melody, GRID, split_shared_programs=True)[2]
+    assert merged.events[1:3, 5].tolist() == [5, 6]
+    piece = Piece("shared", GRID, (melody, bass))
+    assert training_encodings([piece], split_shared_programs=True)[2] == merged
+    # Without the split, the merged view was the same in either order already.
+    assert training_encodings([piece])[2] == encode([bass, melody], GRID)
 
 
 # --- self enhancement -------------------------------------------------------------
